@@ -1,10 +1,11 @@
 """Preference learning from binary click data.
 
-Clicked items are assumed ranked above unclicked ones, so each user's
-latent ranking factorizes into two within-group sequential samplers around
-the group-restricted consensus. The alternating loop draws all user
-rankings given the current consensus, then one consensus sample given the
-augmented rankings, and repeats.
+Clicked items are assumed ranked above unclicked ones, so a user's latent
+ranking is one sequential draw around the consensus in which every item is
+confined to its own rank block: clicked items to 1..c, unclicked items to
+c+1..n. The alternating loop draws all user rankings given the current
+consensus, then one consensus sample given the augmented rankings, and
+repeats.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet
+from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_alpha
 from .perms import as_ranking, rank_of, v_set
-from .pseudo import PseudoConfig, _rank_rows, _sample_v_members, _sequential_draws
+from .pseudo import PseudoConfig, _sequential_draws, match_alpha_grid, mean_pairwise_similarity
 
 
 class Recommendation(NamedTuple):
@@ -85,69 +86,28 @@ def click_frequency_ranking(clicks: ClickDataset) -> np.ndarray:
     return rank_of(-freq)
 
 
-def _row_group_ranks(rho: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Within-group rank of every item per user row (garbage outside group)."""
-    big = 2 * rho.size
-    key = rho[None, :] + (1 - groups) * big
-    return _rank_rows(key.astype(np.float64))
-
-
-def _sequential_group_draws(targets, group_mask, scale, rng) -> np.ndarray:
-    """Sample within-group ranks for all users at once.
-
-    ``targets[j, i]`` is the group-restricted consensus rank of item i for
-    user j; items outside ``group_mask`` are ignored. Returns within-group
-    ranks in 1..group_size, 0 elsewhere.
-    """
-    n_users, n = targets.shape
-    sizes = group_mask.sum(axis=1)
-    out = np.zeros((n_users, n), dtype=np.int64)
-    if n_users == 0 or sizes.max(initial=0) == 0:
-        return out
-    keys = np.where(group_mask, rng.random((n_users, n)), np.inf)
-    seq = np.argsort(keys, axis=1, kind="stable")  # group items first, random order
-    avail = np.arange(1, n + 1)[None, :] <= sizes[:, None]
-    ranks = np.arange(1, n + 1)
-    for s in range(int(sizes.max())):
-        idx = np.flatnonzero(sizes > s)
-        items = seq[idx, s]
-        tgt = targets[idx, items]
-        lw = -scale * np.abs(tgt[:, None] - ranks[None, :]).astype(np.float64)
-        lw = np.where(avail[idx], lw, -np.inf)
-        lw -= lw.max(axis=1, keepdims=True)
-        w = np.exp(lw)
-        cum = np.cumsum(w, axis=1)
-        u = rng.random(idx.size) * cum[:, -1]
-        chosen = np.minimum((cum <= u[:, None]).sum(axis=1), n - 1)
-        bad = ~avail[idx, chosen]
-        if bad.any():
-            chosen[bad] = n - 1 - np.argmax(avail[idx][bad][:, ::-1], axis=1)
-        out[idx, items] = chosen + 1
-        avail[idx, chosen] = False
-    return out
-
-
 def sample_user_rankings(clicks: np.ndarray, alpha: float, rho, rng) -> np.ndarray:
     """Draw one compatible ranking per user given the consensus (vectorized).
 
-    Within each group the factor weights use the global n in the exponent
-    scale; unclicked within-group ranks are shifted up by the user's click
-    count so clicked items occupy the top ranks.
+    Each user's ranking is one sequential draw over all n items, in a
+    uniformly random item order. The target is the compatible ranking that
+    follows ``rho`` within each group; item i takes rank r with weight
+    exp(-(alpha/n) |target_i - r|) on its own rank block and zero off it.
+    Within the unclicked block |(t + c) - (r + c)| = |t - r|, and the blocks
+    are disjoint, so this is the law of two within-group samplers.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    alpha = check_alpha(alpha)
     rho = as_ranking(rho)
     b = np.asarray(clicks, dtype=np.int64)
     if b.ndim == 1:
         b = b[None, :]
     n = rho.size
-    scale = alpha / n
-    c = b.sum(axis=1)
-    tau_clicked = _row_group_ranks(rho, b)
-    tau_unclicked = _row_group_ranks(rho, 1 - b)
-    within_c = _sequential_group_draws(tau_clicked, b == 1, scale, rng)
-    within_u = _sequential_group_draws(tau_unclicked, b == 0, scale, rng)
-    return np.where(b == 1, within_c, within_u + c[:, None])
+    target = rank_of(rho + (1 - b) * 2 * n)
+    ranks = np.arange(1, n + 1)
+    in_block = (ranks <= b.sum(axis=1)[:, None, None]) == (b[:, :, None] == 1)
+    log_weights = np.where(in_block, -(alpha / n) * np.abs(target[:, :, None] - ranks), -np.inf)
+    orderings0 = np.argsort(rng.random(b.shape), axis=1)
+    return _sequential_draws(log_weights, orderings0, rng)
 
 
 def sample_user_ranking(clicks_row, alpha: float, rho, rng) -> np.ndarray:
@@ -180,9 +140,9 @@ def pseudo_clicking(clicks: ClickDataset, cfg: PseudoConfig, warmup: int = 10):
     for t in range(warmup + cfg.n_samples):
         R = sample_user_rankings(b, cfg.alpha, rho, rng)
         rho_hat = rank_of(R.mean(axis=0))
-        v = _sample_v_members(v_set(rho_hat), 1, rng)
+        v = v_set(rho_hat).sample(rng, 1)
         if cfg.sigma > 0:
-            v = _rank_rows(v + rng.normal(0.0, cfg.sigma, size=v.shape))
+            v = rank_of(v + rng.normal(0.0, cfg.sigma, size=v.shape))
         ordering0 = np.argsort(v, axis=1, kind="stable")
         cost = RankCountMatrix(R).cost
         rho = _sequential_draws(-scale * cost, ordering0, rng)[0]
@@ -245,15 +205,7 @@ def binary_mean_similarity(clicks: ClickDataset | np.ndarray) -> float:
     Zero-click users carry no signal and are excluded from both the sum and
     the pair normalization.
     """
-    b = clicks.clicks if isinstance(clicks, ClickDataset) else np.asarray(clicks)
-    b = b[b.sum(axis=1) > 0].astype(np.float64)
-    n_users = b.shape[0]
-    if n_users < 2:
-        raise ValueError("need at least two users with clicks")
-    gram = b @ b.T
-    norms = np.sqrt(np.diag(gram))
-    sims = gram / np.outer(norms, norms)
-    return float((sims.sum() - np.trace(sims)) / (n_users * (n_users - 1)))
+    return mean_pairwise_similarity(clicks.clicks if isinstance(clicks, ClickDataset) else clicks)
 
 
 def estimate_alpha_clicks(
@@ -269,9 +221,6 @@ def estimate_alpha_clicks(
     truncated Poisson with the observed mean click count) before computing
     the binary similarity statistic.
     """
-    grid = [float(a) for a in alpha_grid]
-    if not grid:
-        raise ValueError("alpha grid is empty")
     rng = np.random.default_rng(rng)
     observed = binary_mean_similarity(clicks)
     n = clicks.n_items
@@ -282,9 +231,8 @@ def estimate_alpha_clicks(
     from .simulate import make_dataset
 
     rho0 = np.arange(1, n + 1)
-    simulated = []
-    for a in grid:
-        sim_data = make_dataset(rho0, a, sim_users, rng)
-        sim_clicks = binarize(sim_data, count_model, rng)
-        simulated.append(binary_mean_similarity(sim_clicks))
-    return grid[int(np.argmin(np.abs(np.asarray(simulated) - observed)))]
+    return match_alpha_grid(
+        alpha_grid,
+        observed,
+        lambda a: binary_mean_similarity(binarize(make_dataset(rho0, a, sim_users, rng), count_model, rng)),
+    )

@@ -13,6 +13,24 @@ import numpy as np
 from .perms import as_ranking
 
 
+def check_alpha(alpha: float) -> float:
+    """Return ``alpha`` as a float, rejecting values that are not finite and positive."""
+    alpha = float(alpha)
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    return alpha
+
+
+def _integer_array(values, name: str) -> np.ndarray:
+    """``values`` as int64, rejecting entries that are not whole numbers."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biu":
+        as_float = arr.astype(np.float64)
+        if not (np.isfinite(as_float) & (as_float == np.floor(as_float))).all():
+            raise ValueError(f"{name} must hold integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
@@ -27,7 +45,7 @@ class RankingDataset:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.rankings, dtype=np.int64)
+        arr = _integer_array(self.rankings, "rankings")
         if arr.ndim == 1:
             arr = arr[None, :]
         if arr.ndim != 2:
@@ -60,7 +78,7 @@ class ClickDataset:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.asarray(self.clicks, dtype=np.int64)
+        arr = _integer_array(self.clicks, "clicks")
         if arr.ndim == 1:
             arr = arr[None, :]
         if arr.ndim != 2:
@@ -123,9 +141,11 @@ class RankCountMatrix:
         if arr.ndim != 2:
             raise ValueError("expected a (N, n) ranking array")
         n_users, n = arr.shape
-        counts = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            counts[i] = np.bincount(arr[:, i] - 1, minlength=n)
+        if arr.size and (arr.min() < 1 or arr.max() > n):
+            raise ValueError(f"ranks must lie in 1..{n}")
+        flat = arr - 1
+        flat += np.arange(n) * n  # cell (item, rank - 1) of the (n, n) table
+        counts = np.bincount(flat.ravel(), minlength=n * n).reshape(n, n)
         ranks = np.arange(1, n + 1, dtype=np.int64)
         cum_c = np.cumsum(counts, axis=1)
         cum_w = np.cumsum(counts * ranks, axis=1)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logsumexp
 
-from .data import RankCountMatrix, RankingDataset, SampleSet
+from .data import RankCountMatrix, RankingDataset, SampleSet, check_alpha
 from .exact import (
     DiscreteDistribution,
     exact_posterior,
@@ -84,10 +84,7 @@ class MarginalProfile:
         eps = 1.0 / (2.0 * t) if smoothing is None else float(smoothing)
         if eps <= 0:
             raise ValueError("smoothing must be positive for empirical profiles")
-        counts = np.zeros((n, n))
-        for i in range(n):
-            counts[i] = np.bincount(arr[:, i] - 1, minlength=n)
-        counts += eps
+        counts = RankCountMatrix(arr).counts + eps
         return cls(counts / counts.sum(axis=1, keepdims=True), source=f"empirical({t})")
 
 
@@ -288,8 +285,7 @@ def iterative_search(
     wander after finding a good ordering, so consumers should read the
     best-so-far entry rather than the last one.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_alpha(alpha)
     n = data.n_items
     if eval_mode == "exact":
         if n > EXACT_SEARCH_CAP:

@@ -25,7 +25,7 @@ from .clicking import (
     pseudo_clicking,
     recommend_topk,
 )
-from .data import ClickDataset, RankingDataset, SampleSet
+from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet
 from .evaluation import (
     MarginalProfile,
     choose_sigma,
@@ -195,10 +195,7 @@ def cp_consensus(samples) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError("need a nonempty (T, n) sample array")
     t, n = arr.shape
-    counts = np.zeros((n, n))
-    for i in range(n):
-        counts[i] = np.bincount(arr[:, i] - 1, minlength=n)
-    cum = np.cumsum(counts, axis=1) / t
+    cum = np.cumsum(RankCountMatrix(arr).counts, axis=1) / t
     out = np.zeros(n, dtype=np.int64)
     unassigned = np.ones(n, dtype=bool)
     for rank in range(1, n + 1):

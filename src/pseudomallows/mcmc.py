@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ClickDataset, RankCountMatrix, RankingDataset
+from .data import ClickDataset, RankCountMatrix, RankingDataset, check_alpha
 from .perms import as_ranking, rank_of
 
 _BLOCK = 1 << 15  # pre-drawn randomness block size for the hot loops
@@ -201,8 +201,7 @@ def mcmc_rho(data: RankingDataset, alpha: float, cfg: McmcConfig) -> McmcTrace:
     The chain is deterministic given ``cfg.seed`` and starts from a random
     permutation drawn from the same stream.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive for inference")
+    check_alpha(alpha)
     n = data.n_items
     rng = np.random.default_rng(cfg.seed)
     if n == 1:
@@ -213,17 +212,6 @@ def mcmc_rho(data: RankingDataset, alpha: float, cfg: McmcConfig) -> McmcTrace:
     start = time.perf_counter()
     samples, rate = _run_rho_chain(cost_rows, alpha / n, n, cfg, rng, init)
     return McmcTrace(samples, rate, time.perf_counter() - start)
-
-
-def _initial_augmented(clicks: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """A compatible ranking per user: within each group, follow ``rho``."""
-    big = 2 * rho.size
-    key = rho[None, :] + (1 - clicks) * big
-    order = np.argsort(key, axis=1, kind="stable")
-    out = np.empty_like(key)
-    rows = np.arange(clicks.shape[0])[:, None]
-    out[rows, order] = np.arange(1, rho.size + 1)[None, :]
-    return out
 
 
 def _padded_groups(clicks: np.ndarray):
@@ -251,8 +239,7 @@ def mcmc_clicking(clicks: ClickDataset, alpha: float, cfg: McmcConfig):
     augmented rankings. Returns the consensus trace and the per-user ranking
     trace with shape (T, N, n).
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive for inference")
+    check_alpha(alpha)
     B = clicks.clicks
     n_users, n = B.shape
     rng = np.random.default_rng(cfg.seed)
@@ -264,7 +251,7 @@ def mcmc_clicking(clicks: ClickDataset, alpha: float, cfg: McmcConfig):
             McmcTrace(np.ones((t, 1), dtype=np.int64), 1.0, 0.0),
             np.ones((t, n_users, 1), dtype=np.int64),
         )
-    R = _initial_augmented(B, rho)
+    R = rank_of(rho + (1 - B) * 2 * n)  # compatible, following rho within each group
     clicked_pad, unclicked_pad, c = _padded_groups(B)
     cc = n - c
     can_click = c >= 2

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -57,7 +57,8 @@ def footrule_distance(a, b) -> int:
 
 
 def rank_of(x) -> np.ndarray:
-    """Rank the entries of a real vector, smallest value getting rank 1.
+    """Rank the entries of a real array along its last axis, smallest value
+    getting rank 1; a 2-d input is ranked row by row.
 
     Exact ties are broken by ascending position index, so the output is
     always a valid ranking even for tied inputs:
@@ -66,13 +67,13 @@ def rank_of(x) -> np.ndarray:
         rank_of((1.0, 1.0))      -> [1, 2]
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("rank_of expects a nonempty 1-d vector")
+    if arr.ndim < 1 or arr.shape[-1] < 1:
+        raise ValueError("rank_of expects nonempty vectors along the last axis")
     if np.isnan(arr).any():
         raise ValueError("rank_of input contains NaN")
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(arr.size, dtype=np.int64)
-    ranks[order] = np.arange(1, arr.size + 1)
+    order = np.argsort(arr, axis=-1, kind="stable")
+    ranks = np.empty(arr.shape, dtype=np.int64)
+    np.put_along_axis(ranks, order, np.arange(1, arr.shape[-1] + 1), axis=-1)
     return ranks
 
 
@@ -147,26 +148,30 @@ class VSet:
     def __len__(self) -> int:
         return self.size
 
-    def _build(self, orientation: Sequence[int]) -> np.ndarray:
-        v = np.empty(self.n, dtype=np.int64)
+    def _rows(self, bits: np.ndarray) -> np.ndarray:
+        """Members as rows, one row of pair orientation bits per member."""
+        out = np.empty((bits.shape[0], self.n), dtype=np.int64)
         if self._middle_item is not None:
-            v[self._middle_item - 1] = 1
-        for bit, (a, b, low) in zip(orientation, self._pairs):
-            if bit:
-                v[a - 1], v[b - 1] = low + 1, low
-            else:
-                v[a - 1], v[b - 1] = low, low + 1
-        return v
+            out[:, self._middle_item - 1] = 1
+        for idx, (a, b, low) in enumerate(self._pairs):
+            out[:, a - 1] = low + bits[:, idx]
+            out[:, b - 1] = low + 1 - bits[:, idx]
+        return out
 
     def members(self) -> Iterator[np.ndarray]:
         """Yield every member ranking (2^#pairs of them)."""
         for bits in itertools.product((0, 1), repeat=len(self._pairs)):
-            yield self._build(bits)
+            yield self._rows(np.array([bits]))[0]
 
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one member uniformly: each pair orientation is a fair coin."""
-        bits = rng.integers(0, 2, size=len(self._pairs))
-        return self._build(bits)
+    def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+        """Draw members uniformly: each pair orientation is a fair coin.
+
+        Returns one ranking with ``size=None``, otherwise ``size`` rankings as
+        the rows of a (size, n) array.
+        """
+        t = 1 if size is None else int(size)
+        rows = self._rows(rng.integers(0, 2, size=(t, len(self._pairs))))
+        return rows[0] if size is None else rows
 
     def __contains__(self, candidate) -> bool:
         v = np.asarray(candidate, dtype=np.int64)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import RankCountMatrix, RankingDataset, SampleSet
+from .data import RankCountMatrix, RankingDataset, SampleSet, check_alpha
 from .exact import EXACT_CAP, DiscreteDistribution, _check_cap
 from .perms import as_ranking, permutation_matrix, rank_of, v_set
 
@@ -31,10 +31,9 @@ class PseudoConfig:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        check_alpha(self.alpha)
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 
@@ -42,26 +41,29 @@ class PseudoConfig:
 def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> np.ndarray:
     """Draw rankings by sampling ranks without replacement, one item at a time.
 
-    ``log_weights[i, r-1]`` is the absolute log factor weight of giving item
-    ``i`` (0-based) rank ``r``; ``orderings0`` holds one 0-based item sequence
-    per draw. Vectorized across draws: each step renormalizes the still
-    available ranks, so per-factor weight spreads never underflow.
+    ``log_weights[i, r-1]`` is the log factor weight of giving item ``i``
+    (0-based) rank ``r``, either one (n, n) table shared by every draw or a
+    (T, n, n) stack with one table per draw; ``-inf`` forbids the rank.
+    ``orderings0`` holds one 0-based item sequence per draw. Vectorized across
+    draws: each step renormalizes the still available ranks, so per-factor
+    weight spreads never underflow.
     """
     T, n = orderings0.shape
+    table = np.broadcast_to(log_weights, (T, n, n))
     avail = np.ones((T, n), dtype=bool)
     out = np.zeros((T, n), dtype=np.int64)
     rows = np.arange(T)
     for k in range(n):
         items = orderings0[:, k]
-        lw = np.where(avail, log_weights[items], -np.inf)
+        lw = np.where(avail, table[rows, items], -np.inf)
         lw -= lw.max(axis=1, keepdims=True)
         w = np.exp(lw)
         cum = np.cumsum(w, axis=1)
         u = rng.random(T) * cum[:, -1]
         chosen = np.minimum((cum <= u[:, None]).sum(axis=1), n - 1)
-        bad = ~avail[rows, chosen]
+        bad = w[rows, chosen] == 0
         if bad.any():  # float edge: u landed past the last positive weight
-            chosen[bad] = n - 1 - np.argmax(avail[bad][:, ::-1], axis=1)
+            chosen[bad] = n - 1 - np.argmax(w[bad][:, ::-1] > 0, axis=1)
         out[rows, items] = chosen + 1
         avail[rows, chosen] = False
     return out
@@ -82,8 +84,7 @@ def sample_rho_given_ordering(data, alpha: float, ordering, rng, size: int | Non
     single ranking is returned; otherwise an (size, n) array of independent
     draws.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_alpha(alpha)
     cost = _cost_table(data)
     n = cost.shape[0]
     o = as_ranking(ordering, "ordering")
@@ -97,8 +98,7 @@ def sample_rho_given_ordering(data, alpha: float, ordering, rng, size: int | Non
 
 def sample_rho_with_orderings(data, alpha: float, orderings, rng) -> np.ndarray:
     """Sample one consensus ranking per row of ``orderings`` (1-based items)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    check_alpha(alpha)
     cost = _cost_table(data)
     n = cost.shape[0]
     o = np.asarray(orderings, dtype=np.int64)
@@ -174,49 +174,46 @@ def sample_rho(data: RankingDataset, cfg: PseudoConfig) -> SampleSet:
     t = cfg.n_samples
     cost = RankCountMatrix.from_dataset(data).cost
     start = time.perf_counter()
-    vset = v_set(rho_hat)
-    v_rows = _sample_v_members(vset, t, rng)
+    v_rows = v_set(rho_hat).sample(rng, t)
     if cfg.sigma > 0:
-        noisy = v_rows + rng.normal(0.0, cfg.sigma, size=v_rows.shape)
-        v_rows = _rank_rows(noisy)
+        v_rows = rank_of(v_rows + rng.normal(0.0, cfg.sigma, size=v_rows.shape))
     orderings0 = np.argsort(v_rows, axis=1, kind="stable")
     draws = _sequential_draws(-(cfg.alpha / n) * cost, orderings0, rng)
     wall = time.perf_counter() - start
     return SampleSet(draws, alpha=cfg.alpha, sigma=cfg.sigma, seed=cfg.seed, wall_clock=wall)
 
 
-def _sample_v_members(vset, t: int, rng) -> np.ndarray:
-    """t uniform V-set members as rows, one orientation coin per pair."""
-    n = vset.n
-    out = np.empty((t, n), dtype=np.int64)
-    if vset._middle_item is not None:
-        out[:, vset._middle_item - 1] = 1
-    if vset._pairs:
-        bits = rng.integers(0, 2, size=(t, len(vset._pairs)))
-        for idx, (a, b, low) in enumerate(vset._pairs):
-            out[:, a - 1] = low + bits[:, idx]
-            out[:, b - 1] = low + 1 - bits[:, idx]
-    return out
+def mean_pairwise_similarity(vectors) -> float:
+    """Mean cosine similarity over all ordered pairs of distinct rows.
 
-
-def _rank_rows(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    rows = np.arange(x.shape[0])[:, None]
-    ranks[rows, order] = np.arange(1, x.shape[1] + 1)[None, :]
-    return ranks
-
-
-def mean_pairwise_similarity(rankings: np.ndarray) -> float:
-    """Mean cosine similarity over all ordered pairs of distinct users."""
-    arr = np.asarray(rankings, dtype=np.float64)
-    n_users = arr.shape[0]
+    All-zero rows carry no direction and are left out of both the sum and the
+    pair count. With unit rows u_j, the sum over pairs is |sum_j u_j|^2 - N,
+    so the cost is O(N * n) without an N x N Gram matrix.
+    """
+    arr = np.asarray(vectors, dtype=np.float64)
+    norms = np.linalg.norm(arr, axis=1)
+    keep = norms > 0
+    n_users = int(keep.sum())
     if n_users < 2:
-        raise ValueError("need at least two users for pairwise similarity")
-    gram = arr @ arr.T
-    norms = np.sqrt(np.diag(gram))
-    sims = gram / np.outer(norms, norms)
-    return float((sims.sum() - np.trace(sims)) / (n_users * (n_users - 1)))
+        raise ValueError("need at least two users with nonzero rows")
+    total = (arr[keep] / norms[keep, None]).sum(axis=0)
+    return float((total @ total - n_users) / (n_users * (n_users - 1)))
+
+
+def match_alpha_grid(alpha_grid, observed: float, simulate) -> float:
+    """The grid alpha whose simulated statistic is closest to ``observed``.
+
+    ``simulate(alpha)`` returns the statistic of one simulated dataset; it is
+    called once per grid value, in ascending order. The grid must be
+    nonempty and strictly ascending.
+    """
+    grid = [float(a) for a in alpha_grid]
+    if not grid:
+        raise ValueError("alpha grid is empty")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError("alpha grid must be strictly ascending")
+    gaps = [abs(simulate(a) - observed) for a in grid]
+    return grid[int(np.argmin(gaps))]
 
 
 def estimate_alpha_full(
@@ -232,17 +229,13 @@ def estimate_alpha_full(
     simulated per grid value; the similarity statistic is monotone in alpha,
     which makes the matching well posed.
     """
-    grid = [float(a) for a in alpha_grid]
-    if not grid:
-        raise ValueError("alpha grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("alpha grid must be strictly ascending")
     rng = np.random.default_rng(rng)
     observed = mean_pairwise_similarity(data.rankings)
     from .simulate import sample_mallows
 
     rho0 = np.arange(1, data.n_items + 1)
-    simulated = [
-        mean_pairwise_similarity(sample_mallows(rho0, a, sim_users, rng)) for a in grid
-    ]
-    return grid[int(np.argmin(np.abs(np.asarray(simulated) - observed)))]
+    return match_alpha_grid(
+        alpha_grid,
+        observed,
+        lambda a: mean_pairwise_similarity(sample_mallows(rho0, a, sim_users, rng)),
+    )

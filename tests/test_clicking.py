@@ -1,6 +1,7 @@
 """Click-data augmentation: per-user samplers, the alternating loop,
 recommendation scoring, binarization, and similarity-based alpha tuning."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -23,9 +24,41 @@ from pseudomallows.clicking import (
     sample_user_rankings,
 )
 from pseudomallows.data import ClickDataset, RankingDataset
-from pseudomallows.perms import footrule_distance, is_permutation
+from pseudomallows.perms import enumerate_permutations, footrule_distance, is_permutation
 from pseudomallows.pseudo import PseudoConfig
 from pseudomallows.simulate import make_dataset
+
+
+def exact_user_law(clicks_row, alpha, rho) -> dict:
+    """Law of one user's compatible ranking, by enumeration.
+
+    The item order is uniform over all n! orders. Given an order, each item
+    takes a still-free rank of its own block (clicked: 1..c, unclicked:
+    c+1..n) with weight exp(-(alpha/n) |target - r|), where the target
+    ranks the group's items by ``rho`` inside the block.
+    """
+    b = np.asarray(clicks_row)
+    rho = np.asarray(rho)
+    n, c = b.size, int(b.sum())
+    target = np.empty(n)
+    for group, offset in ((1, 0), (0, c)):
+        items = np.flatnonzero(b == group)
+        target[items] = offset + 1 + np.argsort(np.argsort(rho[items]))
+    blocks = [range(1, c + 1) if b[i] else range(c + 1, n + 1) for i in range(n)]
+    weight = lambda i, r: math.exp(-(alpha / n) * abs(target[i] - r))
+    compatible = [r for r in enumerate_permutations(n) if in_compatible_set(r, b)]
+    law = {}
+    for r in compatible:
+        total = 0.0
+        for order in itertools.permutations(range(n)):
+            prob, taken = 1.0, set()
+            for i in order:
+                free = [s for s in blocks[i] if s not in taken]
+                prob *= weight(i, r[i]) / sum(weight(i, s) for s in free)
+                taken.add(r[i])
+            total += prob
+        law[r] = total / math.factorial(n)
+    return law
 
 
 class TestCountModels:
@@ -106,14 +139,36 @@ class TestUserSampler:
             assert is_permutation(row)
             assert in_compatible_set(row, b)
 
+    @pytest.mark.parametrize(
+        "clicks_row, rho, bound",
+        [
+            ((1, 0, 1, 0, 0), (3, 1, 5, 2, 4), 0.015),  # 2! x 3! compatible rankings
+            ((0, 0, 0, 0, 0), (2, 5, 1, 4, 3), 0.03),  # c = 0: all 5! rankings
+            ((1, 1, 1, 1, 1), (4, 2, 5, 1, 3), 0.03),  # c = n
+            ((1,), (1,), 0.0),  # n = 1
+        ],
+        ids=["c=2", "c=0", "c=n", "n=1"],
+    )
+    def test_matches_exact_law(self, clicks_row, rho, bound):
+        """Total variation between 1e5 draws and the enumerated law."""
+        law = exact_user_law(clicks_row, 3.0, rho)
+        assert sum(law.values()) == pytest.approx(1.0)
+        t = 100000
+        draws = sample_user_rankings(np.tile(clicks_row, (t, 1)), 3.0, rho, np.random.default_rng(6))
+        counts = Counter(map(tuple, draws.tolist()))
+        assert set(counts) <= set(law)
+        tv = 0.5 * sum(abs(counts.get(r, 0) / t - p) for r, p in law.items())
+        assert tv <= bound
+
     def test_zero_click_user_unconstrained(self):
         rng = np.random.default_rng(4)
         r = sample_user_ranking((0, 0, 0, 0), 2.0, (4, 3, 2, 1), rng)
         assert is_permutation(r)
 
     def test_alpha_validation(self):
-        with pytest.raises(ValueError, match="alpha"):
-            sample_user_ranking((1, 0), 0.0, (1, 2), np.random.default_rng(0))
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                sample_user_ranking((1, 0), alpha, (1, 2), np.random.default_rng(0))
 
 
 class TestPseudoClicking:
@@ -228,6 +283,8 @@ class TestAlphaFromClicks:
         clicks = ClickDataset(np.array([[1, 0], [0, 1]]))
         with pytest.raises(ValueError, match="empty"):
             estimate_alpha_clicks(clicks, ())
+        with pytest.raises(ValueError, match="ascending"):
+            estimate_alpha_clicks(clicks, (2.0, 1.0))
 
     def test_simulated_similarity_increases_with_alpha(self):
         """The similarity statistic must be monotone on the default grid for

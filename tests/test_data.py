@@ -7,6 +7,8 @@ from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset, Sa
 def test_ranking_dataset_validates_rows():
     with pytest.raises(ValueError, match="row 1"):
         RankingDataset(np.array([[1, 2, 3], [1, 1, 2]]))
+    with pytest.raises(ValueError, match="integers"):
+        RankingDataset([[1.5, 2, 3]])
 
 
 def test_ranking_dataset_shape_and_labels():
@@ -26,6 +28,8 @@ def test_ranking_dataset_is_frozen():
 def test_click_dataset_validates_bits():
     with pytest.raises(ValueError, match="row 0"):
         ClickDataset(np.array([[0, 2, 1]]))
+    with pytest.raises(ValueError, match="integers"):
+        ClickDataset([[0.5, 1]])
     ds = ClickDataset(np.array([[1, 0, 1], [0, 0, 0]]))
     assert ds.click_counts().tolist() == [2, 0]
 
@@ -42,6 +46,8 @@ class TestRankCountMatrix:
         arr = np.array([rng.permutation(6) + 1 for _ in range(40)])
         rcm = RankCountMatrix(arr)
         assert (rcm.counts.sum(axis=1) == 40).all()
+        with pytest.raises(ValueError, match="1..3"):
+            RankCountMatrix(np.array([[1, 2, 4]]))
 
     def test_cost_matches_brute_force(self):
         """cost[i, l-1] must equal sum_j |R^j_i - l| computed directly."""

@@ -70,8 +70,9 @@ class TestConfig:
 class TestRhoChain:
     def test_alpha_must_be_positive(self):
         data = make_dataset((1, 2, 3), 1.0, 5, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="alpha"):
-            mcmc_rho(data, 0.0, McmcConfig(iterations=10))
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                mcmc_rho(data, alpha, McmcConfig(iterations=10))
 
     def test_flat_target_accepts_everything(self):
         data = make_dataset(np.arange(1, 6), 1.0, 5, np.random.default_rng(1))

@@ -64,6 +64,9 @@ class TestRankOperator:
         # the raw count-of-smaller-or-equal definition would give (2, 2)
         assert rank_of((1.0, 1.0)).tolist() == [1, 2]
 
+    def test_rows_ranked_along_last_axis(self):
+        assert rank_of([[0.3, 1.2, 0.7], [1.0, 1.0, 0.0]]).tolist() == [[1, 3, 2], [2, 3, 1]]
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             rank_of((1.0, float("nan")))

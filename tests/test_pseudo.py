@@ -19,7 +19,6 @@ from pseudomallows.perms import (
 )
 from pseudomallows.pseudo import (
     PseudoConfig,
-    _sample_v_members,
     estimate_alpha_full,
     estimate_rho_hat,
     exact_distribution,
@@ -61,8 +60,9 @@ class TestSampleGivenOrdering:
 
     def test_alpha_validation(self):
         ds = RankingDataset(np.array([[1, 2]]))
-        with pytest.raises(ValueError, match="alpha"):
-            sample_rho_given_ordering(ds, 0.0, (1, 2), np.random.default_rng(0))
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                sample_rho_given_ordering(ds, alpha, (1, 2), np.random.default_rng(0))
 
 
 class TestExactDistribution:
@@ -167,7 +167,7 @@ class TestSampleRho:
     def test_sigma_zero_uses_v_orderings(self):
         # the member generator feeding the orderings must emit V-set rows
         vs = v_set((2, 1, 3))
-        rows = _sample_v_members(vs, 200, np.random.default_rng(0))
+        rows = vs.sample(np.random.default_rng(0), 200)
         assert all(np.asarray(row) in vs for row in rows)
 
     def test_outputs_are_permutations(self):
@@ -194,10 +194,12 @@ class TestSampleRho:
         assert abs(acf1) < 0.05
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PseudoConfig(alpha=0.0, sigma=0.0, n_samples=10)
-        with pytest.raises(ValueError):
-            PseudoConfig(alpha=1.0, sigma=-0.1, n_samples=10)
+        for alpha in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha"):
+                PseudoConfig(alpha=alpha, sigma=0.0, n_samples=10)
+        for sigma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma"):
+                PseudoConfig(alpha=1.0, sigma=sigma, n_samples=10)
 
 
 class TestAlphaEstimation:
