@@ -21,7 +21,7 @@ from .clicking import (
     sample_user_rankings,
     topk_probabilities,
 )
-from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet
+from .data import ClickDataset, RankCountMatrix, RankingDataset, RowError, SampleSet, rankings_of
 from .evaluation import (
     MarginalProfile,
     SearchTrace,
@@ -69,8 +69,8 @@ from .perms import (
     footrule_distance,
     ordering_of,
     perturbed_v_ranking,
+    non_permutation_rows,
     rank_of,
-    ranking_of,
     v_set,
 )
 from .pseudo import (

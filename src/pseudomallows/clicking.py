@@ -16,8 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_alpha
-from .perms import as_ranking, rank_of, v_set
+from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_alpha, clicks_of
+from .perms import as_ranking, perturbed_v_ranking, rank_of
 from .pseudo import PseudoConfig, _sequential_draws, match_alpha_grid, mean_pairwise_similarity
 
 
@@ -86,7 +86,7 @@ def click_frequency_ranking(clicks: ClickDataset) -> np.ndarray:
     return rank_of(-freq)
 
 
-def sample_user_rankings(clicks: np.ndarray, alpha: float, rho, rng) -> np.ndarray:
+def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     """Draw one compatible ranking per user given the consensus (vectorized).
 
     Each user's ranking is one sequential draw over all n items, in a
@@ -95,13 +95,14 @@ def sample_user_rankings(clicks: np.ndarray, alpha: float, rho, rng) -> np.ndarr
     exp(-(alpha/n) |target_i - r|) on its own rank block and zero off it.
     Within the unclicked block |(t + c) - (r + c)| = |t - r|, and the blocks
     are disjoint, so this is the law of two within-group samplers.
+    ``clicks`` is a ClickDataset or anything ClickDataset accepts.
     """
     alpha = check_alpha(alpha)
     rho = as_ranking(rho)
-    b = np.asarray(clicks, dtype=np.int64)
-    if b.ndim == 1:
-        b = b[None, :]
+    b = clicks_of(clicks)
     n = rho.size
+    if b.shape[1] != n:
+        raise ValueError(f"clicks have {b.shape[1]} columns but rho ranks {n} items")
     target = rank_of(rho + (1 - b) * 2 * n)
     ranks = np.arange(1, n + 1)
     in_block = (ranks <= b.sum(axis=1)[:, None, None]) == (b[:, :, None] == 1)
@@ -112,8 +113,7 @@ def sample_user_rankings(clicks: np.ndarray, alpha: float, rho, rng) -> np.ndarr
 
 def sample_user_ranking(clicks_row, alpha: float, rho, rng) -> np.ndarray:
     """Single-user version of :func:`sample_user_rankings`."""
-    b = np.asarray(clicks_row, dtype=np.int64)
-    return sample_user_rankings(b[None, :], alpha, rho, rng)[0]
+    return sample_user_rankings(np.asarray(clicks_row)[None, :], alpha, rho, rng)[0]
 
 
 def pseudo_clicking(clicks: ClickDataset, cfg: PseudoConfig, warmup: int = 10):
@@ -129,8 +129,7 @@ def pseudo_clicking(clicks: ClickDataset, cfg: PseudoConfig, warmup: int = 10):
     """
     if warmup < 0:
         raise ValueError("warmup must be nonnegative")
-    b = clicks.clicks
-    n_users, n = b.shape
+    n_users, n = clicks.clicks.shape
     rng = np.random.default_rng(cfg.seed)
     rho = click_frequency_ranking(clicks)
     scale = cfg.alpha / n
@@ -138,11 +137,8 @@ def pseudo_clicking(clicks: ClickDataset, cfg: PseudoConfig, warmup: int = 10):
     user_keep = np.empty((cfg.n_samples, n_users, n), dtype=np.int64)
     start = time.perf_counter()
     for t in range(warmup + cfg.n_samples):
-        R = sample_user_rankings(b, cfg.alpha, rho, rng)
-        rho_hat = rank_of(R.mean(axis=0))
-        v = v_set(rho_hat).sample(rng, 1)
-        if cfg.sigma > 0:
-            v = rank_of(v + rng.normal(0.0, cfg.sigma, size=v.shape))
+        R = sample_user_rankings(clicks, cfg.alpha, rho, rng)
+        v = perturbed_v_ranking(rank_of(R.mean(axis=0)), cfg.sigma, rng, 1)
         ordering0 = np.argsort(v, axis=1, kind="stable")
         cost = RankCountMatrix(R).cost
         rho = _sequential_draws(-scale * cost, ordering0, rng)[0]
@@ -205,7 +201,7 @@ def binary_mean_similarity(clicks: ClickDataset | np.ndarray) -> float:
     Zero-click users carry no signal and are excluded from both the sum and
     the pair normalization.
     """
-    return mean_pairwise_similarity(clicks.clicks if isinstance(clicks, ClickDataset) else clicks)
+    return mean_pairwise_similarity(clicks_of(clicks))
 
 
 def estimate_alpha_clicks(

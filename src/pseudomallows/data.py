@@ -6,11 +6,11 @@ threads; samplers receive their own RNG streams.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import as_ranking
+from .perms import non_permutation_rows
 
 
 def check_alpha(alpha: float) -> float:
@@ -21,14 +21,38 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _integer_array(values, name: str) -> np.ndarray:
-    """``values`` as int64, rejecting entries that are not whole numbers."""
+def _int_table(values, name: str, labels) -> np.ndarray:
+    """``values`` as an (N, n) int64 table, n >= 1, with one label per column
+    when labels are given; entries that are not whole numbers are rejected."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "biu":
         as_float = arr.astype(np.float64)
         if not (np.isfinite(as_float) & (as_float == np.floor(as_float))).all():
             raise ValueError(f"{name} must hold integers")
-    return arr.astype(np.int64, copy=False)
+    arr = arr.astype(np.int64, copy=False)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise ValueError(f"{name} must be a (N, n) array with n >= 1")
+    if labels is not None and len(labels) != arr.shape[1]:
+        raise ValueError("label count does not match item count")
+    return arr
+
+
+class RowError(ValueError):
+    """A container rejected a row; ``row`` is its 0-based index."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _reject_rows(bad: np.ndarray, arr: np.ndarray, label: str, problem: str) -> None:
+    """Raise a RowError for the first row of ``arr`` flagged in ``bad``."""
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        j = int(rows[0])
+        raise RowError(j, f"{label} row {j} {problem}: {arr[j].tolist()}")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -45,15 +69,9 @@ class RankingDataset:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = _integer_array(self.rankings, "rankings")
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2:
-            raise ValueError("rankings must be a (N, n) array")
-        for j, row in enumerate(arr):
-            as_ranking(row, f"ranking row {j}")
-        if self.labels is not None and len(self.labels) != arr.shape[1]:
-            raise ValueError("label count does not match item count")
+        arr = _int_table(self.rankings, "rankings", self.labels)
+        problem = f"is not a permutation of 1..{arr.shape[1]}"
+        _reject_rows(non_permutation_rows(arr), arr, "ranking", problem)
         object.__setattr__(self, "rankings", _frozen(arr))
 
     @property
@@ -78,16 +96,9 @@ class ClickDataset:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = _integer_array(self.clicks, "clicks")
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        if arr.ndim != 2:
-            raise ValueError("clicks must be a (N, n) array")
-        if not np.isin(arr, (0, 1)).all():
-            bad = int(np.argwhere(~np.isin(arr, (0, 1)))[0][0])
-            raise ValueError(f"clicks row {bad} contains values outside {{0, 1}}")
-        if self.labels is not None and len(self.labels) != arr.shape[1]:
-            raise ValueError("label count does not match item count")
+        arr = _int_table(self.clicks, "clicks", self.labels)
+        bad = ((arr < 0) | (arr > 1)).any(axis=1)
+        _reject_rows(bad, arr, "clicks", "contains values outside {0, 1}")
         object.__setattr__(self, "clicks", _frozen(arr))
 
     @property
@@ -101,6 +112,16 @@ class ClickDataset:
     def click_counts(self) -> np.ndarray:
         """Number of clicked items per user."""
         return self.clicks.sum(axis=1)
+
+
+def rankings_of(data) -> np.ndarray:
+    """The rankings of a RankingDataset, or of anything RankingDataset accepts."""
+    return (data if isinstance(data, RankingDataset) else RankingDataset(data)).rankings
+
+
+def clicks_of(data) -> np.ndarray:
+    """The clicks of a ClickDataset, or of anything ClickDataset accepts."""
+    return (data if isinstance(data, ClickDataset) else ClickDataset(data)).clicks
 
 
 @dataclass(frozen=True)

@@ -100,15 +100,6 @@ def marginal_kl(q: MarginalProfile, p: MarginalProfile) -> float:
     return max(total, 0.0)
 
 
-def _pm_components(data, alpha: float, ordering):
-    if isinstance(data, RankingDataset):
-        cost = RankCountMatrix.from_dataset(data).cost
-    else:
-        cost = RankCountMatrix(np.asarray(data)).cost
-    o = as_ranking(ordering, "ordering")
-    return _pm_log_components(cost, alpha, o - 1)
-
-
 def elbo_exact(data: RankingDataset, alpha: float, ordering) -> float:
     """Exact evidence lower bound of the factorized family at one ordering.
 
@@ -118,7 +109,7 @@ def elbo_exact(data: RankingDataset, alpha: float, ordering) -> float:
     n = data.n_items
     if n > ELBO_CAP:
         raise CapacityError(f"elbo_exact requires n <= {ELBO_CAP}")
-    _, log_q, log_zpm, _ = _pm_components(data, alpha, ordering)
+    _, log_q, log_zpm, _ = _pm_log_components(data, alpha, ordering)
     q = np.exp(log_q)
     live = q > 0
     return float(np.sum(q[live] * log_zpm[live]))
@@ -130,7 +121,7 @@ def joint_kl_exact(data: RankingDataset, alpha: float, ordering) -> float:
     n = data.n_items
     if n > ELBO_CAP:
         raise CapacityError(f"joint_kl_exact requires n <= {ELBO_CAP}")
-    _, log_q, _, neg_log_target = _pm_components(data, alpha, ordering)
+    _, log_q, _, neg_log_target = _pm_log_components(data, alpha, ordering)
     log_p = -neg_log_target
     log_p = log_p - logsumexp(log_p)
     q = np.exp(log_q)

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import RankCountMatrix, RankingDataset
+from .data import RankCountMatrix, RankingDataset, rankings_of
 from .perms import CapacityError, as_ranking, factorial, permutation_matrix
 
 EXACT_CAP = 8  # 8! = 40320 permutations stays sub-second
@@ -93,30 +93,22 @@ def exact_posterior(data: RankingDataset | np.ndarray, alpha: float) -> Discrete
 
     With no users (or alpha = 0) this is the uniform distribution on P_n.
     """
-    rankings = data.rankings if isinstance(data, RankingDataset) else np.asarray(data, dtype=np.int64)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    n = rankings.shape[1]
-    if rankings.shape[0] == 0:
-        perms = permutation_matrix(n)
-        _check_cap(n)
-        return DiscreteDistribution(perms, np.full(len(perms), 1.0 / len(perms)))
-    perms, logw = _log_posterior_weights(rankings, alpha)
+    perms, logw = _log_posterior_weights(rankings_of(data), alpha)
     logw = logw - logsumexp(logw)
     return DiscreteDistribution(perms, np.exp(logw))
 
 
 def log_evidence(data: RankingDataset | np.ndarray, alpha: float) -> float:
     """log Z_n(alpha, R^1..R^N): the log normalizer of the posterior."""
-    rankings = data.rankings if isinstance(data, RankingDataset) else np.asarray(data, dtype=np.int64)
-    _, logw = _log_posterior_weights(rankings, alpha)
+    _, logw = _log_posterior_weights(rankings_of(data), alpha)
     return float(logsumexp(logw))
 
 
 def mallows_distribution(rho0, alpha: float) -> DiscreteDistribution:
     """The Mallows distribution centered at ``rho0``, by enumeration."""
-    rho0 = as_ranking(rho0)
-    return exact_posterior(rho0[None, :], alpha)
+    return exact_posterior(as_ranking(rho0)[None, :], alpha)
 
 
 def marginal_rank_distribution(dist: DiscreteDistribution, item: int) -> np.ndarray:
@@ -161,7 +153,7 @@ def marginal_median(rho0, alpha: float, item: int, excluded=()) -> int:
 
 def constrained_l1_minimizer(data: RankingDataset | np.ndarray, item: int, excluded=()) -> int:
     """argmin over admissible ranks l of sum_j |R^j_item - l|, smallest l on ties."""
-    rankings = data.rankings if isinstance(data, RankingDataset) else np.asarray(data, dtype=np.int64)
+    rankings = rankings_of(data)
     n = rankings.shape[1]
     if not 1 <= item <= n:
         raise IndexError(f"item {item} out of range 1..{n}")

@@ -33,7 +33,7 @@ from .evaluation import (
     posterior_profile,
 )
 from .mcmc import McmcConfig, mcmc_clicking, mcmc_rho
-from .perms import footrule_distance, ordering_of, v_set
+from .perms import footrule_distance, v_set
 from .pseudo import (
     DEFAULT_ALPHA_GRID,
     PseudoConfig,
@@ -457,8 +457,7 @@ def run_g_bias(cfg: ExperimentConfig) -> ResultTable:
     t = cfg.n_samples
     keys = rng.random((t, cfg.n))
     uniform_orderings = np.argsort(keys, axis=1) + 1
-    vset = v_set(rho0)
-    v_orderings = np.array([ordering_of(vset.sample(rng)) for _ in range(t)])
+    v_orderings = np.argsort(v_set(rho0).sample(rng, t), axis=1) + 1
     table = ResultTable()
     for name, orderings in (("uniform-g", uniform_orderings), ("v-g", v_orderings)):
         draws = sample_rho_with_orderings(base, cfg.alpha0, orderings, rng)

@@ -3,6 +3,10 @@
 Ranking files are one user per row, n integer columns; click files the same
 with {0,1} entries. An optional first row of non-numeric labels is treated
 as the item-label header.
+
+Loading only parses cells and row widths. The containers in ``data`` check
+the rows, once for all of them, and a row they reject is reported here by its
+line in the file.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import ClickDataset, RankingDataset
+from .data import ClickDataset, RankingDataset, RowError
 from .experiments import ResultTable
 
 
@@ -38,7 +42,7 @@ def _parse_int_rows(path):
         rows = rows[1:]
         if not rows:
             raise ValueError(f"{path}: header but no data rows")
-    parsed = []
+    lines, parsed = [], []
     width = None
     for line, row in rows:
         try:
@@ -51,31 +55,30 @@ def _parse_int_rows(path):
             raise ValueError(
                 f"{path}: line {line}: expected {width} columns, got {len(values)}"
             )
-        parsed.append((line, values))
+        lines.append(line)
+        parsed.append(values)
     if labels is not None and len(labels) != width:
         raise ValueError(f"{path}: header width {len(labels)} != data width {width}")
-    return labels, parsed
+    return labels, lines, parsed
+
+
+def _build(container, path):
+    """Parse ``path`` into ``container``, naming the file line of a rejected row."""
+    labels, lines, values = _parse_int_rows(path)
+    try:
+        return container(np.array(values, dtype=np.int64), labels=labels)
+    except RowError as err:
+        raise ValueError(f"{path}: line {lines[err.row]}: {err}") from None
 
 
 def load_rankings(path) -> RankingDataset:
     """Read a ranking CSV; every row must be a permutation of 1..n."""
-    labels, parsed = _parse_int_rows(path)
-    arr = np.array([v for _, v in parsed], dtype=np.int64)
-    for line, values in parsed:
-        row = np.asarray(values)
-        if not np.array_equal(np.sort(row), np.arange(1, row.size + 1)):
-            raise ValueError(f"{path}: line {line}: row is not a permutation: {values}")
-    return RankingDataset(arr, labels=labels)
+    return _build(RankingDataset, path)
 
 
 def load_clicks(path) -> ClickDataset:
     """Read a click CSV; entries must be 0 or 1."""
-    labels, parsed = _parse_int_rows(path)
-    for line, values in parsed:
-        if any(v not in (0, 1) for v in values):
-            raise ValueError(f"{path}: line {line}: clicks must be 0/1: {values}")
-    arr = np.array([v for _, v in parsed], dtype=np.int64)
-    return ClickDataset(arr, labels=labels)
+    return _build(ClickDataset, path)
 
 
 def save_rankings(rankings, path) -> None:

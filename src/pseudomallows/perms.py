@@ -26,25 +26,36 @@ class CapacityError(ValueError):
     """Raised when an exact/enumeration routine is asked for an infeasible n."""
 
 
+def non_permutation_rows(arr) -> np.ndarray:
+    """Flag each row along the last axis that is not a permutation of 1..n.
+
+    Ranges come from the row min/max, then a copy in the narrowest dtype that
+    holds n is sorted, so a large int64 array is never copied at full width.
+    """
+    a = np.asarray(arr)
+    n = a.shape[-1]
+    bad = (a.min(axis=-1) < 1) | (a.max(axis=-1) > n)
+    if a.dtype.kind not in "biu":
+        bad |= (a != np.floor(a)).any(axis=-1)
+    narrow = np.min_scalar_type(n)
+    with np.errstate(invalid="ignore"):  # NaN/inf rows are flagged already
+        ranks = np.sort(a.astype(narrow), axis=-1)
+    return bad | (ranks != np.arange(1, n + 1, dtype=narrow)).any(axis=-1)
+
+
 def as_ranking(r, name: str = "ranking") -> np.ndarray:
     """Validate and return ``r`` as a 1-based permutation array."""
-    arr = np.asarray(r, dtype=np.int64)
+    arr = np.asarray(r)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"{name} must be a nonempty 1-d integer sequence")
-    n = arr.size
-    seen = np.zeros(n, dtype=bool)
-    for v in arr:
-        if v < 1 or v > n or seen[v - 1]:
-            raise ValueError(f"{name} is not a permutation of 1..{n}: {arr.tolist()}")
-        seen[v - 1] = True
-    return arr
+    if non_permutation_rows(arr):
+        raise ValueError(f"{name} is not a permutation of 1..{arr.size}: {arr.tolist()}")
+    return arr.astype(np.int64, copy=False)
 
 
 def is_permutation(r) -> bool:
     arr = np.asarray(r)
-    if arr.ndim != 1 or arr.size < 1:
-        return False
-    return np.array_equal(np.sort(arr), np.arange(1, arr.size + 1))
+    return arr.ndim == 1 and arr.size >= 1 and not non_permutation_rows(arr)
 
 
 def footrule_distance(a, b) -> int:
@@ -83,11 +94,6 @@ def ordering_of(ranking) -> np.ndarray:
     out = np.empty(r.size, dtype=np.int64)
     out[r - 1] = np.arange(1, r.size + 1)
     return out
-
-
-def ranking_of(ordering) -> np.ndarray:
-    """Invert an ordering back into a ranking (same inversion both ways)."""
-    return ordering_of(ordering)
 
 
 def enumerate_permutations(n: int) -> Iterator[tuple[int, ...]]:
@@ -175,15 +181,7 @@ class VSet:
 
     def __contains__(self, candidate) -> bool:
         v = np.asarray(candidate, dtype=np.int64)
-        if v.shape != self.base.shape:
-            return False
-        if self._middle_item is not None and v[self._middle_item - 1] != 1:
-            return False
-        for a, b, low in self._pairs:
-            got = (int(v[a - 1]), int(v[b - 1]))
-            if got not in ((low, low + 1), (low + 1, low)):
-                return False
-        return True
+        return v.shape == self.base.shape and self.nearest_distance(v) == 0
 
     def nearest_distance(self, candidate) -> int:
         """Footrule distance from ``candidate`` to the closest member.
@@ -210,18 +208,19 @@ def v_set(rho) -> VSet:
     return VSet(rho)
 
 
-def perturbed_v_ranking(rho_hat, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Draw a V-set member of ``rho_hat``, jitter each entry with Gaussian noise
+def perturbed_v_ranking(rho_hat, sigma: float, rng, size: int | None = None) -> np.ndarray:
+    """Draw V-set members of ``rho_hat``, jitter each entry with Gaussian noise
     of standard deviation ``sigma``, and rank the result.
 
-    ``sigma = 0`` returns a V-set member exactly.
+    ``sigma = 0`` returns V-set members exactly. Returns one ranking with
+    ``size=None``, otherwise ``size`` rankings as the rows of a (size, n) array.
     """
     if sigma < 0:
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
-    v = v_set(rho_hat).sample(rng)
+    v = v_set(rho_hat).sample(rng, size)
     if sigma == 0:
         return v
-    return rank_of(v + rng.normal(0.0, sigma, size=v.size))
+    return rank_of(v + rng.normal(0.0, sigma, size=v.shape))
 
 
 def adjacent_swaps(ranking, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -234,7 +233,7 @@ def adjacent_swaps(ranking, count: int, rng: np.random.Generator) -> np.ndarray:
     for _ in range(count):
         pos = int(rng.integers(0, n - 1))
         order[pos], order[pos + 1] = order[pos + 1], order[pos]
-    return ranking_of(order)
+    return ordering_of(order)
 
 
 def factorial(n: int) -> int:

@@ -16,9 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import RankCountMatrix, RankingDataset, SampleSet, check_alpha
+from .data import RankCountMatrix, RankingDataset, SampleSet, check_alpha, rankings_of
 from .exact import EXACT_CAP, DiscreteDistribution, _check_cap
-from .perms import as_ranking, permutation_matrix, rank_of, v_set
+from .perms import (
+    as_ranking, non_permutation_rows, permutation_matrix, perturbed_v_ranking, rank_of,
+)
 
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0)
 
@@ -72,9 +74,7 @@ def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> n
 def _cost_table(data) -> np.ndarray:
     if isinstance(data, RankCountMatrix):
         return data.cost
-    if isinstance(data, RankingDataset):
-        return RankCountMatrix.from_dataset(data).cost
-    return RankCountMatrix(np.asarray(data, dtype=np.int64)).cost
+    return RankCountMatrix(rankings_of(data)).cost
 
 
 def sample_rho_given_ordering(data, alpha: float, ordering, rng, size: int | None = None):
@@ -84,36 +84,39 @@ def sample_rho_given_ordering(data, alpha: float, ordering, rng, size: int | Non
     single ranking is returned; otherwise an (size, n) array of independent
     draws.
     """
-    check_alpha(alpha)
-    cost = _cost_table(data)
-    n = cost.shape[0]
-    o = as_ranking(ordering, "ordering")
-    if o.size != n:
-        raise ValueError("ordering length does not match the data")
     t = 1 if size is None else int(size)
-    orderings0 = np.broadcast_to(o - 1, (t, n))
-    draws = _sequential_draws(-(alpha / n) * cost, orderings0, rng)
+    orderings = np.broadcast_to(ordering, (t, np.size(ordering)))
+    draws = sample_rho_with_orderings(data, alpha, orderings, rng)
     return draws[0] if size is None else draws
 
 
 def sample_rho_with_orderings(data, alpha: float, orderings, rng) -> np.ndarray:
-    """Sample one consensus ranking per row of ``orderings`` (1-based items)."""
+    """Sample one consensus ranking per row of ``orderings``, each a permutation of 1..n."""
     check_alpha(alpha)
     cost = _cost_table(data)
     n = cost.shape[0]
-    o = np.asarray(orderings, dtype=np.int64)
+    o = np.asarray(orderings)
     if o.ndim != 2 or o.shape[1] != n:
         raise ValueError("orderings must be (T, n)")
-    return _sequential_draws(-(alpha / n) * cost, o - 1, rng)
+    bad = np.flatnonzero(non_permutation_rows(o))
+    if bad.size:
+        raise ValueError(f"ordering row {bad[0]} is not a permutation of 1..{n}")
+    return _sequential_draws(-(alpha / n) * cost, o.astype(np.int64, copy=False) - 1, rng)
 
 
-def _pm_log_components(cost: np.ndarray, alpha: float, ordering0: np.ndarray):
-    """Per-permutation log probability and log normalizer of the factorization.
+def _pm_log_components(data, alpha: float, ordering):
+    """Per-permutation log probability and log normalizer of the factorization
+    of ``data`` (a RankCountMatrix or rankings) at a 1-based ``ordering``.
 
     Returns (perms, log_q, log_zpm, neg_log_target) over all of P_n in
     lexicographic order, where neg_log_target(rho) = (alpha/n) * sum_j d(R^j, rho).
     """
+    cost = _cost_table(data)
     n = cost.shape[0]
+    _check_cap(n, EXACT_CAP)
+    ordering0 = as_ranking(ordering, "ordering") - 1
+    if ordering0.size != n:
+        raise ValueError("ordering length does not match the data")
     perms = permutation_matrix(n)
     m = len(perms)
     scale = alpha / n
@@ -143,13 +146,7 @@ def exact_distribution(data, alpha: float, ordering) -> DiscreteDistribution:
     """
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    cost = _cost_table(data)
-    n = cost.shape[0]
-    _check_cap(n, EXACT_CAP)
-    o = as_ranking(ordering, "ordering")
-    if o.size != n:
-        raise ValueError("ordering length does not match the data")
-    perms, log_q, _, _ = _pm_log_components(cost, alpha, o - 1)
+    perms, log_q, _, _ = _pm_log_components(data, alpha, ordering)
     probs = np.exp(log_q - logsumexp(log_q))
     return DiscreteDistribution(perms, probs)
 
@@ -174,9 +171,7 @@ def sample_rho(data: RankingDataset, cfg: PseudoConfig) -> SampleSet:
     t = cfg.n_samples
     cost = RankCountMatrix.from_dataset(data).cost
     start = time.perf_counter()
-    v_rows = v_set(rho_hat).sample(rng, t)
-    if cfg.sigma > 0:
-        v_rows = rank_of(v_rows + rng.normal(0.0, cfg.sigma, size=v_rows.shape))
+    v_rows = perturbed_v_ranking(rho_hat, cfg.sigma, rng, t)
     orderings0 = np.argsort(v_rows, axis=1, kind="stable")
     draws = _sequential_draws(-(cfg.alpha / n) * cost, orderings0, rng)
     wall = time.perf_counter() - start

@@ -103,6 +103,14 @@ class TestBinarize:
 
 
 class TestUserSampler:
+    def test_clicks_are_checked(self):
+        rng = np.random.default_rng(0)
+        for bad in ([[2, 0, 1]], [[1, -1, 0]], [[0.5, 1, 0]]):
+            with pytest.raises(ValueError, match="clicks"):
+                sample_user_rankings(np.array(bad), 2.0, (1, 2, 3), rng)
+        with pytest.raises(ValueError, match="columns"):
+            sample_user_rankings(np.array([[1, 0]]), 2.0, (1, 2, 3), rng)
+
     def test_single_click_forces_rank_one(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

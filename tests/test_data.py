@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet
+from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset, RowError, SampleSet
+from pseudomallows.perms import as_ranking
 
 
 def test_ranking_dataset_validates_rows():
@@ -9,6 +12,37 @@ def test_ranking_dataset_validates_rows():
         RankingDataset(np.array([[1, 2, 3], [1, 1, 2]]))
     with pytest.raises(ValueError, match="integers"):
         RankingDataset([[1.5, 2, 3]])
+
+
+@st.composite
+def _integer_tables(draw):
+    """1-6 rows of width n in [1, 12]: permutations of 1..n or entries in [-1, n+1]."""
+    n = draw(st.integers(1, 12))
+    row = st.one_of(
+        st.permutations(list(range(1, n + 1))),
+        st.lists(st.integers(-1, n + 1), min_size=n, max_size=n),
+    )
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_integer_tables())
+def test_ranking_dataset_accepts_exactly_the_permutation_rows(rows):
+    n = len(rows[0])
+    good = [sorted(row) == list(range(1, n + 1)) for row in rows]
+    if all(good):
+        assert RankingDataset(rows).rankings.tolist() == rows
+    else:
+        with pytest.raises(RowError) as err:
+            RankingDataset(rows)
+        assert err.value.row == good.index(False)
+        assert f"ranking row {err.value.row} " in str(err.value)
+    for row, ok in zip(rows, good):
+        if ok:
+            assert as_ranking(row).tolist() == row
+        else:
+            with pytest.raises(ValueError, match="permutation"):
+                as_ranking(row)
 
 
 def test_ranking_dataset_shape_and_labels():
@@ -32,6 +66,12 @@ def test_click_dataset_validates_bits():
         ClickDataset([[0.5, 1]])
     ds = ClickDataset(np.array([[1, 0, 1], [0, 0, 0]]))
     assert ds.click_counts().tolist() == [2, 0]
+
+
+def test_click_dataset_row_error_carries_the_row():
+    with pytest.raises(RowError, match="clicks row 2") as err:
+        ClickDataset(np.array([[1, 0], [0, 1], [1, -1]]))
+    assert err.value.row == 2
 
 
 def test_sample_set_metadata():

@@ -11,6 +11,7 @@ from pseudomallows.exact import (
     DiscreteDistribution,
     constrained_l1_minimizer,
     exact_posterior,
+    log_evidence,
     log_partition,
     mallows_distribution,
     marginal_expectation,
@@ -59,6 +60,16 @@ class TestExactPosterior:
     def test_no_users_returns_prior(self):
         post = exact_posterior(np.empty((0, 3), dtype=np.int64), 2.0)
         assert np.allclose(post.probs, 1 / 6)
+
+    def test_non_permutation_arrays_rejected(self):
+        bad = np.array([[1, 2, 3], [1, 1, 2]])
+        for call in (
+            lambda: exact_posterior(bad, 1.0),
+            lambda: log_evidence(bad, 1.0),
+            lambda: constrained_l1_minimizer(bad, 1),
+        ):
+            with pytest.raises(ValueError, match="ranking row 1"):
+                call()
 
     def test_user_order_invariance(self):
         rng = np.random.default_rng(0)

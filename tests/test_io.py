@@ -29,6 +29,15 @@ def test_load_rankings_duplicate_rank(tmp_path):
         load_rankings(path)
 
 
+def test_load_rankings_names_the_file_line(tmp_path):
+    """A header and a blank line sit before the bad row, so its row index (1)
+    and its line number (4) differ."""
+    path = tmp_path / "r.csv"
+    path.write_text("a,b,c\n\n1,3,2\n1,1,2\n")
+    with pytest.raises(ValueError, match="line 4: ranking row 1"):
+        load_rankings(path)
+
+
 def test_load_rankings_malformed_cell(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("1,2,3\n1,x,3\n")
@@ -55,6 +64,13 @@ def test_load_clicks_rejects_other_values(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("1,0,2\n")
     with pytest.raises(ValueError, match="line 1"):
+        load_clicks(path)
+
+
+def test_load_clicks_names_the_file_line(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("a,b,c\n1,0,1\n\n0,3,0\n")
+    with pytest.raises(ValueError, match="line 4: clicks row 1"):
         load_clicks(path)
 
 

@@ -25,6 +25,7 @@ from pseudomallows.pseudo import (
     mean_pairwise_similarity,
     sample_rho,
     sample_rho_given_ordering,
+    sample_rho_with_orderings,
 )
 from pseudomallows.simulate import make_dataset
 
@@ -64,6 +65,15 @@ class TestSampleGivenOrdering:
             with pytest.raises(ValueError, match="alpha"):
                 sample_rho_given_ordering(ds, alpha, (1, 2), np.random.default_rng(0))
 
+    def test_orderings_must_be_permutations(self):
+        ds = RankingDataset(np.array([[1, 2, 3]]))
+        rng = np.random.default_rng(0)
+        for bad in ([[1, 1, 2]], [[0, 1, 2]], [[1, 2, 3], [1.5, 2, 3]]):
+            with pytest.raises(ValueError, match="permutation"):
+                sample_rho_with_orderings(ds, 1.0, bad, rng)
+        with pytest.raises(ValueError, match="permutation"):
+            sample_rho_given_ordering(ds, 1.0, (3, 3, 1), rng)
+
 
 class TestExactDistribution:
     def test_two_rank_closed_form(self):
@@ -98,6 +108,10 @@ class TestExactDistribution:
         ds = make_dataset(np.arange(1, 10), 1.0, 2, np.random.default_rng(4))
         with pytest.raises(CapacityError):
             exact_distribution(ds, 1.0, np.arange(1, 10))
+
+    def test_non_permutation_data_rejected(self):
+        with pytest.raises(ValueError, match="ranking row 1"):
+            exact_distribution(np.array([[1, 2, 3], [1, 1, 2]]), 1.0, (1, 2, 3))
 
 
 class TestFactorProductIdentity:
