@@ -95,7 +95,12 @@ def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     exp(-(alpha/n) |target_i - r|) on its own rank block and zero off it.
     Within the unclicked block |(t + c) - (r + c)| = |t - r|, and the blocks
     are disjoint, so this is the law of two within-group samplers.
-    ``clicks`` is a ClickDataset or anything ClickDataset accepts.
+
+    The weight depends only on (target, rank), so every user reads one shared
+    (n, n) table at row ``target - 1``; the blocks are an (N, 2, n) mask,
+    unclicked then clicked, picked per item by its click bit. Memory is
+    O(N * n + n^2). ``clicks`` is a ClickDataset or anything ClickDataset
+    accepts.
     """
     alpha = check_alpha(alpha)
     rho = as_ranking(rho)
@@ -104,11 +109,12 @@ def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     if b.shape[1] != n:
         raise ValueError(f"clicks have {b.shape[1]} columns but rho ranks {n} items")
     target = rank_of(rho + (1 - b) * 2 * n)
-    ranks = np.arange(1, n + 1)
-    in_block = (ranks <= b.sum(axis=1)[:, None, None]) == (b[:, :, None] == 1)
-    log_weights = np.where(in_block, -(alpha / n) * np.abs(target[:, :, None] - ranks), -np.inf)
+    ranks0 = np.arange(n)
+    clicked_block = ranks0 < b.sum(axis=1)[:, None]
+    masks = np.stack((~clicked_block, clicked_block), axis=1)
+    log_weights = -(alpha / n) * np.abs(ranks0[:, None] - ranks0)
     orderings0 = np.argsort(rng.random(b.shape), axis=1)
-    return _sequential_draws(log_weights, orderings0, rng)
+    return _sequential_draws(log_weights, orderings0, rng, keys=target - 1, blocks=(masks, b))
 
 
 def sample_user_ranking(clicks_row, alpha: float, rho, rng) -> np.ndarray:

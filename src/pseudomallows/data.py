@@ -13,11 +13,13 @@ import numpy as np
 from .perms import non_permutation_rows
 
 
-def check_alpha(alpha: float) -> float:
-    """Return ``alpha`` as a float, rejecting values that are not finite and positive."""
+def check_alpha(alpha: float, allow_zero: bool = False) -> float:
+    """Return ``alpha`` as a float, rejecting values that are not finite and
+    positive (nonnegative with ``allow_zero``, as the exact oracles accept)."""
     alpha = float(alpha)
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    if not (np.isfinite(alpha) and (alpha > 0 or (allow_zero and alpha == 0))):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise ValueError(f"alpha must be {kind} and finite, got {alpha}")
     return alpha
 
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import RankCountMatrix, RankingDataset, rankings_of
+from .data import RankCountMatrix, RankingDataset, check_alpha, rankings_of
 from .perms import CapacityError, as_ranking, factorial, permutation_matrix
 
 EXACT_CAP = 8  # 8! = 40320 permutations stays sub-second
@@ -70,8 +70,7 @@ def log_partition(n: int, alpha: float) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    alpha = check_alpha(alpha, allow_zero=True)
     _check_cap(n)
     values, counts = _distance_multiset(n)
     return float(logsumexp(-(alpha / n) * values, b=counts))
@@ -79,6 +78,7 @@ def log_partition(n: int, alpha: float) -> float:
 
 def _log_posterior_weights(rankings: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized log posterior weight of every rho in P_n."""
+    alpha = check_alpha(alpha, allow_zero=True)
     n = rankings.shape[1]
     _check_cap(n)
     perms = permutation_matrix(n)
@@ -93,8 +93,6 @@ def exact_posterior(data: RankingDataset | np.ndarray, alpha: float) -> Discrete
 
     With no users (or alpha = 0) this is the uniform distribution on P_n.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     perms, logw = _log_posterior_weights(rankings_of(data), alpha)
     logw = logw - logsumexp(logw)
     return DiscreteDistribution(perms, np.exp(logw))

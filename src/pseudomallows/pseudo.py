@@ -6,6 +6,13 @@ the rank of the per-item mean ranks, optionally jittered with Gaussian
 noise. Draws are mutually independent, which is what buys the speed over
 MCMC; per-draw work is O(n^2) and independent of the number of users after
 the rank-cost table is built.
+
+Every draw, here and in click augmentation, goes through one kernel,
+``_sequential_draws``. It exponentiates a shared log-weight table once per
+call; each step then gathers one row per draw (the item's own row, or the
+row named by a key such as a user's target rank), zeroes the taken ranks
+and, for click data, the ranks outside the item's block, and inverts the
+cumulative sum. Rows whose linear weights underflow are redone in log space.
 """
 
 from __future__ import annotations
@@ -40,27 +47,45 @@ class PseudoConfig:
             raise ValueError("n_samples must be >= 1")
 
 
-def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> np.ndarray:
+def _sequential_draws(
+    log_weights: np.ndarray, orderings0: np.ndarray, rng, keys=None, blocks=None
+) -> np.ndarray:
     """Draw rankings by sampling ranks without replacement, one item at a time.
 
-    ``log_weights[i, r-1]`` is the log factor weight of giving item ``i``
-    (0-based) rank ``r``, either one (n, n) table shared by every draw or a
-    (T, n, n) stack with one table per draw; ``-inf`` forbids the rank.
-    ``orderings0`` holds one 0-based item sequence per draw. Vectorized across
-    draws: each step renormalizes the still available ranks, so per-factor
-    weight spreads never underflow.
+    ``log_weights[k, r-1]`` is the log weight of rank ``r`` in row ``k`` of one
+    table shared by every draw. ``orderings0`` holds one 0-based item sequence
+    per draw; item ``i`` of draw ``t`` reads row ``keys[t, i]`` (default: row
+    ``i``). With ``blocks = (masks, block)``, a (T, m, n) boolean table and a
+    (T, n) index, item ``i`` of draw ``t`` may take only the ranks where
+    ``masks[t, block[t, i]]`` is true.
+
+    The work is in linear space: the table is exponentiated once, relative to
+    each row's maximum, and each step multiplies the gathered rows by the
+    free ranks and inverts their cumulative sum with one uniform per draw. A
+    row whose free mass falls below 1e-300 (the table spans more than ~690
+    nats) is recomputed from the log weights relative to its free maximum,
+    so the law does not depend on underflow.
     """
     T, n = orderings0.shape
-    table = np.broadcast_to(log_weights, (T, n, n))
+    lw = np.asarray(log_weights)
+    lin = np.exp(lw - lw.max(axis=1, keepdims=True))
+    masks, block = (None, None) if blocks is None else blocks
     avail = np.ones((T, n), dtype=bool)
     out = np.zeros((T, n), dtype=np.int64)
     rows = np.arange(T)
     for k in range(n):
         items = orderings0[:, k]
-        lw = np.where(avail, table[rows, items], -np.inf)
-        lw -= lw.max(axis=1, keepdims=True)
-        w = np.exp(lw)
+        key = items if keys is None else keys[rows, items]
+        free = avail if masks is None else avail & masks[rows, block[rows, items]]
+        w = lin[key]
+        w *= free
         cum = np.cumsum(w, axis=1)
+        low = cum[:, -1] < 1e-300
+        if low.any():  # underflow: renormalize these rows in log space
+            lw_low = np.where(free[low], lw[key[low]], -np.inf)
+            lw_low -= lw_low.max(axis=1, keepdims=True)
+            w[low] = np.exp(lw_low)
+            cum[low] = np.cumsum(w[low], axis=1)
         u = rng.random(T) * cum[:, -1]
         chosen = np.minimum((cum <= u[:, None]).sum(axis=1), n - 1)
         bad = w[rows, chosen] == 0
@@ -111,6 +136,7 @@ def _pm_log_components(data, alpha: float, ordering):
     Returns (perms, log_q, log_zpm, neg_log_target) over all of P_n in
     lexicographic order, where neg_log_target(rho) = (alpha/n) * sum_j d(R^j, rho).
     """
+    alpha = check_alpha(alpha, allow_zero=True)
     cost = _cost_table(data)
     n = cost.shape[0]
     _check_cap(n, EXACT_CAP)
@@ -144,18 +170,18 @@ def exact_distribution(data, alpha: float, ordering) -> DiscreteDistribution:
     probabilities; equivalently the Mallows numerator divided by the product
     of per-step denominators.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     perms, log_q, _, _ = _pm_log_components(data, alpha, ordering)
     probs = np.exp(log_q - logsumexp(log_q))
     return DiscreteDistribution(perms, probs)
 
 
 def estimate_rho_hat(data: RankingDataset) -> np.ndarray:
-    """Rank of the per-item mean ranks (ties broken by item index)."""
-    if data.n_users < 1:
-        raise ValueError("dataset has no users")
-    return rank_of(data.rankings.mean(axis=0))
+    """Rank of the per-item mean ranks (ties broken by item index).
+
+    The column sums are ranked: they order the items as the means do, exactly,
+    and with no users they tie everywhere, giving the identity ranking.
+    """
+    return rank_of(data.rankings.sum(axis=0))
 
 
 def sample_rho(data: RankingDataset, cfg: PseudoConfig) -> SampleSet:

@@ -20,6 +20,7 @@ from pseudomallows.exact import (
     uniform_distribution,
 )
 from pseudomallows.perms import CapacityError, permutation_matrix
+from pseudomallows.pseudo import exact_distribution
 
 
 class TestLogPartition:
@@ -84,6 +85,24 @@ class TestExactPosterior:
         doubled = exact_posterior(np.vstack([rows, rows]), 1.3)
         scaled = exact_posterior(rows, 2.6)
         assert np.allclose(doubled.probs, scaled.probs, atol=1e-12)
+
+
+class TestAlphaChecks:
+    ORACLES = {
+        "log_partition": lambda a: log_partition(3, a),
+        "exact_posterior": lambda a: exact_posterior([[1, 2, 3]], a),
+        "log_evidence": lambda a: log_evidence([[1, 2, 3]], a),
+        "exact_distribution": lambda a: exact_distribution([[1, 2, 3]], a, (1, 2, 3)),
+    }
+
+    @pytest.mark.parametrize("oracle", ORACLES)
+    @pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+    def test_bad_alpha_rejected(self, oracle, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            self.ORACLES[oracle](alpha)
+
+    def test_alpha_zero_evidence_is_log_factorial(self):
+        assert log_evidence([[1, 2, 3]], 0.0) == pytest.approx(math.log(6), abs=1e-12)
 
 
 class TestDiscreteDistribution:

@@ -176,6 +176,10 @@ class TestEstimateRhoHat:
         ds = RankingDataset(np.array([[1, 2, 3], [1, 3, 2]]))
         assert estimate_rho_hat(ds).tolist() == [1, 2, 3]
 
+    def test_no_users_give_the_identity(self):
+        ds = RankingDataset(np.empty((0, 4), dtype=np.int64))
+        assert estimate_rho_hat(ds).tolist() == [1, 2, 3, 4]
+
 
 class TestSampleRho:
     def test_sigma_zero_uses_v_orderings(self):
@@ -206,6 +210,16 @@ class TestSampleRho:
         x = dists - dists.mean()
         acf1 = float((x[:-1] * x[1:]).sum() / (x * x).sum())
         assert abs(acf1) < 0.05
+
+    def test_zero_users_draw_uniformly(self):
+        """With no users the cost table is all zeros, so the posterior is uniform."""
+        ds = RankingDataset(np.empty((0, 4), dtype=np.int64))
+        t = 48000
+        ss = sample_rho(ds, PseudoConfig(2.0, 0.5, t, seed=19))
+        counts = Counter(map(tuple, ss.samples.tolist()))
+        tv = 0.5 * sum(abs(counts.get(tuple(p), 0) / t - 1 / 24) for p in permutation_matrix(4))
+        assert set(counts) <= set(map(tuple, permutation_matrix(4).tolist()))
+        assert tv <= 0.02
 
     def test_config_validation(self):
         for alpha in (0.0, float("nan"), float("inf")):
