@@ -32,7 +32,6 @@ from .evaluation import (
     enumerate_ordering_study,
     iterative_search,
     joint_kl_exact,
-    ls_move,
     marginal_kl,
     posterior_profile,
     reference_profile,
@@ -60,7 +59,7 @@ from .experiments import (
     run_sigma_study,
 )
 from .io import load_clicks, load_rankings, emit
-from .mcmc import McmcConfig, McmcTrace, leap_and_shift_propose, mcmc_clicking, mcmc_rho
+from .mcmc import McmcConfig, McmcTrace, leap_and_shift_propose, ls_move, mcmc_clicking, mcmc_rho
 from .perms import (
     CapacityError,
     VSet,

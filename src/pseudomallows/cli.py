@@ -90,9 +90,10 @@ def _cmd_recommend(args) -> int:
     sigma = args.sigma if args.sigma is not None else 0.0
     cfg = PseudoConfig(args.alpha, sigma, args.samples, seed=args.seed)
     _, user_samples = pseudo_clicking(clicks, cfg, warmup=args.warmup)
+    counts = clicks.click_counts()
     lines = []
     for j in range(clicks.n_users):
-        c = int(clicks.click_counts()[j])
+        c = int(counts[j])
         take = min(args.k, clicks.n_items - c)
         if take < 1:
             lines.append((j, []))

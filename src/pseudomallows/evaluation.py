@@ -22,7 +22,7 @@ from .exact import (
     exact_posterior,
     marginal_profile_matrix,
 )
-from .mcmc import McmcConfig, _apply_leap_shift, mcmc_rho
+from .mcmc import McmcConfig, ls_move, mcmc_rho
 from .perms import CapacityError, as_ranking, ordering_of, permutation_matrix, v_set
 from .pseudo import (
     PseudoConfig,
@@ -214,18 +214,6 @@ def assignment_solve(cost) -> tuple[np.ndarray, float]:
     assignment = np.empty(c.shape[0], dtype=np.int64)
     assignment[rows] = cols + 1
     return assignment, float(c[rows, cols].sum())
-
-
-def ls_move(ranking, item: int, rank: int) -> np.ndarray:
-    """Deterministically relocate ``item`` to ``rank``, shifting the items in
-    between by one position."""
-    r = as_ranking(ranking)
-    n = r.size
-    if not 1 <= item <= n:
-        raise IndexError(f"item {item} out of range 1..{n}")
-    if not 1 <= rank <= n:
-        raise IndexError(f"rank {rank} out of range 1..{n}")
-    return _apply_leap_shift(r, item - 1, rank)
 
 
 @dataclass(frozen=True)

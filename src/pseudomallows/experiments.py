@@ -15,6 +15,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -184,6 +185,28 @@ def _replicate_seed(base: int, replicate: int) -> int:
     return int(np.random.SeedSequence((base, replicate)).generate_state(1)[0])
 
 
+def _replicate_rows(cfg: ExperimentConfig, count: int, body) -> ResultTable:
+    """The rows of ``body(rep, rng, add)`` for replicates 0..count-1, in order.
+
+    ``rng`` is seeded with the replicate's seed, and ``add`` appends a row
+    stamped with the experiment kind, the replicate, that seed and the config
+    hash (keywords passed to ``add`` override the stamp).
+    """
+    chash = cfg.hash()
+
+    def one(rep: int) -> ResultTable:
+        seed = _replicate_seed(cfg.seed, rep)
+        out = ResultTable()
+        add = partial(out.append, experiment=cfg.kind, replicate=rep, seed=seed, config_hash=chash)
+        body(rep, np.random.default_rng(seed), add)
+        return out
+
+    table = ResultTable()
+    for part in _map_replicates(one, count):
+        table.extend(part)
+    return table
+
+
 def cp_consensus(samples) -> np.ndarray:
     """Cumulative-probability consensus of a sample set.
 
@@ -208,14 +231,10 @@ def cp_consensus(samples) -> np.ndarray:
 
 def run_full_timing(cfg: ExperimentConfig) -> ResultTable:
     """Consensus error versus sampler wall clock for both methods."""
-    chash = cfg.hash()
     rho0 = np.arange(1, cfg.n + 1)
 
-    def one(rep: int) -> ResultTable:
-        seed = _replicate_seed(cfg.seed, rep)
-        rng = np.random.default_rng(seed)
+    def one(rep: int, rng, add) -> None:
         data = make_dataset(rho0, cfg.alpha0, cfg.n_users, rng)
-        out = ResultTable()
         for iters in cfg.mcmc_iterations:
             trace = mcmc_rho(
                 data,
@@ -223,11 +242,9 @@ def run_full_timing(cfg: ExperimentConfig) -> ResultTable:
                 McmcConfig(iterations=iters, seed=int(rng.integers(2**63))),
             )
             err = footrule_distance(cp_consensus(trace.rho_samples), rho0)
-            out.append(
-                experiment=cfg.kind, replicate=rep, method="mcmc",
-                x_name="iterations", x_value=iters,
-                y_name="consensus_footrule", y_value=err,
-                wall_clock=trace.wall_clock, seed=seed, config_hash=chash,
+            add(
+                method="mcmc", x_name="iterations", x_value=iters,
+                y_name="consensus_footrule", y_value=err, wall_clock=trace.wall_clock,
             )
         for count in cfg.pm_samples:
             ss = sample_rho(
@@ -235,18 +252,12 @@ def run_full_timing(cfg: ExperimentConfig) -> ResultTable:
                 PseudoConfig(cfg.alpha0, cfg.sigma, count, seed=int(rng.integers(2**63))),
             )
             err = footrule_distance(cp_consensus(ss), rho0)
-            out.append(
-                experiment=cfg.kind, replicate=rep, method="pseudo",
-                x_name="samples", x_value=count,
-                y_name="consensus_footrule", y_value=err,
-                wall_clock=ss.wall_clock, seed=seed, config_hash=chash,
+            add(
+                method="pseudo", x_name="samples", x_value=count,
+                y_name="consensus_footrule", y_value=err, wall_clock=ss.wall_clock,
             )
-        return out
 
-    table = ResultTable()
-    for part in _map_replicates(one, cfg.replicates):
-        table.extend(part)
-    return table
+    return _replicate_rows(cfg, cfg.replicates, one)
 
 
 def _score_recommendations(user_traces, clicks: ClickDataset, truth, k: int):
@@ -289,25 +300,19 @@ def _calibration_bins(preds, bins: int = 10):
 def run_clicking_accuracy(cfg: ExperimentConfig) -> ResultTable:
     """Recommendation accuracy versus time for both methods on click data,
     with a random-guess baseline and calibration rows."""
-    chash = cfg.hash()
     rho0 = np.arange(1, cfg.n + 1)
     click_max = cfg.click_max if cfg.click_max is not None else cfg.n - 3
     model = TruncatedPoisson(mean=cfg.click_mean, low=cfg.click_min, high=click_max)
 
-    def one(rep: int) -> ResultTable:
-        seed = _replicate_seed(cfg.seed, rep)
-        rng = np.random.default_rng(seed)
+    def one(rep: int, rng, add) -> None:
         data = make_dataset(rho0, cfg.alpha0, cfg.n_users, rng)
         clicks = binarize(data, model, rng)
         truth = data.rankings
         counts = clicks.click_counts()
-        out = ResultTable()
         baseline = float(np.mean(cfg.k / (cfg.n - counts)))
-        out.append(
-            experiment=cfg.kind, replicate=rep, method="random",
-            x_name="budget", x_value=0,
-            y_name="accuracy", y_value=baseline,
-            wall_clock=0.0, seed=seed, config_hash=chash,
+        add(
+            method="random", x_name="budget", x_value=0,
+            y_name="accuracy", y_value=baseline, wall_clock=0.0,
         )
         for iters in cfg.mcmc_iterations:
             burn = iters // 5
@@ -319,19 +324,15 @@ def run_clicking_accuracy(cfg: ExperimentConfig) -> ResultTable:
                            seed=int(rng.integers(2**63))),
             )
             acc, preds = _score_recommendations(users, clicks, truth, cfg.k)
-            out.append(
-                experiment=cfg.kind, replicate=rep, method="mcmc",
-                x_name="iterations", x_value=iters,
-                y_name="accuracy", y_value=acc,
-                wall_clock=trace.wall_clock, seed=seed, config_hash=chash,
+            add(
+                method="mcmc", x_name="iterations", x_value=iters,
+                y_name="accuracy", y_value=acc, wall_clock=trace.wall_clock,
             )
             for mean_p, realized, count in _calibration_bins(preds):
-                out.append(
-                    experiment=cfg.kind, replicate=rep, method="mcmc",
-                    x_name="predicted_probability", x_value=mean_p,
+                add(
+                    method="mcmc", x_name="predicted_probability", x_value=mean_p,
                     y_name="realized_accuracy", y_value=realized,
-                    detail=f"budget={iters};count={count}",
-                    wall_clock=trace.wall_clock, seed=seed, config_hash=chash,
+                    detail=f"budget={iters};count={count}", wall_clock=trace.wall_clock,
                 )
         for iters in cfg.pm_iterations:
             ss, users = pseudo_clicking(
@@ -340,26 +341,18 @@ def run_clicking_accuracy(cfg: ExperimentConfig) -> ResultTable:
                 warmup=cfg.warmup,
             )
             acc, preds = _score_recommendations(users, clicks, truth, cfg.k)
-            out.append(
-                experiment=cfg.kind, replicate=rep, method="pseudo",
-                x_name="samples", x_value=iters,
-                y_name="accuracy", y_value=acc,
-                wall_clock=ss.wall_clock, seed=seed, config_hash=chash,
+            add(
+                method="pseudo", x_name="samples", x_value=iters,
+                y_name="accuracy", y_value=acc, wall_clock=ss.wall_clock,
             )
             for mean_p, realized, count in _calibration_bins(preds):
-                out.append(
-                    experiment=cfg.kind, replicate=rep, method="pseudo",
-                    x_name="predicted_probability", x_value=mean_p,
+                add(
+                    method="pseudo", x_name="predicted_probability", x_value=mean_p,
                     y_name="realized_accuracy", y_value=realized,
-                    detail=f"budget={iters};count={count}",
-                    wall_clock=ss.wall_clock, seed=seed, config_hash=chash,
+                    detail=f"budget={iters};count={count}", wall_clock=ss.wall_clock,
                 )
-        return out
 
-    table = ResultTable()
-    for part in _map_replicates(one, cfg.replicates):
-        table.extend(part)
-    return table
+    return _replicate_rows(cfg, cfg.replicates, one)
 
 
 def _rank_bands(n: int) -> list[tuple[int, ...]]:
@@ -376,148 +369,110 @@ def _rank_bands(n: int) -> list[tuple[int, ...]]:
 def run_ordering_enum(cfg: ExperimentConfig) -> ResultTable:
     """Exhaustive ordering study: per-replicate KL-minimizing ordering-ranking
     plus the aggregated band-membership heat matrix (rows sum to 1)."""
-    chash = cfg.hash()
     rho0 = np.arange(1, cfg.n + 1)
+    best_rankings = {}
 
-    def one(rep: int):
-        seed = _replicate_seed(cfg.seed, rep)
-        rng = np.random.default_rng(seed)
+    def one(rep: int, rng, add) -> None:
         data = make_dataset(rho0, cfg.alpha0, cfg.n_users, rng)
-        ranked = enumerate_ordering_study(data, cfg.alpha0, mode="exact")
-        return seed, ranked[0]
-
-    results = _map_replicates(one, cfg.replicates)
-    table = ResultTable()
-    best_rankings = []
-    for rep, (seed, (ranking, kl)) in enumerate(results):
-        best_rankings.append(ranking)
-        in_v = ranking in v_set(rho0)
-        table.append(
-            experiment=cfg.kind, replicate=rep, method="enumeration",
-            x_name="argmin_ranking", x_value=",".join(map(str, ranking)),
+        ranking, kl = enumerate_ordering_study(data, cfg.alpha0, mode="exact")[0]
+        best_rankings[rep] = ranking
+        add(
+            method="enumeration", x_name="argmin_ranking", x_value=",".join(map(str, ranking)),
             y_name="marginal_kl", y_value=kl,
-            detail=f"in_v_set={in_v}",
-            wall_clock=0.0, seed=seed, config_hash=chash,
+            detail=f"in_v_set={ranking in v_set(rho0)}", wall_clock=0.0,
         )
-    bands = _rank_bands(cfg.n)
-    best = np.array(best_rankings)
-    for b_idx, band in enumerate(bands):
+
+    table = _replicate_rows(cfg, cfg.replicates, one)
+    best = np.array([best_rankings[rep] for rep in range(cfg.replicates)])
+    add = partial(table.append, experiment=cfg.kind, replicate=-1, seed=cfg.seed, config_hash=cfg.hash())
+    for band in _rank_bands(cfg.n):
         for item in range(1, cfg.n + 1):
             hits = np.isin(best[:, item - 1], band).sum()
             prob = hits / (len(best) * len(band))
-            table.append(
-                experiment=cfg.kind, replicate=-1, method="enumeration",
-                x_name="item", x_value=item,
+            add(
+                method="enumeration", x_name="item", x_value=item,
                 y_name="band_probability", y_value=float(prob),
-                detail=f"band={'|'.join(map(str, band))}",
-                wall_clock=0.0, seed=cfg.seed, config_hash=chash,
+                detail=f"band={'|'.join(map(str, band))}", wall_clock=0.0,
             )
     return table
 
 
 def run_sigma_study(cfg: ExperimentConfig) -> ResultTable:
     """Grid-selected jitter scale per generating alpha (optimal-sigma curves)."""
-    chash = cfg.hash()
     rho0 = np.arange(1, cfg.n + 1)
 
-    def one(task) -> ResultTable:
+    def one(task: int, rng, add) -> None:
         a_idx, rep = divmod(task, cfg.replicates)
         alpha0 = cfg.alpha_grid[a_idx]
-        seed = _replicate_seed(cfg.seed, task)
-        rng = np.random.default_rng(seed)
         data = make_dataset(rho0, alpha0, cfg.n_users, rng)
         reference = posterior_profile(data, alpha0)
         best = choose_sigma(
             data, alpha0, cfg.sigma_grid, reference,
             n_samples=cfg.n_samples, rng=rng,
         )
-        out = ResultTable()
-        out.append(
-            experiment=cfg.kind, replicate=rep, method="pseudo",
-            x_name="alpha0", x_value=alpha0,
-            y_name="best_sigma", y_value=best,
-            wall_clock=0.0, seed=seed, config_hash=chash,
+        add(
+            replicate=rep, method="pseudo", x_name="alpha0", x_value=alpha0,
+            y_name="best_sigma", y_value=best, wall_clock=0.0,
         )
-        return out
 
-    table = ResultTable()
-    for part in _map_replicates(one, len(cfg.alpha_grid) * cfg.replicates):
-        table.extend(part)
-    return table
+    return _replicate_rows(cfg, len(cfg.alpha_grid) * cfg.replicates, one)
 
 
 def run_g_bias(cfg: ExperimentConfig) -> ResultTable:
     """Marginal heat matrices of the sequential sampler under uniform versus
     V-set ordering draws, with no click constraint (single group)."""
-    chash = cfg.hash()
     rho0 = np.arange(1, cfg.n + 1)
     base = RankingDataset(rho0[None, :])
-    seed = _replicate_seed(cfg.seed, 0)
-    rng = np.random.default_rng(seed)
     t = cfg.n_samples
-    keys = rng.random((t, cfg.n))
-    uniform_orderings = np.argsort(keys, axis=1) + 1
-    v_orderings = np.argsort(v_set(rho0).sample(rng, t), axis=1) + 1
-    table = ResultTable()
-    for name, orderings in (("uniform-g", uniform_orderings), ("v-g", v_orderings)):
-        draws = sample_rho_with_orderings(base, cfg.alpha0, orderings, rng)
-        profile = MarginalProfile.from_samples(draws, smoothing=1e-12).matrix
-        for item in range(1, cfg.n + 1):
-            mode = int(np.argmax(profile[item - 1])) + 1
-            table.append(
-                experiment=cfg.kind, replicate=0, method=name,
-                x_name="item", x_value=item,
-                y_name="mode_rank", y_value=mode,
-                detail=f"true_rank={int(rho0[item - 1])}",
-                wall_clock=0.0, seed=seed, config_hash=chash,
-            )
-            for rank in range(1, cfg.n + 1):
-                table.append(
-                    experiment=cfg.kind, replicate=0, method=name,
-                    x_name="item", x_value=item,
-                    y_name="rank_probability", y_value=float(profile[item - 1, rank - 1]),
-                    detail=f"rank={rank}",
-                    wall_clock=0.0, seed=seed, config_hash=chash,
+
+    def one(rep: int, rng, add) -> None:
+        keys = rng.random((t, cfg.n))
+        uniform_orderings = np.argsort(keys, axis=1) + 1
+        v_orderings = np.argsort(v_set(rho0).sample(rng, t), axis=1) + 1
+        for name, orderings in (("uniform-g", uniform_orderings), ("v-g", v_orderings)):
+            draws = sample_rho_with_orderings(base, cfg.alpha0, orderings, rng)
+            profile = MarginalProfile.from_samples(draws, smoothing=1e-12).matrix
+            for item in range(1, cfg.n + 1):
+                mode = int(np.argmax(profile[item - 1])) + 1
+                add(
+                    method=name, x_name="item", x_value=item,
+                    y_name="mode_rank", y_value=mode,
+                    detail=f"true_rank={int(rho0[item - 1])}", wall_clock=0.0,
                 )
-    return table
+                for rank in range(1, cfg.n + 1):
+                    add(
+                        method=name, x_name="item", x_value=item,
+                        y_name="rank_probability", y_value=float(profile[item - 1, rank - 1]),
+                        detail=f"rank={rank}", wall_clock=0.0,
+                    )
+
+    return _replicate_rows(cfg, 1, one)
 
 
 def run_alpha_roundtrip(cfg: ExperimentConfig) -> ResultTable:
     """Generate at a known alpha, re-estimate it from full rankings and from
     binarized clicks, and tabulate recovered versus true."""
-    chash = cfg.hash()
     rho0 = np.arange(1, cfg.n + 1)
     click_max = cfg.click_max if cfg.click_max is not None else cfg.n
     model = TruncatedPoisson(mean=cfg.click_mean, low=cfg.click_min, high=click_max)
 
-    def one(rep: int) -> ResultTable:
-        seed = _replicate_seed(cfg.seed, rep)
-        rng = np.random.default_rng(seed)
+    def one(rep: int, rng, add) -> None:
         data = make_dataset(rho0, cfg.alpha0, cfg.n_users, rng)
-        out = ResultTable()
         a_full = estimate_alpha_full(data, cfg.alpha_grid, sim_users=cfg.sim_users, rng=rng)
-        out.append(
-            experiment=cfg.kind, replicate=rep, method="full",
-            x_name="alpha0", x_value=cfg.alpha0,
-            y_name="alpha_hat", y_value=a_full,
-            wall_clock=0.0, seed=seed, config_hash=chash,
+        add(
+            method="full", x_name="alpha0", x_value=cfg.alpha0,
+            y_name="alpha_hat", y_value=a_full, wall_clock=0.0,
         )
         clicks = binarize(data, model, rng)
         a_clicks = estimate_alpha_clicks(
             clicks, cfg.alpha_grid, count_model=model, sim_users=cfg.sim_users, rng=rng
         )
-        out.append(
-            experiment=cfg.kind, replicate=rep, method="clicks",
-            x_name="alpha0", x_value=cfg.alpha0,
-            y_name="alpha_hat", y_value=a_clicks,
-            wall_clock=0.0, seed=seed, config_hash=chash,
+        add(
+            method="clicks", x_name="alpha0", x_value=cfg.alpha0,
+            y_name="alpha_hat", y_value=a_clicks, wall_clock=0.0,
         )
-        return out
 
-    table = ResultTable()
-    for part in _map_replicates(one, cfg.replicates):
-        table.extend(part)
-    return table
+    return _replicate_rows(cfg, cfg.replicates, one)
 
 
 RUNNERS = {

@@ -1,9 +1,15 @@
 """Metropolis-Hastings baselines for the Mallows posterior.
 
-``mcmc_rho`` targets the consensus posterior given complete rankings with a
-leap-and-shift proposal; ``mcmc_clicking`` alternates per-user augmentation
-updates (within-group rank swaps) with consensus updates for click data.
-Both are the comparison arm in the timing and accuracy experiments.
+``mcmc_rho`` targets the consensus posterior given complete rankings;
+``mcmc_clicking`` alternates per-user augmentation updates (within-group rank
+swaps) with consensus updates for click data. Both are the comparison arm in
+the timing and accuracy experiments.
+
+Every consensus update is one leap-and-shift move, written once here: a
+destination drawn within the leap window (``_leap_target``), the log window
+sizes that give its proposal ratio (``_log_windows``), and an in-place shift
+of the item -> rank and rank -> item state (``_shift``). Both chains,
+``leap_and_shift_propose`` and the deterministic ``ls_move`` share them.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ class McmcConfig:
     leap_size: int | None = None  # default max(1, n // 10), resolved at run time
     thin: int = 1
     burn_in: int = 0
-    seed: int | None = None
+    seed: int | np.random.Generator | None = None  # anything np.random.default_rng accepts
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -56,25 +62,53 @@ class McmcTrace:
         return self.rho_samples.shape[0]
 
 
-def _window(pos: int, n: int, leap: int) -> int:
-    """Number of admissible destinations around ``pos`` (the leap window minus pos)."""
-    return min(n, pos + leap) - max(1, pos - leap)
+def _leap_target(q: int, du: float, leap: int, n: int) -> int:
+    """The destination of a leap from rank ``q``: ``du`` in [0, 1) picks it
+    uniformly among the ranks within ``leap`` of ``q`` in [1, n], ``q`` excluded."""
+    lo = q - leap if q > leap else 1
+    hi = q + leap if q + leap < n else n
+    r = lo + int(du * (hi - lo))
+    return r + 1 if r >= q else r
 
 
-def _apply_leap_shift(ranks: np.ndarray, item0: int, dest: int) -> np.ndarray:
-    """Relocate 0-based ``item0`` to rank ``dest``, shifting intervening items by one."""
-    out = ranks.copy()
-    q = int(ranks[item0])
-    if dest == q:
-        return out
-    if q < dest:
-        sel = (ranks > q) & (ranks <= dest)
-        out[sel] -= 1
+def _log_windows(n: int, leap: int) -> list[float]:
+    """``out[p]`` is the log of the number of destinations of a leap from rank
+    ``p`` (``out[0]`` is unused); a move q -> r with |r - q| > 1 has log
+    proposal ratio ``out[q] - out[r]``."""
+    return [0.0] + [math.log(min(n, p + leap) - max(1, p - leap)) for p in range(1, n + 1)]
+
+
+def _shift(rho, order, u: int, q: int, r: int) -> None:
+    """Move item ``u`` (0-based) from rank ``q`` to rank ``r`` in place,
+    shifting the items ranked in between by one toward ``q``. ``rho`` maps
+    item -> rank and ``order`` rank -> item (``order[0]`` is unused)."""
+    if q < r:
+        for p in range(q, r):
+            m = order[p + 1]
+            order[p] = m
+            rho[m] = p
     else:
-        sel = (ranks >= dest) & (ranks < q)
-        out[sel] += 1
-    out[item0] = dest
-    return out
+        for p in range(q, r, -1):
+            m = order[p - 1]
+            order[p] = m
+            rho[m] = p
+    order[r] = u
+    rho[u] = r
+
+
+def ls_move(ranking, item: int, rank: int) -> np.ndarray:
+    """Deterministically relocate ``item`` to ``rank``, shifting the items in
+    between by one position."""
+    rho = as_ranking(ranking).copy()
+    n = rho.size
+    if not 1 <= item <= n:
+        raise IndexError(f"item {item} out of range 1..{n}")
+    if not 1 <= rank <= n:
+        raise IndexError(f"rank {rank} out of range 1..{n}")
+    order = np.empty(n + 1, dtype=np.int64)
+    order[rho] = np.arange(n)
+    _shift(rho, order, item - 1, int(rho[item - 1]), rank)
+    return rho
 
 
 def leap_and_shift_propose(rho, leap_size: int, rng: np.random.Generator):
@@ -96,41 +130,12 @@ def leap_and_shift_propose(rho, leap_size: int, rng: np.random.Generator):
         raise ValueError("no proposal exists for a single item")
     if not 1 <= leap_size <= max(1, (n - 1) // 2):
         raise ValueError(f"leap_size must be in [1, {max(1, (n - 1) // 2)}] for n={n}")
-    item0 = int(rng.integers(0, n))
-    q = int(ranks[item0])
-    lo = max(1, q - leap_size)
-    w = _window(q, n, leap_size)
-    dest = lo + int(rng.integers(0, w))
-    if dest >= q:
-        dest += 1
-    proposal = _apply_leap_shift(ranks, item0, dest)
-    if abs(dest - q) == 1:
-        log_ratio = 0.0
-    else:
-        log_ratio = math.log(_window(q, n, leap_size)) - math.log(_window(dest, n, leap_size))
-    return proposal, log_ratio
-
-
-class _RandomBlocks:
-    """Batched uniforms/integers so the chain loop avoids per-step RNG calls."""
-
-    def __init__(self, rng: np.random.Generator, n: int):
-        self.rng = rng
-        self.n = n
-        self._refill()
-
-    def _refill(self):
-        self.items = self.rng.integers(0, self.n, size=_BLOCK)
-        self.dest = self.rng.random(_BLOCK)
-        self.acc = self.rng.random(_BLOCK)
-        self.pos = 0
-
-    def next(self):
-        if self.pos == _BLOCK:
-            self._refill()
-        p = self.pos
-        self.pos = p + 1
-        return int(self.items[p]), float(self.dest[p]), float(self.acc[p])
+    u = int(rng.integers(0, n))
+    q = int(ranks[u])
+    r = _leap_target(q, rng.random(), leap_size, n)
+    log_w = _log_windows(n, leap_size)
+    log_ratio = log_w[q] - log_w[r] if abs(r - q) > 1 else 0.0
+    return ls_move(ranks, u + 1, r), log_ratio
 
 
 def _run_rho_chain(cost_rows, scale, n, cfg, rng, init_ranks):
@@ -140,58 +145,43 @@ def _run_rho_chain(cost_rows, scale, n, cfg, rng, init_ranks):
     ``i`` (0-based) rank ``l``; the chain state cost is the sum over items.
     """
     leap = cfg.resolved_leap(n)
-    rho = list(init_ranks)  # item -> rank
+    rho = np.asarray(init_ranks).tolist()  # item -> rank
     order = [0] * (n + 1)  # rank -> item
     for item0, rank in enumerate(rho):
         order[rank] = item0
-    log_w = [0.0] * (n + 1)
-    for pos in range(1, n + 1):
-        log_w[pos] = math.log(_window(pos, n, leap))
-    blocks = _RandomBlocks(rng, n)
+    log_w = _log_windows(n, leap)
     keep = []
     accepted = 0
-    exp_, burn, thin = math.exp, cfg.burn_in, cfg.thin
-    for it in range(1, cfg.iterations + 1):
-        u, du, au = blocks.next()
-        q = rho[u]
-        lo = q - leap
-        if lo < 1:
-            lo = 1
-        hi = q + leap
-        if hi > n:
-            hi = n
-        r = lo + int(du * (hi - lo))
-        if r >= q:
-            r += 1
-        crow = cost_rows[u]
-        delta = crow[r - 1] - crow[q - 1]
-        if q < r:
-            for p in range(q + 1, r + 1):
-                m = order[p]
-                delta += cost_rows[m][p - 2] - cost_rows[m][p - 1]
-        else:
-            for p in range(r, q):
-                m = order[p]
-                delta += cost_rows[m][p] - cost_rows[m][p - 1]
-        log_acc = -scale * delta
-        if r - q > 1 or q - r > 1:
-            log_acc += log_w[q] - log_w[r]
-        if log_acc >= 0.0 or au < exp_(log_acc):
-            accepted += 1
+    exp_, burn, thin, total = math.exp, cfg.burn_in, cfg.thin, cfg.iterations
+    for start in range(0, total, _BLOCK):
+        # whole blocks of items, destination and acceptance uniforms, in this
+        # order: a caller's generator (sample_mallows) is left as it always was;
+        # only the steps that run are converted to Python numbers
+        steps = min(_BLOCK, total - start)
+        items = rng.integers(0, n, size=_BLOCK)[:steps].tolist()
+        dests = rng.random(_BLOCK)[:steps].tolist()
+        accs = rng.random(_BLOCK)[:steps].tolist()
+        for it, u, du, au in zip(range(start + 1, start + steps + 1), items, dests, accs):
+            q = rho[u]
+            r = _leap_target(q, du, leap, n)
+            crow = cost_rows[u]
+            delta = crow[r - 1] - crow[q - 1]
             if q < r:
-                for p in range(q, r):
-                    m = order[p + 1]
-                    order[p] = m
-                    rho[m] = p
+                for p in range(q + 1, r + 1):
+                    m = order[p]
+                    delta += cost_rows[m][p - 2] - cost_rows[m][p - 1]
             else:
-                for p in range(q, r, -1):
-                    m = order[p - 1]
-                    order[p] = m
-                    rho[m] = p
-            order[r] = u
-            rho[u] = r
-        if it > burn and (it - burn) % thin == 0:
-            keep.append(tuple(rho))
+                for p in range(r, q):
+                    m = order[p]
+                    delta += cost_rows[m][p] - cost_rows[m][p - 1]
+            log_acc = -scale * delta
+            if r - q > 1 or q - r > 1:
+                log_acc += log_w[q] - log_w[r]
+            if log_acc >= 0.0 or au < exp_(log_acc):
+                accepted += 1
+                _shift(rho, order, u, q, r)
+            if it > burn and (it - burn) % thin == 0:
+                keep.append(tuple(rho))
     return np.array(keep, dtype=np.int64), accepted / cfg.iterations
 
 
@@ -261,7 +251,7 @@ def mcmc_clicking(clicks: ClickDataset, alpha: float, cfg: McmcConfig):
     leap = cfg.resolved_leap(n)
     order = np.empty(n + 1, dtype=np.int64)
     order[rho] = np.arange(n)
-    log_w = np.array([0.0] + [math.log(_window(p, n, leap)) for p in range(1, n + 1)])
+    log_w = _log_windows(n, leap)
     rows = np.arange(n_users)
 
     rho_keep = []
@@ -298,34 +288,21 @@ def mcmc_clicking(clicks: ClickDataset, alpha: float, cfg: McmcConfig):
             R[idx, bi] = tmp
 
         # (ii) one leap-and-shift update of rho given the augmented rankings
-        u0 = int(rng.integers(0, n))
-        q = int(rho[u0])
-        lo, hi = max(1, q - leap), min(n, q + leap)
-        r = lo + int(rng.random() * (hi - lo))
-        if r >= q:
-            r += 1
-        moved_items = [u0]
-        new_ranks = [r]
-        if q < r:
-            for p in range(q + 1, r + 1):
-                moved_items.append(int(order[p]))
-                new_ranks.append(p - 1)
-        else:
-            for p in range(r, q):
-                moved_items.append(int(order[p]))
-                new_ranks.append(p + 1)
-        delta = 0.0
-        for m, nr in zip(moved_items, new_ranks):
-            col = R[:, m]
-            delta += np.abs(col - nr).sum() - np.abs(col - rho[m]).sum()
+        u = int(rng.integers(0, n))
+        q = int(rho[u])
+        r = _leap_target(q, rng.random(), leap, n)
+        col = R[:, u]
+        delta = np.abs(col - r).sum() - np.abs(col - q).sum()
+        step = 1 if q < r else -1
+        for p in range(q + step, r + step, step):  # the items that shift to p - step
+            col = R[:, order[p]]
+            delta += np.abs(col - (p - step)).sum() - np.abs(col - p).sum()
         log_acc = -scale * delta
         if abs(q - r) > 1:
             log_acc += log_w[q] - log_w[r]
         if log_acc >= 0.0 or rng.random() < math.exp(log_acc):
             accepted += 1
-            for m, nr in zip(moved_items, new_ranks):
-                rho[m] = nr
-                order[nr] = m
+            _shift(rho, order, u, q, r)
         if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
             rho_keep.append(rho.copy())
             user_keep.append(R.copy())

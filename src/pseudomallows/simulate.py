@@ -1,18 +1,19 @@
 """Synthetic Mallows data for experiments and estimator tuning.
 
 Exact inverse-CDF sampling is used when the permutation space is small
-enough to enumerate; otherwise a thinned Metropolis chain targeting the
-single-center Mallows distribution supplies approximately independent
-draws.
+enough to enumerate. Otherwise Mallows(rho0, alpha) is drawn as the
+consensus posterior given the single ranking ``rho0``, whose density is
+proportional to exp(-(alpha/n) * d(rho, rho0)): a thinned ``mcmc_rho`` chain
+on that one-row dataset supplies approximately independent draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .data import RankingDataset
+from .data import RankingDataset, check_alpha
 from .exact import EXACT_CAP, mallows_distribution
-from .mcmc import McmcConfig, _run_rho_chain
+from .mcmc import McmcConfig, mcmc_rho
 from .perms import as_ranking
 
 
@@ -35,8 +36,7 @@ def sample_mallows(
     """
     rho0 = as_ranking(rho0)
     n = rho0.size
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
+    alpha = check_alpha(alpha, allow_zero=True)
     if size < 1:
         raise ValueError("size must be >= 1")
     rng = np.random.default_rng(rng)
@@ -59,12 +59,9 @@ def sample_mallows(
         leap_size=leap,
         thin=step,
         burn_in=burn,
-        seed=None,
+        seed=rng,
     )
-    cost_rows = [[abs(int(r) - l) for l in range(1, n + 1)] for r in rho0]
-    init = rng.permutation(n) + 1
-    samples, _ = _run_rho_chain(cost_rows, alpha / n, n, cfg, rng, init)
-    return samples
+    return mcmc_rho(RankingDataset(rho0[None, :]), alpha, cfg).rho_samples
 
 
 def make_dataset(rho0, alpha: float, n_users: int, rng, **kwargs) -> RankingDataset:

@@ -1,22 +1,154 @@
-"""Chain correctness: proposal mechanics, stationary distributions against
+"""Chain correctness: proposal mechanics, seeded equality with the chain
+loop the shared leap-and-shift move replaced, stationary distributions against
 the enumeration oracle, and the click-data augmentation scheme."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import pseudomallows
+import pseudomallows.evaluation
 from pseudomallows.clicking import binarize, in_compatible_set, TruncatedPoisson
-from pseudomallows.data import ClickDataset, RankingDataset
+from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset
 from pseudomallows.exact import exact_posterior
 from pseudomallows.mcmc import (
     McmcConfig,
     leap_and_shift_propose,
+    ls_move,
     mcmc_clicking,
     mcmc_rho,
 )
 from pseudomallows.perms import is_permutation, permutation_matrix
-from pseudomallows.simulate import make_dataset
+from pseudomallows.simulate import make_dataset, sample_mallows
+
+BLOCK = 1 << 15
+
+
+def _window(pos, n, leap):
+    return min(n, pos + leap) - max(1, pos - leap)
+
+
+class _RandomBlocks:
+    """Batched uniforms/integers so the chain loop avoids per-step RNG calls."""
+
+    def __init__(self, rng, n):
+        self.rng = rng
+        self.n = n
+        self._refill()
+
+    def _refill(self):
+        self.items = self.rng.integers(0, self.n, size=BLOCK)
+        self.dest = self.rng.random(BLOCK)
+        self.acc = self.rng.random(BLOCK)
+        self.pos = 0
+
+    def next(self):
+        if self.pos == BLOCK:
+            self._refill()
+        p = self.pos
+        self.pos = p + 1
+        return int(self.items[p]), float(self.dest[p]), float(self.acc[p])
+
+
+def reference_chain(cost_rows, scale, n, cfg, rng, init_ranks):
+    """The chain loop with its own inline destination draw and shift, reading
+    randomness one step at a time from lazily refilled blocks."""
+    leap = cfg.resolved_leap(n)
+    rho = list(init_ranks)
+    order = [0] * (n + 1)
+    for item0, rank in enumerate(rho):
+        order[rank] = item0
+    log_w = [0.0] * (n + 1)
+    for pos in range(1, n + 1):
+        log_w[pos] = math.log(_window(pos, n, leap))
+    blocks = _RandomBlocks(rng, n)
+    keep = []
+    accepted = 0
+    for it in range(1, cfg.iterations + 1):
+        u, du, au = blocks.next()
+        q = rho[u]
+        lo = max(1, q - leap)
+        hi = min(n, q + leap)
+        r = lo + int(du * (hi - lo))
+        if r >= q:
+            r += 1
+        crow = cost_rows[u]
+        delta = crow[r - 1] - crow[q - 1]
+        if q < r:
+            for p in range(q + 1, r + 1):
+                m = order[p]
+                delta += cost_rows[m][p - 2] - cost_rows[m][p - 1]
+        else:
+            for p in range(r, q):
+                m = order[p]
+                delta += cost_rows[m][p] - cost_rows[m][p - 1]
+        log_acc = -scale * delta
+        if abs(r - q) > 1:
+            log_acc += log_w[q] - log_w[r]
+        if log_acc >= 0.0 or au < math.exp(log_acc):
+            accepted += 1
+            if q < r:
+                for p in range(q, r):
+                    m = order[p + 1]
+                    order[p] = m
+                    rho[m] = p
+            else:
+                for p in range(q, r, -1):
+                    m = order[p - 1]
+                    order[p] = m
+                    rho[m] = p
+            order[r] = u
+            rho[u] = r
+        if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
+            keep.append(tuple(rho))
+    return np.array(keep, dtype=np.int64), accepted / cfg.iterations
+
+
+def reference_mcmc_rho(data, alpha, cfg):
+    rng = np.random.default_rng(cfg.seed)
+    n = data.n_items
+    init = rng.permutation(n) + 1
+    cost_rows = RankCountMatrix.from_dataset(data).cost.tolist()
+    return reference_chain(cost_rows, alpha / n, n, cfg, rng, init)
+
+
+def reference_sample_mallows(rho0, alpha, size, rng, thin, burn_in, leap_size):
+    """The MCMC route of ``sample_mallows`` with its own cost table."""
+    n = len(rho0)
+    cfg = McmcConfig(iterations=burn_in + size * thin, leap_size=leap_size,
+                     thin=thin, burn_in=burn_in)
+    cost_rows = [[abs(int(r) - l) for l in range(1, n + 1)] for r in rho0]
+    init = rng.permutation(n) + 1
+    return reference_chain(cost_rows, alpha / n, n, cfg, rng, init)[0]
+
+
+THIN, BURN, SIZE = 7, 100, 4700  # 32,998 iterations: one block boundary crossed
+assert BLOCK < BURN + SIZE * THIN < 2 * BLOCK
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 2.0, 1e4])
+@pytest.mark.parametrize("leap", ["one", "default", "widest"])
+@pytest.mark.parametrize("n", [2, 3, 9, 20, 200])
+def test_seeded_chains_equal_the_reference(n, leap, alpha):
+    leap_size = {"one": 1, "default": None, "widest": max(1, (n - 1) // 2)}[leap]
+    rho0 = np.random.default_rng(n).permutation(n) + 1
+    data = RankingDataset(np.random.default_rng(n + 1).permuted(np.tile(rho0, (8, 1)), axis=1))
+    cfg = McmcConfig(iterations=BURN + SIZE * THIN, leap_size=leap_size,
+                     thin=THIN, burn_in=BURN, seed=n)
+    trace = mcmc_rho(data, alpha, cfg)
+    want, rate = reference_mcmc_rho(data, alpha, cfg)
+    assert np.array_equal(trace.rho_samples, want)
+    assert trace.acceptance_rate == rate
+
+    got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = sample_mallows(rho0, alpha, SIZE, got_rng, method="mcmc", thin=THIN,
+                         burn_in=BURN, leap_size=leap_size)
+    default_leap = max(1, n // 5) if leap_size is None else leap_size
+    want = reference_sample_mallows(rho0, alpha, SIZE, want_rng, THIN, BURN, default_leap)
+    assert np.array_equal(got, want)
+    assert got_rng.random() == want_rng.random()  # the same randomness was used
 
 
 class TestLeapAndShift:
@@ -48,6 +180,70 @@ class TestLeapAndShift:
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="leap_size"):
             leap_and_shift_propose((1, 2, 3, 4, 5), 3, rng)
+
+    def test_proposal_law_and_ratio(self):
+        """The law of 1e5 proposals against the one enumerated from the window
+        rule; an adjacent swap is reached by leaping either of its items."""
+        n, leap = 6, 2
+        rho = np.array([3, 1, 6, 2, 5, 4])
+        window = lambda p: min(n, p + leap) - max(1, p - leap)
+
+        def relocated(u, r):
+            order = [i for i in np.argsort(rho).tolist() if i != u]
+            order.insert(r - 1, u)
+            out = np.empty(n, dtype=np.int64)
+            out[order] = np.arange(1, n + 1)
+            return tuple(out.tolist())
+
+        law = Counter()
+        for u in range(n):
+            q = int(rho[u])
+            for r in range(max(1, q - leap), min(n, q + leap) + 1):
+                if r != q:
+                    law[relocated(u, r)] += 1 / (n * window(q))
+        rng = np.random.default_rng(17)
+        t = 100_000
+        counts = Counter()
+        ratios = {}
+        for _ in range(t):
+            prop, ratio = leap_and_shift_propose(rho, leap, rng)
+            key = tuple(prop.tolist())
+            counts[key] += 1
+            ratios.setdefault(key, set()).add(ratio)
+        assert set(counts) <= set(law)
+        tv = 0.5 * sum(abs(counts.get(r, 0) / t - p) for r, p in law.items())
+        assert tv <= 0.015
+
+        for key, seen in ratios.items():
+            prop = np.array(key)
+            moved = np.flatnonzero(prop != rho)
+            jump = np.abs(prop - rho)
+            if jump.max() > 1:
+                u = int(np.argmax(jump))
+                q, r = int(rho[u]), int(prop[u])
+                assert seen == {math.log(window(q)) - math.log(window(r))}
+                assert ls_move(rho, u + 1, r).tolist() == list(key)
+            else:
+                assert seen == {0.0} and moved.size == 2
+                for u in moved:
+                    assert ls_move(rho, int(u) + 1, int(prop[u])).tolist() == list(key)
+
+    def test_ls_move_is_one_function(self):
+        assert pseudomallows.ls_move is ls_move is pseudomallows.evaluation.ls_move
+
+
+class TestSampleMallows:
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_bad_alpha_rejected(self, n, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            sample_mallows(np.arange(1, n + 1), alpha, 4, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_zero_alpha_draws_permutations(self, n):
+        draws = sample_mallows(np.arange(1, n + 1), 0.0, 50, np.random.default_rng(0))
+        assert draws.shape == (50, n) and all(is_permutation(r) for r in draws)
+        assert len({tuple(r) for r in draws.tolist()}) > 1
 
 
 class TestConfig:
