@@ -14,7 +14,7 @@ from pseudomallows import (
     binarize,
     make_dataset,
     pseudo_clicking,
-    recommend_topk,
+    recommend_all,
 )
 
 n, n_users, alpha0, k = 20, 200, 5.0, 3
@@ -30,10 +30,10 @@ rho_ss, user_samples = pseudo_clicking(
 )
 print(f"alternating sampler: 300 sweeps in {rho_ss.wall_clock:.2f} s")
 
+all_recs = recommend_all(user_samples, clicks, k)
 hits = total = 0
-for j in range(n_users):
+for j, recs in enumerate(all_recs):
     c = int(clicks.click_counts()[j])
-    recs = recommend_topk(user_samples[:, j, :], clicks.clicks[j], k)
     for item, prob in recs:
         hits += c + 1 <= data.rankings[j, item - 1] <= c + k
         total += 1
@@ -42,6 +42,6 @@ print(f"accuracy {hits/total:.3f} vs random baseline {baseline:.3f}")
 
 j = 0
 print(f"\nuser 0 clicked items {np.flatnonzero(clicks.clicks[j]) + 1}; recommendations:")
-for item, prob in recommend_topk(user_samples[:, j, :], clicks.clicks[j], k):
+for item, prob in all_recs[j]:
     true_rank = data.rankings[j, item - 1]
     print(f"  item {item:>2} with probability {prob:.2f} (held-out true rank {true_rank})")

@@ -16,6 +16,7 @@ from .clicking import (
     estimate_alpha_clicks,
     in_compatible_set,
     pseudo_clicking,
+    recommend_all,
     recommend_topk,
     sample_user_ranking,
     sample_user_rankings,
@@ -33,6 +34,7 @@ from .evaluation import (
     iterative_search,
     joint_kl_exact,
     marginal_kl,
+    ordering_kl,
     posterior_profile,
     reference_profile,
 )

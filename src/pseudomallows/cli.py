@@ -1,9 +1,7 @@
 """Command line entry points.
 
 Subcommands mirror the library operations: fit-rho, fit-clicks, recommend,
-eval-kl, search-ordering, and experiment <kind>. The PSEUDOMALLOWS_THREADS
-environment variable sets the default replicate parallelism for
-experiments.
+eval-kl, search-ordering, and experiment <kind>.
 """
 
 from __future__ import annotations
@@ -14,17 +12,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .clicking import pseudo_clicking, recommend_topk
-from .data import RankingDataset
+from .clicking import pseudo_clicking, recommend_all
 from .evaluation import (
-    MarginalProfile,
+    EXACT_STUDY_CAP,
     default_sigma,
     iterative_search,
-    marginal_kl,
+    ordering_kl,
+    reference_profile,
 )
 from .experiments import ExperimentConfig, cp_consensus, run_experiment
 from .io import emit, load_clicks, load_rankings, save_rankings
-from .perms import adjacent_swaps, as_ranking, perturbed_v_ranking
+from .perms import adjacent_swaps, as_ranking, ordering_of, perturbed_v_ranking
 from .pseudo import (
     DEFAULT_ALPHA_GRID,
     PseudoConfig,
@@ -90,22 +88,14 @@ def _cmd_recommend(args) -> int:
     sigma = args.sigma if args.sigma is not None else 0.0
     cfg = PseudoConfig(args.alpha, sigma, args.samples, seed=args.seed)
     _, user_samples = pseudo_clicking(clicks, cfg, warmup=args.warmup)
-    counts = clicks.click_counts()
-    lines = []
-    for j in range(clicks.n_users):
-        c = int(counts[j])
-        take = min(args.k, clicks.n_items - c)
-        if take < 1:
-            lines.append((j, []))
-            continue
-        lines.append((j, recommend_topk(user_samples[:, j, :], clicks.clicks[j], take)))
+    recs = recommend_all(user_samples, clicks, args.k)
     out = sys.stdout
     if args.output:
         out = open(args.output, "w")
     try:
         print("user,item,probability", file=out)
-        for j, recs in lines:
-            for item, prob in recs:
+        for j, user_recs in enumerate(recs):
+            for item, prob in user_recs:
                 print(f"{j + 1},{item},{prob:.6f}", file=out)
     finally:
         if args.output:
@@ -118,29 +108,20 @@ def _cmd_eval_kl(args) -> int:
     data = load_rankings(args.input)
     if args.alpha is None:
         raise SystemExit("eval-kl requires --alpha")
-    from .evaluation import EXACT_STUDY_CAP, reference_profile
-    from .perms import ordering_of
-    from .pseudo import exact_distribution, sample_rho_given_ordering
-
     rng = np.random.default_rng(args.seed)
     ranking = as_ranking([int(v) for v in args.ordering.split(",")])
     if ranking.size != data.n_items:
         raise ValueError(
             f"ordering names {ranking.size} items but the data has {data.n_items}"
         )
-    ordering = ordering_of(ranking)
     reference = reference_profile(data, args.alpha, rng)
     if data.n_items <= EXACT_STUDY_CAP:
-        q = MarginalProfile.from_distribution(
-            exact_distribution(data, args.alpha, ordering)
-        )
-        mode = "exact"
+        draws, mode = None, "exact"
     else:
-        draws = sample_rho_given_ordering(data, args.alpha, ordering, rng, size=args.samples)
-        q = MarginalProfile.from_samples(draws)
-        reference = reference.smooth(1.0 / (2.0 * args.samples))
-        mode = f"sampled({args.samples})"
-    print(f"marginal_kl: {marginal_kl(q, reference):.6f} [{mode}]")
+        draws, mode = args.samples, f"sampled({args.samples})"
+        reference = reference.smooth(1.0 / (2.0 * draws))
+    kl = ordering_kl(data, args.alpha, ordering_of(ranking), reference, draws, rng)
+    print(f"marginal_kl: {kl:.6f} [{mode}]")
     return 0
 
 

@@ -6,6 +6,11 @@ confined to its own rank block: clicked items to 1..c, unclicked items to
 c+1..n. The alternating loop draws all user rankings given the current
 consensus, then one consensus sample given the augmented rankings, and
 repeats.
+
+Both click-data samplers (this loop and ``mcmc.mcmc_clicking``) start from
+``click_frequency_ranking`` and return a (T, N, n) user-ranking trace;
+``recommend_all`` turns either trace into every user's top-k list, one
+``recommend_topk`` call per user.
 """
 
 from __future__ import annotations
@@ -184,6 +189,24 @@ def recommend_topk(user_samples, clicks_row, k: int) -> list[Recommendation]:
     items = np.flatnonzero(b == 0)
     order = np.lexsort((items, -probs[items]))
     return [Recommendation(int(items[i]) + 1, float(probs[items[i]])) for i in order[:k]]
+
+
+def recommend_all(user_samples, clicks, k: int) -> list[list[Recommendation]]:
+    """:func:`recommend_topk` for every user of a (T, N, n) user-ranking trace.
+
+    A user with fewer than ``k`` unclicked items gets all of them, ranked;
+    a user who clicked everything gets ``[]``. ``clicks`` is a ClickDataset
+    or anything ClickDataset accepts.
+    """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    b = clicks_of(clicks)
+    n = b.shape[1]
+    out = []
+    for j, row in enumerate(b):
+        take = min(k, n - int(row.sum()))
+        out.append(recommend_topk(user_samples[:, j, :], row, take) if take else [])
+    return out
 
 
 def binarize(data: RankingDataset, count_model, rng) -> ClickDataset:

@@ -3,7 +3,9 @@
 Marginal KL (the sum of per-item rank-marginal divergences) is the working
 surrogate for the joint KL between the factorized sampler and the exact
 posterior; the exact ELBO and joint KL are available at enumeration scale
-to validate it. The ordering search relocates one item at a time, scores
+to validate it. ``ordering_kl`` scores one ordering, exactly or from
+samples; the enumeration study, the ordering search and the ``eval-kl``
+command all call it. The search relocates one item at a time, scores
 candidates by marginal KL, and recombines the scores through a minimum
 cost assignment.
 """
@@ -157,6 +159,32 @@ def reference_profile(
     return MarginalProfile.from_samples(trace.rho_samples)
 
 
+def _check_mode(mode: str, n: int, caps: dict[str, int], what: str, name: str) -> None:
+    """Reject a mode outside ``caps`` and an ``n`` above that mode's cap."""
+    if mode not in caps:
+        raise ValueError(f"unknown {name} {mode!r}")
+    if n > caps[mode]:
+        raise CapacityError(f"{mode} {what} requires n <= {caps[mode]}")
+
+
+def ordering_kl(cost, alpha: float, ordering, reference: MarginalProfile,
+                draws: int | None = None, rng=None) -> float:
+    """Marginal KL of the factorized sampler at one ordering against ``reference``.
+
+    ``cost`` is a RankCountMatrix or a ranking dataset, and ``ordering`` names
+    the item sampled at each step (1-based). With ``draws=None`` the sampler's
+    marginals are exact, by enumeration (n <= 8); otherwise they are estimated
+    from ``draws`` samples drawn with ``rng``, and the caller smooths
+    ``reference`` to match as it sees fit.
+    """
+    if draws is None:
+        q = MarginalProfile.from_distribution(exact_distribution(cost, alpha, ordering))
+    else:
+        samples = sample_rho_given_ordering(cost, alpha, ordering, rng, size=draws)
+        q = MarginalProfile.from_samples(samples)
+    return marginal_kl(q, reference)
+
+
 def enumerate_ordering_study(
     data: RankingDataset,
     alpha: float,
@@ -172,28 +200,19 @@ def enumerate_ordering_study(
     samples per ordering with additive smoothing.
     """
     n = data.n_items
-    if mode == "exact":
-        if n > EXACT_STUDY_CAP:
-            raise CapacityError(f"exact study requires n <= {EXACT_STUDY_CAP}")
-    elif mode == "sampled":
-        if n > EXACT_STUDY_CAP + 1:
-            raise CapacityError(f"sampled study requires n <= {EXACT_STUDY_CAP + 1}")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    caps = {"exact": EXACT_STUDY_CAP, "sampled": EXACT_STUDY_CAP + 1}
+    _check_mode(mode, n, caps, "study", "mode")
     rng = np.random.default_rng(rng)
     reference = posterior_profile(data, alpha)
     if mode == "sampled":
         reference = reference.smooth(1.0 / (2.0 * draws))
+    else:
+        draws = None
     cost = RankCountMatrix.from_dataset(data)
     results = []
     for ranking in permutation_matrix(n):
-        o = ordering_of(ranking)
-        if mode == "exact":
-            q = MarginalProfile.from_distribution(exact_distribution(cost, alpha, o))
-        else:
-            samples = sample_rho_given_ordering(cost, alpha, o, rng, size=draws)
-            q = MarginalProfile.from_samples(samples)
-        results.append((tuple(int(v) for v in ranking), marginal_kl(q, reference)))
+        kl = ordering_kl(cost, alpha, ordering_of(ranking), reference, draws, rng)
+        results.append((tuple(int(v) for v in ranking), kl))
     results.sort(key=lambda pair: pair[1])
     return results
 
@@ -265,31 +284,21 @@ def iterative_search(
     best-so-far entry rather than the last one.
     """
     check_alpha(alpha)
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     n = data.n_items
-    if eval_mode == "exact":
-        if n > EXACT_SEARCH_CAP:
-            raise CapacityError(f"exact search requires n <= {EXACT_SEARCH_CAP}")
-    elif eval_mode == "sampled":
-        if n > SAMPLED_SEARCH_CAP:
-            raise CapacityError(f"sampled search requires n <= {SAMPLED_SEARCH_CAP}")
-    else:
-        raise ValueError(f"unknown eval_mode {eval_mode!r}")
+    caps = {"exact": EXACT_SEARCH_CAP, "sampled": SAMPLED_SEARCH_CAP}
+    _check_mode(eval_mode, n, caps, "search", "eval_mode")
     rng = np.random.default_rng(rng)
     incumbent = as_ranking(init).copy()
     if reference is None:
         reference = reference_profile(data, alpha, rng, mcmc_reference_iterations)
     vset = v_set(estimate_rho_hat(data) if vset_base is None else vset_base)
     cost_table = RankCountMatrix.from_dataset(data)
+    sample_draws = draws if eval_mode == "sampled" else None
 
     def evaluate(ranking) -> float:
-        o = ordering_of(ranking)
-        if eval_mode == "exact":
-            q = MarginalProfile.from_distribution(exact_distribution(cost_table, alpha, o))
-        else:
-            q = MarginalProfile.from_samples(
-                sample_rho_given_ordering(cost_table, alpha, o, rng, size=draws)
-            )
-        return marginal_kl(q, reference)
+        return ordering_kl(cost_table, alpha, ordering_of(ranking), reference, sample_draws, rng)
 
     rankings = [incumbent.copy()]
     kls = [evaluate(incumbent)]

@@ -12,8 +12,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -24,7 +22,7 @@ from .clicking import (
     binarize,
     estimate_alpha_clicks,
     pseudo_clicking,
-    recommend_topk,
+    recommend_all,
 )
 from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet
 from .evaluation import (
@@ -43,8 +41,6 @@ from .pseudo import (
     sample_rho_with_orderings,
 )
 from .simulate import make_dataset
-
-THREADS_ENV = "PSEUDOMALLOWS_THREADS"
 
 COLUMNS = (
     "experiment",
@@ -83,11 +79,6 @@ class ResultTable:
             raise ValueError(f"unknown columns: {sorted(unknown)}")
         row = {c: kw.get(c, "") for c in self.columns}
         self.rows.append(row)
-
-    def extend(self, other: "ResultTable") -> None:
-        if other.columns != self.columns:
-            raise ValueError("column sets differ")
-        self.rows.extend(other.rows)
 
     def column(self, name: str) -> list:
         return [r[name] for r in self.rows]
@@ -163,24 +154,6 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:12]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_replicates(fn, count: int) -> list:
-    """Run replicate bodies, in parallel when the env var asks for it; the
-    per-replicate seeds make any schedule yield identical rows."""
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _replicate_seed(base: int, replicate: int) -> int:
     return int(np.random.SeedSequence((base, replicate)).generate_state(1)[0])
 
@@ -193,17 +166,11 @@ def _replicate_rows(cfg: ExperimentConfig, count: int, body) -> ResultTable:
     hash (keywords passed to ``add`` override the stamp).
     """
     chash = cfg.hash()
-
-    def one(rep: int) -> ResultTable:
-        seed = _replicate_seed(cfg.seed, rep)
-        out = ResultTable()
-        add = partial(out.append, experiment=cfg.kind, replicate=rep, seed=seed, config_hash=chash)
-        body(rep, np.random.default_rng(seed), add)
-        return out
-
     table = ResultTable()
-    for part in _map_replicates(one, count):
-        table.extend(part)
+    for rep in range(count):
+        seed = _replicate_seed(cfg.seed, rep)
+        add = partial(table.append, experiment=cfg.kind, replicate=rep, seed=seed, config_hash=chash)
+        body(rep, np.random.default_rng(seed), add)
     return table
 
 
@@ -266,12 +233,8 @@ def _score_recommendations(user_traces, clicks: ClickDataset, truth, k: int):
     counts = clicks.click_counts()
     correct = total = 0
     preds: list[tuple[float, bool]] = []
-    for j in range(clicks.n_users):
+    for j, recs in enumerate(recommend_all(user_traces, clicks, k)):
         c = int(counts[j])
-        take = min(k, clicks.n_items - c)
-        if take < 1:
-            continue
-        recs = recommend_topk(user_traces[:, j, :], clicks.clicks[j], take)
         for item, prob in recs:
             hit = c + 1 <= truth[j, item - 1] <= c + k
             correct += hit
@@ -304,6 +267,23 @@ def run_clicking_accuracy(cfg: ExperimentConfig) -> ResultTable:
     click_max = cfg.click_max if cfg.click_max is not None else cfg.n - 3
     model = TruncatedPoisson(mean=cfg.click_mean, low=cfg.click_min, high=click_max)
 
+    def fit_mcmc(clicks, iters: int, seed: int):
+        burn = iters // 5
+        thin = max(1, (iters - burn) // 200)
+        mcfg = McmcConfig(iterations=iters, burn_in=burn, thin=thin, seed=seed)
+        trace, users = mcmc_clicking(clicks, cfg.alpha0, mcfg)
+        return users, trace.wall_clock
+
+    def fit_pseudo(clicks, iters: int, seed: int):
+        pcfg = PseudoConfig(cfg.alpha0, cfg.sigma, iters, seed=seed)
+        ss, users = pseudo_clicking(clicks, pcfg, warmup=cfg.warmup)
+        return users, ss.wall_clock
+
+    arms = (
+        ("mcmc", "iterations", cfg.mcmc_iterations, fit_mcmc),
+        ("pseudo", "samples", cfg.pm_iterations, fit_pseudo),
+    )
+
     def one(rep: int, rng, add) -> None:
         data = make_dataset(rho0, cfg.alpha0, cfg.n_users, rng)
         clicks = binarize(data, model, rng)
@@ -314,43 +294,20 @@ def run_clicking_accuracy(cfg: ExperimentConfig) -> ResultTable:
             method="random", x_name="budget", x_value=0,
             y_name="accuracy", y_value=baseline, wall_clock=0.0,
         )
-        for iters in cfg.mcmc_iterations:
-            burn = iters // 5
-            thin = max(1, (iters - burn) // 200)
-            trace, users = mcmc_clicking(
-                clicks,
-                cfg.alpha0,
-                McmcConfig(iterations=iters, burn_in=burn, thin=thin,
-                           seed=int(rng.integers(2**63))),
-            )
-            acc, preds = _score_recommendations(users, clicks, truth, cfg.k)
-            add(
-                method="mcmc", x_name="iterations", x_value=iters,
-                y_name="accuracy", y_value=acc, wall_clock=trace.wall_clock,
-            )
-            for mean_p, realized, count in _calibration_bins(preds):
+        for method, x_name, budgets, fit in arms:
+            for budget in budgets:
+                users, wall = fit(clicks, budget, int(rng.integers(2**63)))
+                acc, preds = _score_recommendations(users, clicks, truth, cfg.k)
                 add(
-                    method="mcmc", x_name="predicted_probability", x_value=mean_p,
-                    y_name="realized_accuracy", y_value=realized,
-                    detail=f"budget={iters};count={count}", wall_clock=trace.wall_clock,
+                    method=method, x_name=x_name, x_value=budget,
+                    y_name="accuracy", y_value=acc, wall_clock=wall,
                 )
-        for iters in cfg.pm_iterations:
-            ss, users = pseudo_clicking(
-                clicks,
-                PseudoConfig(cfg.alpha0, cfg.sigma, iters, seed=int(rng.integers(2**63))),
-                warmup=cfg.warmup,
-            )
-            acc, preds = _score_recommendations(users, clicks, truth, cfg.k)
-            add(
-                method="pseudo", x_name="samples", x_value=iters,
-                y_name="accuracy", y_value=acc, wall_clock=ss.wall_clock,
-            )
-            for mean_p, realized, count in _calibration_bins(preds):
-                add(
-                    method="pseudo", x_name="predicted_probability", x_value=mean_p,
-                    y_name="realized_accuracy", y_value=realized,
-                    detail=f"budget={iters};count={count}", wall_clock=ss.wall_clock,
-                )
+                for mean_p, realized, count in _calibration_bins(preds):
+                    add(
+                        method=method, x_name="predicted_probability", x_value=mean_p,
+                        y_name="realized_accuracy", y_value=realized,
+                        detail=f"budget={budget};count={count}", wall_clock=wall,
+                    )
 
     return _replicate_rows(cfg, cfg.replicates, one)
 

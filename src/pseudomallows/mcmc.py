@@ -3,7 +3,10 @@
 ``mcmc_rho`` targets the consensus posterior given complete rankings;
 ``mcmc_clicking`` alternates per-user augmentation updates (within-group rank
 swaps) with consensus updates for click data. Both are the comparison arm in
-the timing and accuracy experiments.
+the timing and accuracy experiments. ``mcmc_clicking`` starts from
+``clicking.click_frequency_ranking``, as the pseudo-Mallows loop does, and
+finds each user's groups in one table made once: the stable argsort of the
+unclick bits, which lists a user's clicked items, then the unclicked ones.
 
 Every consensus update is one leap-and-shift move, written once here: a
 destination drawn within the leap window (``_leap_target``), the log window
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clicking import click_frequency_ranking
 from .data import ClickDataset, RankCountMatrix, RankingDataset, check_alpha
 from .perms import as_ranking, rank_of
 
@@ -204,22 +208,6 @@ def mcmc_rho(data: RankingDataset, alpha: float, cfg: McmcConfig) -> McmcTrace:
     return McmcTrace(samples, rate, time.perf_counter() - start)
 
 
-def _padded_groups(clicks: np.ndarray):
-    """Per-user 0-based item indices of each group, padded with -1."""
-    n_users, n = clicks.shape
-    c = clicks.sum(axis=1)
-    max_c = int(c.max(initial=0))
-    max_u = int((n - c).max(initial=0))
-    clicked = np.full((n_users, max(max_c, 1)), -1, dtype=np.int64)
-    unclicked = np.full((n_users, max(max_u, 1)), -1, dtype=np.int64)
-    for j in range(n_users):
-        idx = np.flatnonzero(clicks[j])
-        clicked[j, : idx.size] = idx
-        idx = np.flatnonzero(1 - clicks[j])
-        unclicked[j, : idx.size] = idx
-    return clicked, unclicked, c
-
-
 def mcmc_clicking(clicks: ClickDataset, alpha: float, cfg: McmcConfig):
     """Two-step augmentation MCMC for click data.
 
@@ -233,8 +221,7 @@ def mcmc_clicking(clicks: ClickDataset, alpha: float, cfg: McmcConfig):
     B = clicks.clicks
     n_users, n = B.shape
     rng = np.random.default_rng(cfg.seed)
-    freq = B.sum(axis=0)
-    rho = rank_of(-freq.astype(np.float64))
+    rho = click_frequency_ranking(clicks)
     if n == 1:
         t = (cfg.iterations - cfg.burn_in) // cfg.thin
         return (
@@ -242,11 +229,13 @@ def mcmc_clicking(clicks: ClickDataset, alpha: float, cfg: McmcConfig):
             np.ones((t, n_users, 1), dtype=np.int64),
         )
     R = rank_of(rho + (1 - B) * 2 * n)  # compatible, following rho within each group
-    clicked_pad, unclicked_pad, c = _padded_groups(B)
+    # each user's clicked items, then unclicked items, each in item-index order
+    grouped = np.argsort(1 - B, axis=1, kind="stable")
+    c = B.sum(axis=1)
     cc = n - c
     can_click = c >= 2
     can_unclick = cc >= 2
-    any_group = can_click | can_unclick
+    active = can_click | can_unclick
     scale = alpha / n
     leap = cfg.resolved_leap(n)
     order = np.empty(n + 1, dtype=np.int64)
@@ -263,19 +252,14 @@ def mcmc_clicking(clicks: ClickDataset, alpha: float, cfg: McmcConfig):
         u_g, u_1, u_2, u_acc = rng.random((4, n_users))
         pick_clicked = np.where(can_click & can_unclick, u_g < 0.5, can_click)
         sizes = np.where(pick_clicked, c, cc)
-        active = any_group
+        first = np.where(pick_clicked, 0, c)  # where the picked group starts in ``grouped``
         safe = np.maximum(sizes, 2)
         i1 = np.minimum((u_1 * safe).astype(np.int64), safe - 1)
         i2 = np.minimum((u_2 * (safe - 1)).astype(np.int64), safe - 2)
         i2 = i2 + (i2 >= i1)
-        pad_c = clicked_pad[rows, np.minimum(i1, clicked_pad.shape[1] - 1)]
-        pad_u = unclicked_pad[rows, np.minimum(i1, unclicked_pad.shape[1] - 1)]
-        a = np.where(pick_clicked, pad_c, pad_u)
-        pad_c = clicked_pad[rows, np.minimum(i2, clicked_pad.shape[1] - 1)]
-        pad_u = unclicked_pad[rows, np.minimum(i2, unclicked_pad.shape[1] - 1)]
-        b = np.where(pick_clicked, pad_c, pad_u)
-        a = np.where(active, a, 0)
-        b = np.where(active, b, 0)
+        # the clamp only bites for users with no group of two, whose picks are masked
+        a = np.where(active, grouped[rows, np.minimum(first + i1, n - 1)], 0)
+        b = np.where(active, grouped[rows, np.minimum(first + i2, n - 1)], 0)
         ra, rb = R[rows, a], R[rows, b]
         old = np.abs(ra - rho[a]) + np.abs(rb - rho[b])
         new = np.abs(rb - rho[a]) + np.abs(ra - rho[b])

@@ -64,6 +64,18 @@ def test_recommend(clicks_csv, tmp_path):
     assert len(lines) > 1
 
 
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_recommend_rejects_k_below_one(clicks_csv, tmp_path, capsys, k):
+    out = tmp_path / "recs.csv"
+    rc = main([
+        "recommend", "--input", str(clicks_csv), "--alpha", "3.0", "--k", k,
+        "--samples", "5", "--seed", "4", "--warmup", "0", "--output", str(out),
+    ])
+    assert rc == 2
+    assert "k must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_kl(ranking_csv, capsys):
     rc = main([
         "eval-kl", "--input", str(ranking_csv), "--alpha", "3.0",

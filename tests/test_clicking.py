@@ -19,6 +19,7 @@ from pseudomallows.clicking import (
     estimate_alpha_clicks,
     in_compatible_set,
     pseudo_clicking,
+    recommend_all,
     recommend_topk,
     sample_user_ranking,
     sample_user_rankings,
@@ -251,6 +252,34 @@ class TestRecommendations:
             recs = recommend_topk(users[:, j], clicks.clicks[j], min(3, 6 - c))
             for item, _ in recs:
                 assert clicks.clicks[j, item - 1] == 0
+
+    def test_recommend_all_is_the_per_user_loop(self):
+        """Every user's list is recommend_topk at min(k, unclicked); a user who
+        clicked everything gets [] and one with fewer than k unclicked items
+        gets all of them."""
+        rng = np.random.default_rng(21)
+        data = make_dataset(np.arange(1, 7), 2.0, 8, rng)
+        b = binarize(data, TruncatedPoisson(2.0, 1, 5), rng).clicks.copy()
+        b[0] = 1
+        b[1] = (1, 1, 1, 1, 0, 1)
+        b[2] = 0
+        clicks = ClickDataset(b)
+        _, users = pseudo_clicking(clicks, PseudoConfig(2.0, 0.0, 30, seed=5), warmup=2)
+        k = 3
+        got = recommend_all(users, clicks, k)
+        want = [
+            recommend_topk(users[:, j], b[j], min(k, 6 - int(b[j].sum()))) if b[j].sum() < 6 else []
+            for j in range(clicks.n_users)
+        ]
+        assert got == want
+        assert got[0] == [] and len(got[1]) == 1 and len(got[2]) == k
+        assert recommend_all(users, b, k) == got
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_recommend_all_rejects_k_below_one(self, k):
+        users = np.tile([1, 2, 3], (4, 1, 1))
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            recommend_all(users, [[1, 0, 0]], k)
 
 
 class TestClickFrequencyRanking:

@@ -245,6 +245,11 @@ class TestIterativeSearch:
         assert trace.rankings.shape == (1, 4)
         assert trace.kl_values.shape == (1,)
 
+    def test_negative_iterations_rejected(self):
+        ds = make_dataset((1, 2, 3, 4), 2.0, 20, np.random.default_rng(10))
+        with pytest.raises(ValueError, match="max_iters"):
+            iterative_search(ds, 2.0, (3, 1, 2, 4), max_iters=-3)
+
     def test_best_never_worse_than_init(self):
         rng = np.random.default_rng(11)
         ds = make_dataset(np.arange(1, 6), 2.5, 100, rng)

@@ -96,13 +96,6 @@ class TestFullTiming:
         b = run_full_timing(cfg)
         assert _strip_wall(a) == _strip_wall(b)
 
-    def test_thread_env_does_not_change_rows(self, monkeypatch):
-        cfg = ExperimentConfig(**self.CFG)
-        base = run_full_timing(cfg)
-        monkeypatch.setenv("PSEUDOMALLOWS_THREADS", "3")
-        threaded = run_full_timing(cfg)
-        assert _strip_wall(base) == _strip_wall(threaded)
-
 
 class TestClickingAccuracy:
     def test_rows_and_baseline(self):

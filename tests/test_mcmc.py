@@ -322,6 +322,99 @@ class TestRhoChain:
         assert (gap[mask] / scale[mask]).max() < 0.2
 
 
+def _padded_groups(clicks):
+    """Per-user 0-based item indices of each group, padded with -1."""
+    n_users, n = clicks.shape
+    c = clicks.sum(axis=1)
+    clicked = np.full((n_users, max(int(c.max(initial=0)), 1)), -1, dtype=np.int64)
+    unclicked = np.full((n_users, max(int((n - c).max(initial=0)), 1)), -1, dtype=np.int64)
+    for j in range(n_users):
+        idx = np.flatnonzero(clicks[j])
+        clicked[j, : idx.size] = idx
+        idx = np.flatnonzero(1 - clicks[j])
+        unclicked[j, : idx.size] = idx
+    return clicked, unclicked, c
+
+
+def reference_mcmc_clicking(clicks, alpha, cfg):
+    """The click-data chain with per-user padded group tables, four padded
+    gathers per user step, and its own start, destination draw and shift."""
+    B = clicks.clicks
+    n_users, n = B.shape
+    rng = np.random.default_rng(cfg.seed)
+    rho = np.argsort(np.argsort(-B.sum(axis=0), kind="stable"), kind="stable") + 1
+    R = np.argsort(np.argsort(rho + (1 - B) * 2 * n, axis=1, kind="stable"), axis=1) + 1
+    clicked_pad, unclicked_pad, c = _padded_groups(B)
+    cc = n - c
+    can_click, can_unclick = c >= 2, cc >= 2
+    scale = alpha / n
+    leap = cfg.resolved_leap(n)
+    order = np.empty(n + 1, dtype=np.int64)
+    order[rho] = np.arange(n)
+    log_w = [0.0] + [math.log(_window(p, n, leap)) for p in range(1, n + 1)]
+    rows = np.arange(n_users)
+    rho_keep, user_keep, accepted = [], [], 0
+    for it in range(1, cfg.iterations + 1):
+        u_g, u_1, u_2, u_acc = rng.random((4, n_users))
+        pick_clicked = np.where(can_click & can_unclick, u_g < 0.5, can_click)
+        active = can_click | can_unclick
+        safe = np.maximum(np.where(pick_clicked, c, cc), 2)
+        i1 = np.minimum((u_1 * safe).astype(np.int64), safe - 1)
+        i2 = np.minimum((u_2 * (safe - 1)).astype(np.int64), safe - 2)
+        i2 = i2 + (i2 >= i1)
+        picks = []
+        for i in (i1, i2):
+            pad_c = clicked_pad[rows, np.minimum(i, clicked_pad.shape[1] - 1)]
+            pad_u = unclicked_pad[rows, np.minimum(i, unclicked_pad.shape[1] - 1)]
+            picks.append(np.where(active, np.where(pick_clicked, pad_c, pad_u), 0))
+        a, b = picks
+        ra, rb = R[rows, a], R[rows, b]
+        old = np.abs(ra - rho[a]) + np.abs(rb - rho[b])
+        new = np.abs(rb - rho[a]) + np.abs(ra - rho[b])
+        idx = np.flatnonzero(active & (u_acc < np.exp(np.minimum(-scale * (new - old), 0.0))))
+        R[idx, a[idx]], R[idx, b[idx]] = R[idx, b[idx]], R[idx, a[idx]].copy()
+
+        u = int(rng.integers(0, n))
+        q = int(rho[u])
+        lo, hi = max(1, q - leap), min(n, q + leap)
+        r = lo + int(rng.random() * (hi - lo))
+        r += r >= q
+        delta = np.abs(R[:, u] - r).sum() - np.abs(R[:, u] - q).sum()
+        step = 1 if q < r else -1
+        for p in range(q + step, r + step, step):
+            col = R[:, order[p]]
+            delta += np.abs(col - (p - step)).sum() - np.abs(col - p).sum()
+        log_acc = -scale * delta + (log_w[q] - log_w[r] if abs(q - r) > 1 else 0.0)
+        if log_acc >= 0.0 or rng.random() < math.exp(log_acc):
+            accepted += 1
+            for p in range(q, r, step):
+                order[p] = order[p + step]
+                rho[order[p]] = p
+            order[r] = u
+            rho[u] = r
+        if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
+            rho_keep.append(rho.copy())
+            user_keep.append(R.copy())
+    return np.array(rho_keep), np.array(user_keep), accepted / cfg.iterations
+
+
+@pytest.mark.parametrize("alpha", [0.5, 4.0])
+@pytest.mark.parametrize("n", [2, 3, 20])
+def test_seeded_clicking_chain_equals_the_padded_reference(n, alpha):
+    rng = np.random.default_rng(n)
+    B = (rng.random((9, n)) < 0.3).astype(np.int64)
+    for j, count in enumerate((0, 1, n - 1, n)):  # every group size at its edge
+        B[j] = 0
+        B[j, rng.permutation(n)[:count]] = 1
+    clicks = ClickDataset(B)
+    cfg = McmcConfig(iterations=1200, burn_in=200, thin=3, seed=n + 1)
+    trace, users = mcmc_clicking(clicks, alpha, cfg)
+    want_rho, want_users, want_rate = reference_mcmc_clicking(clicks, alpha, cfg)
+    assert np.array_equal(trace.rho_samples, want_rho)
+    assert np.array_equal(users, want_users)
+    assert trace.acceptance_rate == want_rate
+
+
 class TestClickingChain:
     def _clicks(self, n, n_users, alpha, seed, lam=2.0):
         rng = np.random.default_rng(seed)
