@@ -82,9 +82,11 @@ def _cmd_fit_clicks(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
-    clicks = load_clicks(args.input)
     if args.alpha is None:
         raise SystemExit("recommend requires --alpha")
+    if args.k < 1:
+        raise ValueError(f"k must be at least 1, got {args.k}")
+    clicks = load_clicks(args.input)
     sigma = args.sigma if args.sigma is not None else 0.0
     cfg = PseudoConfig(args.alpha, sigma, args.samples, seed=args.seed)
     _, user_samples = pseudo_clicking(clicks, cfg, warmup=args.warmup)

@@ -1,18 +1,21 @@
 """CSV/JSON ingestion and result emission.
 
 Ranking files are one user per row, n integer columns; click files the same
-with {0,1} entries. An optional first row of non-numeric labels is treated
-as the item-label header.
+with {0,1} entries. The first nonblank row is the item-label header when
+``int()`` rejects any of its cells.
 
-Loading only parses cells and row widths. The containers in ``data`` check
-the rows, once for all of them, and a row they reject is reported here by its
-line in the file.
+Every other cell is a plain decimal int64: an optional sign and ASCII digits,
+with optional surrounding whitespace and double quotes. Empty lines are
+skipped. One ``np.loadtxt`` call parses the rows after the header, and the
+containers in ``data`` check them, once for all of them. Only a rejected file
+gets a Python pass over its rows, which names the file line at fault.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -21,54 +24,67 @@ from .data import ClickDataset, RankingDataset, RowError
 from .experiments import ResultTable
 
 
-def _read_csv_rows(path) -> list[tuple[int, list[str]]]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
+_INT64 = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
+def _nonblank_rows(fh):
+    """(line, cells) of each nonblank CSV row; ``line`` is the file line it ends on."""
+    reader = csv.reader(fh)
+    return ((reader.line_num, row) for row in reader if row)
+
+
+def _read_header(path) -> tuple[tuple[str, ...] | None, int]:
+    """The labels and file line of the header, or (None, 0) when there is none."""
     with open(path, newline="") as fh:
-        return [(i, row) for i, row in enumerate(csv.reader(fh), start=1) if row]
-
-
-def _parse_int_rows(path):
-    rows = _read_csv_rows(path)
-    if not rows:
-        raise ValueError(f"{path}: file is empty")
-    labels = None
-    first_line, first = rows[0]
-    try:
-        [int(cell) for cell in first]
-    except ValueError:
-        labels = tuple(cell.strip() for cell in first)
-        rows = rows[1:]
-        if not rows:
-            raise ValueError(f"{path}: header but no data rows")
-    lines, parsed = [], []
-    width = None
-    for line, row in rows:
+        rows = _nonblank_rows(fh)
+        line, first = next(rows, (0, None))
+        if first is None:
+            raise ValueError(f"{path}: file is empty")
         try:
-            values = [int(cell) for cell in row]
-        except ValueError as err:
-            raise ValueError(f"{path}: line {line}: {err}") from None
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ValueError(
-                f"{path}: line {line}: expected {width} columns, got {len(values)}"
-            )
-        lines.append(line)
-        parsed.append(values)
-    if labels is not None and len(labels) != width:
-        raise ValueError(f"{path}: header width {len(labels)} != data width {width}")
-    return labels, lines, parsed
+            [int(cell) for cell in first]
+            return None, 0
+        except ValueError:
+            if next(rows, None) is None:
+                raise ValueError(f"{path}: header but no data rows") from None
+            return tuple(cell.strip() for cell in first), line
+
+
+def _locate(path, skip: int, labels, err: ValueError) -> str:
+    """Name the file line that got ``path`` rejected: its first cell that is not
+    a plain int64 decimal, its first row of another width than the header (or
+    the first data row), or data row ``err.row`` of a RowError. Runs only on a
+    file that is being rejected."""
+    with open(path, newline="") as fh:
+        width = len(labels) if labels else None
+        data = (r for r in _nonblank_rows(fh) if r[0] > skip)
+        for j, (line, row) in enumerate(data):
+            for cell in row:
+                if not (_INT64.fullmatch(cell) and -(2**63) <= int(cell) < 2**63):
+                    return f"line {line}: cell {cell!r} is not a decimal int64"
+            width = width or len(row)
+            if len(row) != width:
+                return f"line {line}: expected {width} columns, got {len(row)}"
+            if j == getattr(err, "row", None):
+                return f"line {line}: {err}"
+    return str(err)
 
 
 def _build(container, path):
     """Parse ``path`` into ``container``, naming the file line of a rejected row."""
-    labels, lines, values = _parse_int_rows(path)
+    labels, skip = _read_header(path)
     try:
-        return container(np.array(values, dtype=np.int64), labels=labels)
+        values = np.loadtxt(
+            path, dtype=np.int64, delimiter=",", comments=None, quotechar='"',
+            skiprows=skip, ndmin=2,
+        )
+    except ValueError as err:
+        raise ValueError(f"{path}: {_locate(path, skip, labels, err)}") from None
+    if labels is not None and len(labels) != values.shape[1]:
+        raise ValueError(f"{path}: header width {len(labels)} != data width {values.shape[1]}")
+    try:
+        return container(values, labels=labels)
     except RowError as err:
-        raise ValueError(f"{path}: line {lines[err.row]}: {err}") from None
+        raise ValueError(f"{path}: {_locate(path, skip, labels, err)}") from None
 
 
 def load_rankings(path) -> RankingDataset:
@@ -84,10 +100,7 @@ def load_clicks(path) -> ClickDataset:
 def save_rankings(rankings, path) -> None:
     """Write rankings (array or RankingDataset) as a plain CSV."""
     arr = rankings.rankings if isinstance(rankings, RankingDataset) else np.asarray(rankings)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(arr):
-            writer.writerow([int(v) for v in row])
+    np.savetxt(path, np.atleast_2d(arr), fmt="%d", delimiter=",", newline="\r\n")
 
 
 def emit(table: ResultTable, format: str, path) -> None:

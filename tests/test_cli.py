@@ -65,7 +65,11 @@ def test_recommend(clicks_csv, tmp_path):
 
 
 @pytest.mark.parametrize("k", ["0", "-2"])
-def test_recommend_rejects_k_below_one(clicks_csv, tmp_path, capsys, k):
+def test_recommend_rejects_k_below_one(clicks_csv, tmp_path, capsys, monkeypatch, k):
+    def no_fit(*args, **kwargs):
+        pytest.fail("recommend fitted before checking k")
+
+    monkeypatch.setattr("pseudomallows.cli.pseudo_clicking", no_fit)
     out = tmp_path / "recs.csv"
     rc = main([
         "recommend", "--input", str(clicks_csv), "--alpha", "3.0", "--k", k,
@@ -74,6 +78,14 @@ def test_recommend_rejects_k_below_one(clicks_csv, tmp_path, capsys, k):
     assert rc == 2
     assert "k must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_oversized_cell_exits_2_with_its_line(tmp_path, capsys):
+    path = tmp_path / "clicks.csv"
+    path.write_text("1,0,0\n1,0,99999999999999999999\n")
+    rc = main(["fit-clicks", "--input", str(path), "--alpha", "3.0", "--samples", "5"])
+    assert rc == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_eval_kl(ranking_csv, capsys):
