@@ -66,9 +66,9 @@ def _cmd_fit_rho(args) -> int:
 
 
 def _cmd_fit_clicks(args) -> int:
-    clicks = load_clicks(args.input)
     if args.alpha is None:
         raise SystemExit("fit-clicks requires --alpha (see estimate_alpha_clicks)")
+    clicks = load_clicks(args.input)
     sigma = args.sigma if args.sigma is not None else 0.0
     cfg = PseudoConfig(args.alpha, sigma, args.samples, seed=args.seed)
     rho_ss, _ = pseudo_clicking(clicks, cfg, warmup=args.warmup)
@@ -107,9 +107,9 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_eval_kl(args) -> int:
-    data = load_rankings(args.input)
     if args.alpha is None:
         raise SystemExit("eval-kl requires --alpha")
+    data = load_rankings(args.input)
     rng = np.random.default_rng(args.seed)
     ranking = as_ranking([int(v) for v in args.ordering.split(",")])
     if ranking.size != data.n_items:
@@ -128,9 +128,9 @@ def _cmd_eval_kl(args) -> int:
 
 
 def _cmd_search_ordering(args) -> int:
-    data = load_rankings(args.input)
     if args.alpha is None:
         raise SystemExit("search-ordering requires --alpha")
+    data = load_rankings(args.input)
     rng = np.random.default_rng(args.seed)
     rho_hat = estimate_rho_hat(data)
     init = adjacent_swaps(perturbed_v_ranking(rho_hat, 0.0, rng), data.n_items, rng)

@@ -2,7 +2,8 @@
 
 Ranking files are one user per row, n integer columns; click files the same
 with {0,1} entries. The first nonblank row is the item-label header when
-``int()`` rejects any of its cells.
+``int()`` rejects any of its cells and none of them is a plain int64; a first
+row that mixes the two is a data row with a bad cell, rejected at its line.
 
 Every other cell is a plain decimal int64: an optional sign and ASCII digits,
 with optional surrounding whitespace and double quotes. Empty lines are
@@ -27,6 +28,10 @@ from .experiments import ResultTable
 _INT64 = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
+def _is_int64(cell: str) -> bool:
+    return bool(_INT64.fullmatch(cell)) and -(2**63) <= int(cell) < 2**63
+
+
 def _nonblank_rows(fh):
     """(line, cells) of each nonblank CSV row; ``line`` is the file line it ends on."""
     reader = csv.reader(fh)
@@ -44,6 +49,8 @@ def _read_header(path) -> tuple[tuple[str, ...] | None, int]:
             [int(cell) for cell in first]
             return None, 0
         except ValueError:
+            if any(map(_is_int64, first)):  # a data row with a bad cell, not labels
+                raise ValueError(f"{path}: {_locate(path, 0, None, None)}") from None
             if next(rows, None) is None:
                 raise ValueError(f"{path}: header but no data rows") from None
             return tuple(cell.strip() for cell in first), line
@@ -59,7 +66,7 @@ def _locate(path, skip: int, labels, err: ValueError) -> str:
         data = (r for r in _nonblank_rows(fh) if r[0] > skip)
         for j, (line, row) in enumerate(data):
             for cell in row:
-                if not (_INT64.fullmatch(cell) and -(2**63) <= int(cell) < 2**63):
+                if not _is_int64(cell):
                     return f"line {line}: cell {cell!r} is not a decimal int64"
             width = width or len(row)
             if len(row) != width:
@@ -80,7 +87,8 @@ def _build(container, path):
     except ValueError as err:
         raise ValueError(f"{path}: {_locate(path, skip, labels, err)}") from None
     if labels is not None and len(labels) != values.shape[1]:
-        raise ValueError(f"{path}: header width {len(labels)} != data width {values.shape[1]}")
+        err = ValueError(f"header width {len(labels)} != data width {values.shape[1]}")
+        raise ValueError(f"{path}: {_locate(path, skip, labels, err)} ({err})")
     try:
         return container(values, labels=labels)
     except RowError as err:

@@ -222,11 +222,11 @@ def mcmc_clicking(clicks: ClickDataset, alpha: float, cfg: McmcConfig):
     n_users, n = B.shape
     rng = np.random.default_rng(cfg.seed)
     rho = click_frequency_ranking(clicks)
+    n_keep = (cfg.iterations - cfg.burn_in) // cfg.thin
     if n == 1:
-        t = (cfg.iterations - cfg.burn_in) // cfg.thin
         return (
-            McmcTrace(np.ones((t, 1), dtype=np.int64), 1.0, 0.0),
-            np.ones((t, n_users, 1), dtype=np.int64),
+            McmcTrace(np.ones((n_keep, 1), dtype=np.int64), 1.0, 0.0),
+            np.ones((n_keep, n_users, 1), dtype=np.int64),
         )
     R = rank_of(rho + (1 - B) * 2 * n)  # compatible, following rho within each group
     # each user's clicked items, then unclicked items, each in item-index order
@@ -243,8 +243,8 @@ def mcmc_clicking(clicks: ClickDataset, alpha: float, cfg: McmcConfig):
     log_w = _log_windows(n, leap)
     rows = np.arange(n_users)
 
-    rho_keep = []
-    user_keep = []
+    rho_keep = np.empty((n_keep, n), dtype=np.int64)
+    user_keep = np.empty((n_keep, n_users, n), dtype=np.int64)
     accepted = 0
     start = time.perf_counter()
     for it in range(1, cfg.iterations + 1):
@@ -288,13 +288,8 @@ def mcmc_clicking(clicks: ClickDataset, alpha: float, cfg: McmcConfig):
             accepted += 1
             _shift(rho, order, u, q, r)
         if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
-            rho_keep.append(rho.copy())
-            user_keep.append(R.copy())
+            kept = (it - cfg.burn_in) // cfg.thin - 1
+            rho_keep[kept] = rho
+            user_keep[kept] = R
     wall = time.perf_counter() - start
-    trace = McmcTrace(
-        np.array(rho_keep, dtype=np.int64).reshape(-1, n),
-        accepted / cfg.iterations,
-        wall,
-    )
-    user_traces = np.array(user_keep, dtype=np.int64).reshape(-1, n_users, n)
-    return trace, user_traces
+    return McmcTrace(rho_keep, accepted / cfg.iterations, wall), user_keep

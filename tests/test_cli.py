@@ -88,6 +88,19 @@ def test_oversized_cell_exits_2_with_its_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("fit-clicks", []),
+    ("recommend", []),
+    ("eval-kl", ["--ordering", "1,2,3"]),
+    ("search-ordering", []),
+])
+def test_missing_alpha_is_reported_before_the_input_is_read(tmp_path, command, extra):
+    """The input does not exist, so loading it first would fail with its path."""
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(SystemExit, match=f"{command} requires --alpha"):
+        main([command, "--input", str(missing), *extra])
+
+
 def test_eval_kl(ranking_csv, capsys):
     rc = main([
         "eval-kl", "--input", str(ranking_csv), "--alpha", "3.0",

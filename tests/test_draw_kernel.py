@@ -1,5 +1,6 @@
 """The sequential-draw kernel: seeded equality with the log-space kernel it
-replaced, the law of its underflow path, and sampler properties."""
+replaced, the law of its underflow path, its two-level rank search on wide
+rank tables, and sampler properties."""
 
 from collections import Counter
 
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from pseudomallows import pseudo
 from pseudomallows.clicking import in_compatible_set, pseudo_clicking, sample_user_rankings
 from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset
 from pseudomallows.perms import is_permutation, permutation_matrix, rank_of
 from pseudomallows.pseudo import (
-    PseudoConfig, _sequential_draws, sample_rho, sample_rho_with_orderings,
+    PseudoConfig, _pick, _sequential_draws, sample_rho, sample_rho_with_orderings,
 )
 from pseudomallows.simulate import make_dataset
 
@@ -101,6 +103,81 @@ def test_underflow_rows_follow_the_factorized_law():
     assert set(counts) <= set(law)
     tv = 0.5 * sum(abs(counts.get(r, 0) / t - p) for r, p in law.items())
     assert tv <= 0.015  # a uniform choice among the off-peak ranks would sit at 0.39
+
+
+def test_pick_never_takes_a_zero_weight():
+    """A uniform past the last positive weight, as rounding between a block's
+    mass and its own cumulative sum can give, falls back onto that weight;
+    a uniform of 0 skips leading zero weights."""
+    w = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 2.0], [0.0, 0.0, 1.0, 0.0]])
+    u = np.array([1.0 + 1e-12, 3.0, 0.0])
+    assert _pick(w, np.cumsum(w, axis=1), u, np.arange(3)).tolist() == [1, 3, 2]
+
+
+@pytest.fixture()
+def two_level_calls(monkeypatch):
+    """Count the kernel calls that take the two-level search."""
+    calls = []
+    inner = pseudo._two_level_draws
+
+    def counted(*args):
+        calls.append(args[2].shape)
+        return inner(*args)
+
+    monkeypatch.setattr(pseudo, "_two_level_draws", counted)
+    return calls
+
+
+def test_underflow_rows_follow_the_factorized_law_in_two_levels(monkeypatch, two_level_calls):
+    monkeypatch.setattr(pseudo, "_COARSE_MIN", 1)
+    test_underflow_rows_follow_the_factorized_law()
+    assert two_level_calls == [(100_000, 5)]
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 2.0, 1e4, 1e6])
+@pytest.mark.parametrize("n", [130, 200, 257])
+def test_two_level_draws_equal_the_log_space_reference(n, alpha, two_level_calls):
+    """Blocks of ceil(sqrt(n)) ranks: 12, 15 and 17, none of which divides n."""
+    t = 150
+    assert min(n, t) >= pseudo._COARSE_MIN
+    rng = np.random.default_rng(n)
+    data = make_dataset(np.arange(1, n + 1), 2.0, 40, rng)
+    orderings = np.argsort(rng.random((t, n)), axis=1) + 1
+    cost = RankCountMatrix.from_dataset(data).cost
+    got = sample_rho_with_orderings(data, alpha, orderings, np.random.default_rng(1))
+    want = reference_draws(-(alpha / n) * cost, orderings - 1, np.random.default_rng(1))
+    assert two_level_calls == [(t, n)]
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 2.0, 1e4, 1e6])
+def test_wide_user_draws_stay_single_level(alpha, monkeypatch, two_level_calls):
+    """Click augmentation keeps the single-level search at any width."""
+    n, n_users = 150, 40
+    monkeypatch.setattr(pseudo, "_COARSE_MIN", 1)
+    rng = np.random.default_rng(7)
+    counts = rng.integers(0, n + 1, n_users)
+    counts[:4] = (0, n, 0, n)  # users with no clicks and users with all
+    clicks = (np.argsort(rng.random((n_users, n)), axis=1) < counts[:, None]).astype(np.int64)
+    rho = rng.permutation(n) + 1
+    got = sample_user_rankings(clicks, alpha, rho, np.random.default_rng(2))
+    want = reference_user_draws(clicks, alpha, rho, np.random.default_rng(2))
+    assert two_level_calls == []
+    assert np.array_equal(got, want)
+    assert all(in_compatible_set(r, b) for r, b in zip(got, clicks))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+def test_two_level_draws_at_small_n(n, monkeypatch, two_level_calls):
+    """One block of one rank at n=1, and a last block with padding above it."""
+    monkeypatch.setattr(pseudo, "_COARSE_MIN", 1)
+    rng = np.random.default_rng(n)
+    log_weights = rng.normal(0.0, 3.0, (n, n))
+    orderings0 = np.argsort(rng.random((50, n)), axis=1)
+    got = _sequential_draws(log_weights, orderings0, np.random.default_rng(3))
+    want = reference_draws(log_weights, orderings0, np.random.default_rng(3))
+    assert two_level_calls == [(50, n)]
+    assert np.array_equal(got, want)
 
 
 @st.composite

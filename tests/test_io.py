@@ -113,12 +113,30 @@ def test_oversized_cell_in_the_first_row(tmp_path):
     ("a,b,c\n", "header but no data rows"),
     ("a,b,c\n\n\n", "header but no data rows"),
     ("a,b\n1,2,3\n2,1,3\n", "header width 2 != data width 3"),
+    # np.loadtxt accepts these, as their data rows agree; the first one is named
+    ("item0,item1\n1\n", "line 2: .*header width 2 != data width 1"),
+    ("a,b\n1\n2\n", "line 2: .*header width 2 != data width 1"),
 ])
 def test_load_rejects_files_without_a_table(tmp_path, text, message):
     path = tmp_path / "r.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         load_rankings(path)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("1,x,3\n2,1,3\n", 1),
+    ("\n1,2,1.5\n2,1,3\n", 2),
+    ('"3", x ,1\n', 1),
+])
+def test_first_row_mixing_integers_and_labels_is_rejected(tmp_path, text, line):
+    """A first row with an int64 cell is a corrupt data row, not a header."""
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"line {line}: cell '.*' is not a decimal int64"):
+        load_rankings(path)
+    with pytest.raises(ValueError, match=f"line {line}: "):
+        load_clicks(path)
 
 
 def test_ragged_row_is_measured_against_the_header(tmp_path):
