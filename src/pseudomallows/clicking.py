@@ -5,7 +5,10 @@ ranking is one sequential draw around the consensus in which every item is
 confined to its own rank block: clicked items to 1..c, unclicked items to
 c+1..n. The alternating loop draws all user rankings given the current
 consensus, then one consensus sample given the augmented rankings, and
-repeats.
+repeats. What does not change between iterations (the clicks, each user's
+click count, the unclicked offset and the shared log-weight table) is set
+up once per call; each iteration only re-targets the users at the new
+consensus and runs the two draws.
 
 Both click-data samplers (this loop and ``mcmc.mcmc_clicking``) start from
 ``click_frequency_ranking`` and return a (T, N, n) user-ranking trace;
@@ -81,14 +84,33 @@ def in_compatible_set(ranking, clicks_row) -> bool:
     return bool((r[b == 1] <= c).all() and (r[b == 0] >= c + 1).all())
 
 
-def click_frequency_ranking(clicks: ClickDataset) -> np.ndarray:
+def click_frequency_ranking(clicks) -> np.ndarray:
     """Items ranked by descending click frequency, ties by item index.
 
     The most-clicked item gets rank 1, consistent with clicked items being
-    the preferred ones.
+    the preferred ones. ``clicks`` is a ClickDataset or anything ClickDataset
+    accepts.
     """
-    freq = clicks.clicks.sum(axis=0).astype(np.float64)
+    freq = clicks_of(clicks).sum(axis=0).astype(np.float64)
     return rank_of(-freq)
+
+
+def _click_tables(b: np.ndarray, alpha: float):
+    """What augmentation reads that does not change with the consensus: the
+    clicks, each user's click count, the offset that puts unclicked items
+    after clicked ones, and the shared (n, n) log-weight table."""
+    n = b.shape[1]
+    ranks0 = np.arange(n)
+    return b, b.sum(axis=1), (1 - b) * 2 * n, -(alpha / n) * np.abs(ranks0[:, None] - ranks0)
+
+
+def _augment(tables, rho: np.ndarray, rng) -> np.ndarray:
+    """One compatible ranking per user given the consensus ``rho``, from the
+    set-up of ``_click_tables``."""
+    b, c, offset, log_weights = tables
+    target0 = rank_of(rho + offset) - 1
+    orderings0 = np.argsort(rng.random(b.shape), axis=1)
+    return _sequential_draws(log_weights, orderings0, rng, keys=target0, cut=(c, b))
 
 
 def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
@@ -102,10 +124,10 @@ def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     are disjoint, so this is the law of two within-group samplers.
 
     The weight depends only on (target, rank), so every user reads one shared
-    (n, n) table at row ``target - 1``; the blocks are an (N, 2, n) mask,
-    unclicked then clicked, picked per item by its click bit. Memory is
-    O(N * n + n^2). ``clicks`` is a ClickDataset or anything ClickDataset
-    accepts.
+    (n, n) table at row ``target - 1``; the blocks are each user's click
+    count c, a cut at which clicked items take the ranks below and unclicked
+    items the ranks from c+1 up. Memory is O(N * n + n^2). ``clicks`` is a
+    ClickDataset or anything ClickDataset accepts.
     """
     alpha = check_alpha(alpha)
     rho = as_ranking(rho)
@@ -113,13 +135,7 @@ def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     n = rho.size
     if b.shape[1] != n:
         raise ValueError(f"clicks have {b.shape[1]} columns but rho ranks {n} items")
-    target = rank_of(rho + (1 - b) * 2 * n)
-    ranks0 = np.arange(n)
-    clicked_block = ranks0 < b.sum(axis=1)[:, None]
-    masks = np.stack((~clicked_block, clicked_block), axis=1)
-    log_weights = -(alpha / n) * np.abs(ranks0[:, None] - ranks0)
-    orderings0 = np.argsort(rng.random(b.shape), axis=1)
-    return _sequential_draws(log_weights, orderings0, rng, keys=target - 1, blocks=(masks, b))
+    return _augment(_click_tables(b, alpha), rho, rng)
 
 
 def sample_user_ranking(clicks_row, alpha: float, rho, rng) -> np.ndarray:
@@ -127,29 +143,34 @@ def sample_user_ranking(clicks_row, alpha: float, rho, rng) -> np.ndarray:
     return sample_user_rankings(np.asarray(clicks_row)[None, :], alpha, rho, rng)[0]
 
 
-def pseudo_clicking(clicks: ClickDataset, cfg: PseudoConfig, warmup: int = 10):
+def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     """Alternating sampler for click data.
 
     Starts the consensus at the descending click-frequency ranking, then per
     iteration (i) samples every user's ranking given the current consensus
     and (ii) draws one consensus sample treating the augmented rankings as
     complete data, with a sigma-perturbed V-set ordering around the rank of
-    the current mean rankings. The first ``warmup`` iterations are
-    discarded. Returns the consensus SampleSet and the per-user ranking
-    draws with shape (n_samples, N, n).
+    the augmented rankings' column sums (the order of their mean ranks, as
+    in ``estimate_rho_hat``). The first ``warmup`` iterations are discarded.
+    The clicks are read, and the augmentation tables built, once per call.
+    Returns the consensus SampleSet and the per-user ranking draws with
+    shape (n_samples, N, n). ``clicks`` is a ClickDataset or anything
+    ClickDataset accepts.
     """
     if warmup < 0:
         raise ValueError("warmup must be nonnegative")
-    n_users, n = clicks.clicks.shape
+    b = clicks_of(clicks)
+    n_users, n = b.shape
     rng = np.random.default_rng(cfg.seed)
-    rho = click_frequency_ranking(clicks)
+    rho = click_frequency_ranking(b)
+    tables = _click_tables(b, cfg.alpha)
     scale = cfg.alpha / n
     rho_keep = np.empty((cfg.n_samples, n), dtype=np.int64)
     user_keep = np.empty((cfg.n_samples, n_users, n), dtype=np.int64)
     start = time.perf_counter()
     for t in range(warmup + cfg.n_samples):
-        R = sample_user_rankings(clicks, cfg.alpha, rho, rng)
-        v = perturbed_v_ranking(rank_of(R.mean(axis=0)), cfg.sigma, rng, 1)
+        R = _augment(tables, rho, rng)
+        v = perturbed_v_ranking(rank_of(R.sum(axis=0)), cfg.sigma, rng, 1)
         ordering0 = np.argsort(v, axis=1, kind="stable")
         cost = RankCountMatrix(R).cost
         rho = _sequential_draws(-scale * cost, ordering0, rng)[0]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clicking import click_frequency_ranking
-from .data import ClickDataset, RankCountMatrix, RankingDataset, check_alpha
+from .data import RankCountMatrix, RankingDataset, check_alpha, clicks_of
 from .perms import as_ranking, rank_of
 
 _BLOCK = 1 << 15  # pre-drawn randomness block size for the hot loops
@@ -208,20 +208,21 @@ def mcmc_rho(data: RankingDataset, alpha: float, cfg: McmcConfig) -> McmcTrace:
     return McmcTrace(samples, rate, time.perf_counter() - start)
 
 
-def mcmc_clicking(clicks: ClickDataset, alpha: float, cfg: McmcConfig):
+def mcmc_clicking(clicks, alpha: float, cfg: McmcConfig):
     """Two-step augmentation MCMC for click data.
 
     Each iteration performs (i) one within-group rank-swap Metropolis update
     per user, restricted to the compatible set of that user's clicks, and
     (ii) one leap-and-shift update of the consensus given the current
     augmented rankings. Returns the consensus trace and the per-user ranking
-    trace with shape (T, N, n).
+    trace with shape (T, N, n). ``clicks`` is a ClickDataset or anything
+    ClickDataset accepts.
     """
     check_alpha(alpha)
-    B = clicks.clicks
+    B = clicks_of(clicks)
     n_users, n = B.shape
     rng = np.random.default_rng(cfg.seed)
-    rho = click_frequency_ranking(clicks)
+    rho = click_frequency_ranking(B)
     n_keep = (cfg.iterations - cfg.burn_in) // cfg.thin
     if n == 1:
         return (

@@ -130,18 +130,12 @@ class VSet:
     def __init__(self, base):
         self.base = as_ranking(base, "base ranking")
         n = self.base.size
-        o = ordering_of(self.base)  # 1-based items
-        m = (n + 1) // 2
-        self._middle_item: int | None = None
-        pairs: list[tuple[int, int, int]] = []  # (item_low, item_high, low_rank)
-        if n % 2 == 1:
-            self._middle_item = int(o[m - 1])
-            for k in range(1, m):
-                pairs.append((int(o[m - k - 1]), int(o[m + k - 1]), 2 * k))
-        else:
-            for k in range(0, m):
-                pairs.append((int(o[m - k - 1]), int(o[m + k]), 2 * k + 1))
-        self._pairs = pairs
+        o = ordering_of(self.base) - 1  # 0-based items by rank
+        p, odd = divmod(n, 2)
+        j = np.arange(p)
+        # pair j: items _low[j] and _high[j] take ranks _rank[j] and _rank[j] + 1
+        self._low, self._high, self._rank = o[p - 1 - j], o[p + odd + j], 2 * j + 1 + odd
+        self._middle_item = int(o[p]) if odd else None
 
     @property
     def n(self) -> int:
@@ -149,7 +143,7 @@ class VSet:
 
     @property
     def size(self) -> int:
-        return 2 ** len(self._pairs)
+        return 2 ** self._rank.size
 
     def __len__(self) -> int:
         return self.size
@@ -158,15 +152,14 @@ class VSet:
         """Members as rows, one row of pair orientation bits per member."""
         out = np.empty((bits.shape[0], self.n), dtype=np.int64)
         if self._middle_item is not None:
-            out[:, self._middle_item - 1] = 1
-        for idx, (a, b, low) in enumerate(self._pairs):
-            out[:, a - 1] = low + bits[:, idx]
-            out[:, b - 1] = low + 1 - bits[:, idx]
+            out[:, self._middle_item] = 1
+        out[:, self._low] = self._rank + bits
+        out[:, self._high] = self._rank + 1 - bits
         return out
 
     def members(self) -> Iterator[np.ndarray]:
         """Yield every member ranking (2^#pairs of them)."""
-        for bits in itertools.product((0, 1), repeat=len(self._pairs)):
+        for bits in itertools.product((0, 1), repeat=self._rank.size):
             yield self._rows(np.array([bits]))[0]
 
     def sample(self, rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -176,7 +169,7 @@ class VSet:
         the rows of a (size, n) array.
         """
         t = 1 if size is None else int(size)
-        rows = self._rows(rng.integers(0, 2, size=(t, len(self._pairs))))
+        rows = self._rows(rng.integers(0, 2, size=(t, self._rank.size)))
         return rows[0] if size is None else rows
 
     def __contains__(self, candidate) -> bool:
@@ -192,14 +185,12 @@ class VSet:
         v = np.asarray(candidate, dtype=np.int64)
         if v.shape != self.base.shape:
             raise ValueError("candidate has the wrong length")
-        total = 0
+        va, vb, low = v[self._low], v[self._high], self._rank
+        keep = np.abs(va - low) + np.abs(vb - (low + 1))
+        flip = np.abs(va - (low + 1)) + np.abs(vb - low)
+        total = int(np.minimum(keep, flip).sum())
         if self._middle_item is not None:
-            total += abs(int(v[self._middle_item - 1]) - 1)
-        for a, b, low in self._pairs:
-            va, vb = int(v[a - 1]), int(v[b - 1])
-            keep = abs(va - low) + abs(vb - (low + 1))
-            flip = abs(va - (low + 1)) + abs(vb - low)
-            total += min(keep, flip)
+            total += abs(int(v[self._middle_item]) - 1)
         return total
 
 

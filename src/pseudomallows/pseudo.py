@@ -8,11 +8,14 @@ MCMC; per-draw work is O(n^2) and independent of the number of users after
 the rank-cost table is built.
 
 Every draw, here and in click augmentation, goes through one kernel,
-``_sequential_draws``. It exponentiates a shared log-weight table once per
-call; each step then gathers one row per draw (the item's own row, or the
-row named by a key such as a user's target rank), zeroes the taken ranks
-and, for click data, the ranks outside the item's block, and inverts the
-cumulative sum. Rows whose linear weights underflow are redone in log space.
+``_sequential_draws``. Once per call it exponentiates a shared log-weight
+table, gathers every step's row indices (the item's own row, or the row
+named by a key such as a user's target rank) and click sides, and draws all
+uniforms. Each step then takes one row per draw, zeroes the taken ranks
+and, for click data, the ranks on the wrong side of the user's click count,
+and inverts the cumulative sum. Rows whose linear weights underflow are
+redone in log space; the test for it runs only on tables wide enough to
+underflow.
 Rank draws on wide tables (T and n both at least ``_COARSE_MIN``) invert in
 two levels: a block of about sqrt(n) ranks from the blocks' free masses, then
 the rank within it, so no step takes a cumulative sum over all n ranks.
@@ -36,6 +39,7 @@ from .perms import (
 
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0)
 _COARSE_MIN = 128  # smallest T and n at which _sequential_draws searches in two levels
+_UNDERFLOW_SPAN = 600.0  # nats a table row must span before a free mass can fall below 1e-300
 
 
 @dataclass(frozen=True)
@@ -53,18 +57,19 @@ class PseudoConfig:
             raise ValueError("n_samples must be >= 1")
 
 
-def _pick(w: np.ndarray, cum: np.ndarray, u: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Per row, the first column whose cumulative weight ``cum`` exceeds ``u``.
+def _pick(w: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the first column whose cumulative weight ``cum`` exceeds ``u >= 0``.
 
-    When ``u`` lands past the row's last positive weight (a float edge), the
-    column of that weight is returned instead, so a zero weight is never taken.
-    ``rows`` is ``np.arange(len(w))``.
+    That column's weight is positive, since ``cum`` rises there. Only a row
+    whose ``u`` is not below its total (a float edge) finds no such column;
+    it takes the column of its last positive weight, so a zero weight is
+    never taken.
     """
     m = w.shape[1]
-    idx = np.minimum((cum <= u[:, None]).sum(axis=1), m - 1)
-    bad = w[rows, idx] == 0
-    if bad.any():
-        idx[bad] = m - 1 - np.argmax(w[bad][:, ::-1] > 0, axis=1)
+    idx = (cum <= u[:, None]).sum(axis=1)
+    past = idx == m
+    if past.any():
+        idx[past] = m - 1 - np.argmax(w[past][:, ::-1] > 0, axis=1)
     return idx
 
 
@@ -78,25 +83,31 @@ def _log_space(lw: np.ndarray, key: np.ndarray, free: np.ndarray):
 
 
 def _sequential_draws(
-    log_weights: np.ndarray, orderings0: np.ndarray, rng, keys=None, blocks=None
+    log_weights: np.ndarray, orderings0: np.ndarray, rng, keys=None, cut=None
 ) -> np.ndarray:
     """Draw rankings by sampling ranks without replacement, one item at a time.
 
     ``log_weights[k, r-1]`` is the log weight of rank ``r`` in row ``k`` of one
     table shared by every draw. ``orderings0`` holds one 0-based item sequence
     per draw; item ``i`` of draw ``t`` reads row ``keys[t, i]`` (default: row
-    ``i``). With ``blocks = (masks, block)``, a (T, m, n) boolean table and a
-    (T, n) index, item ``i`` of draw ``t`` may take only the ranks where
-    ``masks[t, block[t, i]]`` is true.
+    ``i``). With ``cut = (c, clicked)``, a (T,) count and a (T, n) 0/1 table,
+    item ``i`` of draw ``t`` may take only ranks 1..c[t] when
+    ``clicked[t, i]`` is 1 and only ranks c[t]+1..n when it is 0.
 
     The work is in linear space: the table is exponentiated once, relative to
     each row's maximum, and each step multiplies the gathered rows by the
-    free ranks and inverts their cumulative sum with one uniform per draw. A
-    row whose free mass falls below 1e-300 (the table spans more than ~690
-    nats) is recomputed from the log weights relative to its free maximum,
-    so the law does not depend on underflow.
+    free ranks and inverts their cumulative sum with one uniform per draw.
+    Once per call, before the steps, the kernel gathers every step's table
+    rows (and click sides) along ``orderings0`` into (n, T) arrays, builds
+    the (T, n) table of ranks below each cut, and draws all n·T uniforms with
+    one ``rng.random((n, T))``, the stream of n calls to ``rng.random(T)``.
+    A row whose free mass falls below 1e-300 is recomputed from the log
+    weights relative to its free maximum, so the law does not depend on
+    underflow. That test runs only when some table row spans at least
+    ``_UNDERFLOW_SPAN`` nats: below that every linear weight is at least
+    exp(-600), so no free mass can underflow.
 
-    Without ``keys`` and ``blocks``, and when both T and n are at least
+    Without ``keys`` and ``cut``, and when both T and n are at least
     ``_COARSE_MIN``, each step inverts the cumulative sum in two levels (see
     ``_two_level_draws``). Below that the extra calls per step cost more than
     the narrower sums save: two levels take 1.04x as long at n = T = 128,
@@ -106,26 +117,34 @@ def _sequential_draws(
     T, n = orderings0.shape
     lw = np.asarray(log_weights)
     lin = np.exp(lw - lw.max(axis=1, keepdims=True))
-    if keys is None and blocks is None and min(T, n) >= _COARSE_MIN:
+    if keys is None and cut is None and min(T, n) >= _COARSE_MIN:
         return _two_level_draws(lw, lin, orderings0, rng)
-    masks, block = (None, None) if blocks is None else blocks
-    avail = np.ones((T, n), dtype=bool)
-    out = np.zeros((T, n), dtype=np.int64)
     rows = np.arange(T)
+    steps = np.ascontiguousarray(orderings0.T)  # (n, T): the items of step k in row k
+    key_steps = steps if keys is None else keys[rows, steps]
+    if cut is not None:
+        c, clicked = cut
+        below = np.arange(n) < c[:, None]
+        clicked_steps = clicked[rows, steps] == 1
+    may_underflow = not (np.ptp(lw, axis=1) < _UNDERFLOW_SPAN).all()
+    u01 = rng.random((n, T))
+    avail = np.ones((T, n), dtype=bool)
+    taken = np.empty((n, T), dtype=np.int64)
     for k in range(n):
-        items = orderings0[:, k]
-        key = items if keys is None else keys[rows, items]
-        free = avail if masks is None else avail & masks[rows, block[rows, items]]
+        key = key_steps[k]
+        free = avail if cut is None else avail & (below == clicked_steps[k][:, None])
         w = lin[key]
         w *= free
-        cum = np.cumsum(w, axis=1)
-        low = cum[:, -1] < 1e-300
-        if low.any():  # underflow: renormalize these rows in log space
-            w[low], cum[low] = _log_space(lw, key[low], free[low])
-        u = rng.random(T) * cum[:, -1]
-        chosen = _pick(w, cum, u, rows)
-        out[rows, items] = chosen + 1
+        cum = w.cumsum(axis=1)
+        if may_underflow:
+            low = cum[:, -1] < 1e-300
+            if low.any():  # underflow: renormalize these rows in log space
+                w[low], cum[low] = _log_space(lw, key[low], free[low])
+        chosen = _pick(w, cum, u01[k] * cum[:, -1])
+        taken[k] = chosen
         avail[rows, chosen] = False
+    out = np.empty((T, n), dtype=np.int64)
+    out[rows, steps] = taken + 1
     return out
 
 
@@ -166,15 +185,15 @@ def _two_level_draws(lw, lin, orderings0, rng) -> np.ndarray:
         cum = np.cumsum(mass, axis=1)
         u01 = rng.random(T)
         u = u01 * cum[:, -1]
-        b = _pick(mass, cum, u, rows)
+        b = _pick(mass, cum, u)
         u -= np.where(b > 0, cum[rows, b - 1], 0.0)
         at = rows * B + b
         w = np.take(g2, at, axis=0) * np.take(avail2, at, axis=0)
-        chosen = b * s + _pick(w, np.cumsum(w, axis=1), u, rows)
+        chosen = b * s + _pick(w, np.cumsum(w, axis=1), u)
         low = cum[:, -1] < 1e-300
         if low.any():  # underflow: redo these rows in log space over the full row
             w, cum = _log_space(lw, items[low], avail[low, :n] > 0)
-            chosen[low] = _pick(w, cum, u01[low] * cum[:, -1], rows[: w.shape[0]])
+            chosen[low] = _pick(w, cum, u01[low] * cum[:, -1])
         out[rows, items] = chosen + 1
         avail[rows, chosen] = 0.0
     return out

@@ -206,6 +206,24 @@ class TestPseudoClicking:
             for j in range(clicks.n_users):
                 assert in_compatible_set(users[t, j], clicks.clicks[j])
 
+    @pytest.mark.filterwarnings("error")
+    def test_zero_users_give_valid_draws(self):
+        """The consensus step centres at the column sums, which tie (to the
+        identity) with no users, where the mean of no rows would be NaN."""
+        ss, users = pseudo_clicking(ClickDataset(np.zeros((0, 5), int)), PseudoConfig(2.0, 0.5, 7, seed=3), 2)
+        assert ss.samples.shape == (7, 5) and all(is_permutation(r) for r in ss.samples)
+        assert users.shape == (7, 0, 5)
+
+    def test_raw_click_array_equals_the_dataset(self):
+        rng = np.random.default_rng(8)
+        clicks = binarize(make_dataset(np.arange(1, 7), 2.0, 12, rng), TruncatedPoisson(2.0, 1, 5), rng)
+        cfg = PseudoConfig(2.0, 0.3, 15, seed=4)
+        ss, users = pseudo_clicking(clicks.clicks.tolist(), cfg, 3)
+        want_ss, want_users = pseudo_clicking(clicks, cfg, 3)
+        assert np.array_equal(ss.samples, want_ss.samples) and np.array_equal(users, want_users)
+        with pytest.raises(ValueError, match="outside"):
+            pseudo_clicking([[0, 2, 1]], cfg)
+
     def test_consensus_recovery(self):
         """Synthetic recovery: enough users and clicks pin the consensus."""
         hits = 0

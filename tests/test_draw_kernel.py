@@ -13,7 +13,7 @@ from scipy.special import logsumexp
 from pseudomallows import pseudo
 from pseudomallows.clicking import in_compatible_set, pseudo_clicking, sample_user_rankings
 from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset
-from pseudomallows.perms import is_permutation, permutation_matrix, rank_of
+from pseudomallows.perms import is_permutation, permutation_matrix, perturbed_v_ranking, rank_of
 from pseudomallows.pseudo import (
     PseudoConfig, _pick, _sequential_draws, sample_rho, sample_rho_with_orderings,
 )
@@ -52,6 +52,44 @@ def reference_user_draws(clicks, alpha, rho, rng):
     in_block = (ranks <= clicks.sum(axis=1)[:, None, None]) == (clicks[:, :, None] == 1)
     log_weights = np.where(in_block, -(alpha / n) * np.abs(target[:, :, None] - ranks), -np.inf)
     return reference_draws(log_weights, np.argsort(rng.random(clicks.shape), axis=1), rng)
+
+
+def reference_clicking(clicks, cfg, warmup):
+    """The alternating click loop on one generator, through the log-space
+    references, centred at the rank of the augmented mean ranks."""
+    rng = np.random.default_rng(cfg.seed)
+    n = clicks.shape[1]
+    rho = rank_of(-clicks.sum(axis=0))
+    rhos, users = [], []
+    for _ in range(warmup + cfg.n_samples):
+        R = reference_user_draws(clicks, cfg.alpha, rho, rng)
+        v = perturbed_v_ranking(rank_of(R.mean(axis=0)), cfg.sigma, rng, 1)
+        cost = RankCountMatrix(R).cost
+        rho = reference_draws(-(cfg.alpha / n) * cost, np.argsort(v, axis=1, kind="stable"), rng)[0]
+        rhos.append(rho)
+        users.append(R)
+    return np.array(rhos[warmup:]), np.array(users[warmup:])
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+@pytest.mark.parametrize("alpha", [2.0, 1e4])
+def test_seeded_clicking_equals_the_reference_loop(alpha, sigma, monkeypatch):
+    """A user with no clicks, one with all n, and three groups of four users
+    who each click one of items 1-3 alone, so that items 1 and 2 share their
+    best consensus rank: at alpha = 1e4 the second of them finds no free
+    mass in linear space and the log-space fallback runs."""
+    fallbacks = []
+    inner = pseudo._log_space
+    monkeypatch.setattr(pseudo, "_log_space", lambda *a: fallbacks.append(1) or inner(*a))
+    n = 8
+    clicks = np.zeros((14, n), dtype=np.int64)
+    clicks[1] = 1
+    clicks[np.arange(2, 14), np.arange(12) // 4] = 1
+    cfg = PseudoConfig(alpha, sigma, 6, seed=5)
+    ss, users = pseudo_clicking(clicks, cfg, 3)
+    want_rho, want_users = reference_clicking(clicks, cfg, 3)
+    assert np.array_equal(ss.samples, want_rho) and np.array_equal(users, want_users)
+    assert bool(fallbacks) == (alpha > 100)
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 2.0, 1e4, 1e6])
@@ -108,10 +146,39 @@ def test_underflow_rows_follow_the_factorized_law():
 def test_pick_never_takes_a_zero_weight():
     """A uniform past the last positive weight, as rounding between a block's
     mass and its own cumulative sum can give, falls back onto that weight;
-    a uniform of 0 skips leading zero weights."""
-    w = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 2.0], [0.0, 0.0, 1.0, 0.0]])
-    u = np.array([1.0 + 1e-12, 3.0, 0.0])
-    assert _pick(w, np.cumsum(w, axis=1), u, np.arange(3)).tolist() == [1, 3, 2]
+    a uniform of 0 skips leading zero weights, and a uniform on a cumulative
+    value skips the zero weights after it."""
+    w = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 2.0], [0.0, 0.0, 1.0, 0.0],
+                  [1.0, 0.0, 0.0, 2.0], [1.0, 2.0, 0.0, 0.0]])
+    u = np.array([1.0 + 1e-12, 3.0, 0.0, 1.0, 3.0])
+    assert _pick(w, np.cumsum(w, axis=1), u).tolist() == [1, 3, 2, 3, 1]
+
+
+def reference_pick(w, cum, u):
+    """The inverse-CDF pick that checks every row for a zero weight."""
+    m = w.shape[1]
+    idx = np.minimum((cum <= u[:, None]).sum(axis=1), m - 1)
+    bad = w[np.arange(len(w)), idx] == 0
+    if bad.any():
+        idx[bad] = m - 1 - np.argmax(w[bad][:, ::-1] > 0, axis=1)
+    return idx
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 8), st.integers(1, 10), st.integers(0, 2**32 - 1))
+def test_pick_matches_the_zero_checking_rule(T, m, seed):
+    """Rows with zero weights, and uniforms at 0, on cumulative values, at
+    and past the total, or anywhere in [0, total)."""
+    rng = np.random.default_rng(seed)
+    w = np.where(rng.random((T, m)) < 0.5, 0.0, rng.exponential(1.0, (T, m)))
+    cum = np.cumsum(w, axis=1)
+    total = cum[:, -1]
+    choices = np.stack([np.zeros(T), cum[np.arange(T), rng.integers(0, m, T)], total,
+                        total * (1 + 1e-12) + 1e-300, rng.random(T) * total])
+    u = choices[rng.integers(0, len(choices), T), np.arange(T)]
+    got = _pick(w, cum, u)
+    assert np.array_equal(got, reference_pick(w, cum, u))
+    assert (w[np.arange(T), got] > 0)[(w > 0).any(axis=1)].all()
 
 
 @pytest.fixture()

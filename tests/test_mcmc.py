@@ -447,6 +447,15 @@ class TestClickingChain:
         spread = np.array([len(set(users[:, 0, i].tolist())) for i in range(4)])
         assert (spread == 4).all()
 
+    def test_raw_click_array_equals_the_dataset(self):
+        clicks = self._clicks(5, 10, 2.0, 6)
+        cfg = McmcConfig(iterations=600, burn_in=100, thin=5, seed=12)
+        trace, users = mcmc_clicking(clicks.clicks.tolist(), 2.0, cfg)
+        want, want_users = mcmc_clicking(clicks, 2.0, cfg)
+        assert np.array_equal(trace.rho_samples, want.rho_samples) and np.array_equal(users, want_users)
+        with pytest.raises(ValueError, match="outside"):
+            mcmc_clicking([[0, 2, 1]], 2.0, cfg)
+
     def test_deterministic_given_seed(self):
         clicks = self._clicks(5, 10, 2.0, 4)
         cfg = McmcConfig(iterations=2000, burn_in=100, thin=5, seed=11)
