@@ -1,6 +1,7 @@
 """The sequential-draw kernel: seeded equality with the log-space kernel it
-replaced, the law of its underflow path, its two-level rank search on wide
-rank tables, and sampler properties."""
+replaced (alone and inside the click loop), the law of its underflow path,
+its inverse-CDF pick, its two-level rank search on wide rank tables, and
+sampler properties."""
 
 from collections import Counter
 
