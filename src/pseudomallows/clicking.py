@@ -1,14 +1,16 @@
 """Preference learning from binary click data.
 
 Clicked items are assumed ranked above unclicked ones, so a user's latent
-ranking is one sequential draw around the consensus in which every item is
+ranking is a sequential draw around the consensus in which every item is
 confined to its own rank block: clicked items to 1..c, unclicked items to
 c+1..n. The alternating loop draws all user rankings given the current
 consensus, then one consensus sample given the augmented rankings, and
-repeats. What does not change between iterations (the clicks, each user's
-click count, the unclicked offset and the shared log-weight table) is set
-up once per call; each iteration only re-targets the users at the new
-consensus and runs the two draws.
+repeats. An item's weight exp(-(alpha/n) |target - r|) depends only on its
+distance from the target, and a block's targets are its own ranks in a
+uniform item order, so each block is a draw from a law on the permutations
+of its m ranks that depends on m and alpha alone, relabelled by the targets.
+The loop draws the blocks of a chunk of iterations up front, one kernel call
+per block size, and relabels them at each iteration's consensus.
 
 Both click-data samplers (this loop and ``mcmc.mcmc_clicking``) start from
 ``click_frequency_ranking`` and return a (T, N, n) user-ranking trace;
@@ -95,38 +97,47 @@ def click_frequency_ranking(clicks) -> np.ndarray:
     return rank_of(-freq)
 
 
-def _click_tables(b: np.ndarray, alpha: float):
-    """What augmentation reads that does not change with the consensus: the
-    clicks, each user's click count, the offset that puts unclicked items
-    after clicked ones, and the shared (n, n) log-weight table."""
-    n = b.shape[1]
+_CHUNK_CELLS = 200_000  # user ranks per chunk of block draws: bounds their buffers
+
+
+def _draw_blocks(b: np.ndarray, alpha: float, out: np.ndarray, rng) -> np.ndarray:
+    """Fill and return the (L, N, n) ``out``: ``out[t, u, j]`` is the rank of
+    user u's item with 0-based target j at iteration t. Per block size m,
+    ascending, one kernel call draws all clicked, then unclicked, blocks of m
+    ranks from the m x m corner of -(alpha/n) |target - rank|, in uniform orders."""
+    n_users, n = b.shape
+    c = b.sum(axis=1)
+    sizes, starts = np.concatenate([c, n - c]), np.concatenate([0 * c, c])
+    users = np.tile(np.arange(n_users), 2)
     ranks0 = np.arange(n)
-    return b, b.sum(axis=1), (1 - b) * 2 * n, -(alpha / n) * np.abs(ranks0[:, None] - ranks0)
+    log_weights = -(alpha / n) * np.abs(ranks0[:, None] - ranks0)
+    for m in np.unique(sizes[sizes > 0]):
+        block = sizes == m
+        cols = starts[block][:, None] + ranks0[:m]
+        orderings0 = np.argsort(rng.random((out.shape[0] * cols.shape[0], m)), axis=1)
+        draws = _sequential_draws(log_weights[:m, :m], orderings0, rng)
+        out[:, users[block][:, None], cols] = draws.reshape(out.shape[0], -1, m) + cols[:, :1]
+    return out
 
 
-def _augment(tables, rho: np.ndarray, rng) -> np.ndarray:
-    """One compatible ranking per user given the consensus ``rho``, from the
-    set-up of ``_click_tables``."""
-    b, c, offset, log_weights = tables
-    target0 = rank_of(rho + offset) - 1
-    orderings0 = np.argsort(rng.random(b.shape), axis=1)
-    return _sequential_draws(log_weights, orderings0, rng, keys=target0, cut=(c, b))
+def _targets(b: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Each user's 0-based targets, ``rank_of(rho + (1 - b) * 2 * n) - 1`` (the
+    compatible ranking that follows ``rho`` in each click group), from one
+    argsort of ``rho`` and the cumulative click counts in its order."""
+    in_order = b[:, np.argsort(rho)]
+    clicked = in_order.cumsum(axis=1)  # clicked items up to each consensus position
+    return np.where(in_order, clicked - 1, clicked[:, -1:] + np.arange(rho.size) - clicked)[:, rho - 1]
 
 
 def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     """Draw one compatible ranking per user given the consensus (vectorized).
 
-    Each user's ranking is one sequential draw over all n items, in a
+    Each user's ranking is one sequential draw per rank block, in a
     uniformly random item order. The target is the compatible ranking that
     follows ``rho`` within each group; item i takes rank r with weight
     exp(-(alpha/n) |target_i - r|) on its own rank block and zero off it.
-    Within the unclicked block |(t + c) - (r + c)| = |t - r|, and the blocks
-    are disjoint, so this is the law of two within-group samplers.
-
-    The weight depends only on (target, rank), so every user reads one shared
-    (n, n) table at row ``target - 1``; the blocks are each user's click
-    count c, a cut at which clicked items take the ranks below and unclicked
-    items the ranks from c+1 up. Memory is O(N * n + n^2). ``clicks`` is a
+    This is one iteration of the loop's block draws (``_draw_blocks``),
+    relabelled by the targets. Memory is O(N * n + n^2). ``clicks`` is a
     ClickDataset or anything ClickDataset accepts.
     """
     alpha = check_alpha(alpha)
@@ -135,7 +146,8 @@ def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     n = rho.size
     if b.shape[1] != n:
         raise ValueError(f"clicks have {b.shape[1]} columns but rho ranks {n} items")
-    return _augment(_click_tables(b, alpha), rho, rng)
+    drawn = _draw_blocks(b, alpha, np.empty((1, *b.shape), dtype=np.int64), rng)[0]
+    return np.take_along_axis(drawn, _targets(b, rho), axis=1)
 
 
 def sample_user_ranking(clicks_row, alpha: float, rho, rng) -> np.ndarray:
@@ -152,7 +164,8 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     complete data, with a sigma-perturbed V-set ordering around the rank of
     the augmented rankings' column sums (the order of their mean ranks, as
     in ``estimate_rho_hat``). The first ``warmup`` iterations are discarded.
-    The clicks are read, and the augmentation tables built, once per call.
+    The clicks are read once per call; block draws come a chunk of warm-up or
+    kept iterations at a time (``_CHUNK_CELLS`` user ranks, at least one).
     Returns the consensus SampleSet and the per-user ranking draws with
     shape (n_samples, N, n). ``clicks`` is a ClickDataset or anything
     ClickDataset accepts.
@@ -163,20 +176,23 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     n_users, n = b.shape
     rng = np.random.default_rng(cfg.seed)
     rho = click_frequency_ranking(b)
-    tables = _click_tables(b, cfg.alpha)
-    scale = cfg.alpha / n
+    total = warmup + cfg.n_samples
+    chunk = max(1, _CHUNK_CELLS // max(n_users * n, 1))
+    starts = [*range(0, warmup, chunk), *range(warmup, total, chunk)]
     rho_keep = np.empty((cfg.n_samples, n), dtype=np.int64)
     user_keep = np.empty((cfg.n_samples, n_users, n), dtype=np.int64)
     start = time.perf_counter()
-    for t in range(warmup + cfg.n_samples):
-        R = _augment(tables, rho, rng)
-        v = perturbed_v_ranking(rank_of(R.sum(axis=0)), cfg.sigma, rng, 1)
-        ordering0 = np.argsort(v, axis=1, kind="stable")
-        cost = RankCountMatrix(R).cost
-        rho = _sequential_draws(-scale * cost, ordering0, rng)[0]
-        if t >= warmup:
-            rho_keep[t - warmup] = rho
-            user_keep[t - warmup] = R
+    for lo, hi in zip(starts, starts[1:] + [total]):
+        # kept iterations draw into their slice of the trace, warm-up ones into scratch
+        drawn = (user_keep[lo - warmup : hi - warmup] if lo >= warmup
+                 else np.empty((hi - lo, n_users, n), dtype=np.int64))
+        for t, R in enumerate(_draw_blocks(b, cfg.alpha, drawn, rng), lo):
+            R[:] = np.take_along_axis(R, _targets(b, rho), axis=1)
+            v = perturbed_v_ranking(rank_of(R.sum(axis=0)), cfg.sigma, rng, 1)
+            ordering0 = np.argsort(v, axis=1, kind="stable")
+            rho = _sequential_draws(-(cfg.alpha / n) * RankCountMatrix(R).cost, ordering0, rng)[0]
+            if t >= warmup:
+                rho_keep[t - warmup] = rho
     wall = time.perf_counter() - start
     rho_samples = SampleSet(
         rho_keep, alpha=cfg.alpha, sigma=cfg.sigma, seed=cfg.seed, wall_clock=wall

@@ -130,7 +130,7 @@ class VSet:
     def __init__(self, base):
         self.base = as_ranking(base, "base ranking")
         n = self.base.size
-        o = ordering_of(self.base) - 1  # 0-based items by rank
+        o = np.argsort(self.base)  # 0-based items by rank
         p, odd = divmod(n, 2)
         j = np.arange(p)
         # pair j: items _low[j] and _high[j] take ranks _rank[j] and _rank[j] + 1

@@ -9,17 +9,15 @@ the rank-cost table is built.
 
 Every draw, here and in click augmentation, goes through one kernel,
 ``_sequential_draws``. Once per call it exponentiates a shared log-weight
-table, gathers every step's row indices (the item's own row, or the row
-named by a key such as a user's target rank) and click sides, and draws all
-uniforms. Each step then takes one row per draw, zeroes the taken ranks
-and, for click data, the ranks on the wrong side of the user's click count,
-and inverts the cumulative sum. Rows whose linear weights underflow are
-redone in log space; the test for it runs only on tables wide enough to
-underflow.
-Rank draws on wide tables (T and n both at least ``_COARSE_MIN``) invert in
-two levels: a block of about sqrt(n) ranks from the blocks' free masses, then
+table, lays out every step's items and draws all uniforms. Each step then
+takes one table row per draw, zeroes the taken ranks and inverts the
+cumulative sum. Rows whose linear weights underflow are redone in log space;
+the test for it runs only on tables wide enough to underflow.
+Draws on wide tables (T and n both at least ``_COARSE_MIN``) invert in two
+levels: a block of about sqrt(n) ranks from the blocks' free masses, then
 the rank within it, so no step takes a cumulative sum over all n ranks.
-Click augmentation always takes the single-level search.
+Click augmentation calls the kernel once per rank-block size, on the
+top-left corner of its table, and takes the same rule.
 """
 
 from __future__ import annotations
@@ -73,73 +71,59 @@ def _pick(w: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _log_space(lw: np.ndarray, key: np.ndarray, free: np.ndarray):
+def _log_space(lw: np.ndarray, items: np.ndarray, free: np.ndarray):
     """Weights and cumulative weights of rows whose free linear mass underflowed,
     recomputed from the log weights relative to each row's free maximum."""
-    lw_free = np.where(free, lw[key], -np.inf)
+    lw_free = np.where(free, lw[items], -np.inf)
     lw_free -= lw_free.max(axis=1, keepdims=True)
     w = np.exp(lw_free)
     return w, np.cumsum(w, axis=1)
 
 
-def _sequential_draws(
-    log_weights: np.ndarray, orderings0: np.ndarray, rng, keys=None, cut=None
-) -> np.ndarray:
+def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> np.ndarray:
     """Draw rankings by sampling ranks without replacement, one item at a time.
 
-    ``log_weights[k, r-1]`` is the log weight of rank ``r`` in row ``k`` of one
-    table shared by every draw. ``orderings0`` holds one 0-based item sequence
-    per draw; item ``i`` of draw ``t`` reads row ``keys[t, i]`` (default: row
-    ``i``). With ``cut = (c, clicked)``, a (T,) count and a (T, n) 0/1 table,
-    item ``i`` of draw ``t`` may take only ranks 1..c[t] when
-    ``clicked[t, i]`` is 1 and only ranks c[t]+1..n when it is 0.
+    ``log_weights[i, r-1]`` is the log weight of rank ``r`` for item ``i``, in
+    one table shared by every draw. ``orderings0`` holds one 0-based item
+    sequence per draw.
 
     The work is in linear space: the table is exponentiated once, relative to
     each row's maximum, and each step multiplies the gathered rows by the
     free ranks and inverts their cumulative sum with one uniform per draw.
-    Once per call, before the steps, the kernel gathers every step's table
-    rows (and click sides) along ``orderings0`` into (n, T) arrays, builds
-    the (T, n) table of ranks below each cut, and draws all n·T uniforms with
-    one ``rng.random((n, T))``, the stream of n calls to ``rng.random(T)``.
+    Once per call, before the steps, the kernel lays the item sequences out
+    as (n, T) steps and draws all n·T uniforms with one
+    ``rng.random((n, T))``, the stream of n calls to ``rng.random(T)``.
     A row whose free mass falls below 1e-300 is recomputed from the log
     weights relative to its free maximum, so the law does not depend on
     underflow. That test runs only when some table row spans at least
     ``_UNDERFLOW_SPAN`` nats: below that every linear weight is at least
     exp(-600), so no free mass can underflow.
 
-    Without ``keys`` and ``cut``, and when both T and n are at least
-    ``_COARSE_MIN``, each step inverts the cumulative sum in two levels (see
-    ``_two_level_draws``). Below that the extra calls per step cost more than
-    the narrower sums save: two levels take 1.04x as long at n = T = 128,
-    1.1-1.7x with n or T at 64, and 0.55x at n=200, T=1000 (2-vCPU Intel Xeon
-    host, numpy 2.4.6).
+    When both T and n are at least ``_COARSE_MIN``, each step inverts the
+    cumulative sum in two levels (see ``_two_level_draws``). Below that the
+    extra calls per step cost more than the narrower sums save: two levels
+    take 1.04x as long at n = T = 128, 1.1-1.7x with n or T at 64, and 0.55x
+    at n=200, T=1000 (2-vCPU Intel Xeon host, numpy 2.4.6).
     """
     T, n = orderings0.shape
     lw = np.asarray(log_weights)
     lin = np.exp(lw - lw.max(axis=1, keepdims=True))
-    if keys is None and cut is None and min(T, n) >= _COARSE_MIN:
+    if min(T, n) >= _COARSE_MIN:
         return _two_level_draws(lw, lin, orderings0, rng)
     rows = np.arange(T)
     steps = np.ascontiguousarray(orderings0.T)  # (n, T): the items of step k in row k
-    key_steps = steps if keys is None else keys[rows, steps]
-    if cut is not None:
-        c, clicked = cut
-        below = np.arange(n) < c[:, None]
-        clicked_steps = clicked[rows, steps] == 1
     may_underflow = not (np.ptp(lw, axis=1) < _UNDERFLOW_SPAN).all()
     u01 = rng.random((n, T))
     avail = np.ones((T, n), dtype=bool)
     taken = np.empty((n, T), dtype=np.int64)
-    for k in range(n):
-        key = key_steps[k]
-        free = avail if cut is None else avail & (below == clicked_steps[k][:, None])
-        w = lin[key]
-        w *= free
+    for k, items in enumerate(steps):
+        w = lin[items]
+        w *= avail
         cum = w.cumsum(axis=1)
         if may_underflow:
             low = cum[:, -1] < 1e-300
             if low.any():  # underflow: renormalize these rows in log space
-                w[low], cum[low] = _log_space(lw, key[low], free[low])
+                w[low], cum[low] = _log_space(lw, items[low], avail[low])
         chosen = _pick(w, cum, u01[k] * cum[:, -1])
         taken[k] = chosen
         avail[rows, chosen] = False

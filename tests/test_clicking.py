@@ -11,6 +11,7 @@ from scipy.stats import chi2
 
 from pseudomallows.clicking import (
     Recommendation,
+    _targets,
     TruncatedExponential,
     TruncatedPoisson,
     binarize,
@@ -25,7 +26,7 @@ from pseudomallows.clicking import (
     sample_user_rankings,
 )
 from pseudomallows.data import ClickDataset, RankingDataset
-from pseudomallows.perms import enumerate_permutations, footrule_distance, is_permutation
+from pseudomallows.perms import enumerate_permutations, footrule_distance, is_permutation, rank_of
 from pseudomallows.pseudo import PseudoConfig
 from pseudomallows.simulate import make_dataset
 
@@ -168,6 +169,34 @@ class TestUserSampler:
         assert set(counts) <= set(law)
         tv = 0.5 * sum(abs(counts.get(r, 0) / t - p) for r, p in law.items())
         assert tv <= bound
+
+    def test_mixed_click_counts_match_exact_law(self):
+        """One call over users with c = 0, 1, 2 and n, whose blocks share
+        kernel calls: each row's total variation to its enumerated law stays
+        within the bound of its click count above."""
+        rho = (3, 1, 5, 2, 4)
+        rows = [(0, 0, 0, 0, 0), (0, 1, 0, 0, 0), (1, 0, 1, 0, 0), (1, 1, 1, 1, 1)]
+        bounds = (0.03, 0.015, 0.015, 0.03)
+        t = 100000
+        draws = sample_user_rankings(np.repeat(rows, t, axis=0), 3.0, rho, np.random.default_rng(6))
+        for row, bound, got in zip(rows, bounds, draws.reshape(len(rows), t, -1)):
+            law = exact_user_law(row, 3.0, rho)
+            counts = Counter(map(tuple, got.tolist()))
+            assert set(counts) <= set(law)
+            assert 0.5 * sum(abs(counts.get(r, 0) / t - p) for r, p in law.items()) <= bound
+
+    def test_targets_follow_rho_within_each_click_group(self):
+        """The targets from cumulative click counts in consensus order equal
+        the re-ranking of rho with unclicked items after clicked ones, on
+        rows with no clicks and with all of them too."""
+        rng = np.random.default_rng(9)
+        for n in (1, 2, 7, 20):
+            b = rng.integers(0, 2, (30, n))
+            b[0], b[1] = 0, 1
+            for _ in range(5):
+                rho = rng.permutation(n) + 1
+                want = rank_of(rho + (1 - b) * 2 * n) - 1
+                assert np.array_equal(_targets(b, rho), want)
 
     def test_zero_click_user_unconstrained(self):
         rng = np.random.default_rng(4)

@@ -1,8 +1,9 @@
 """The sequential-draw kernel: seeded equality with the log-space kernel it
-replaced (alone and inside the click loop), the law of its underflow path,
-its inverse-CDF pick, its two-level rank search on wide rank tables, and
-sampler properties."""
+replaced (alone, in block-by-block click augmentation and inside the click
+loop), the law of its underflow path, its inverse-CDF pick, its two-level
+rank search on wide rank tables, and sampler properties."""
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from pseudomallows import pseudo
+from pseudomallows import clicking, pseudo
 from pseudomallows.clicking import in_compatible_set, pseudo_clicking, sample_user_rankings
 from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset
 from pseudomallows.perms import is_permutation, permutation_matrix, perturbed_v_ranking, rank_of
@@ -45,30 +46,57 @@ def reference_draws(log_weights, orderings0, rng):
     return out
 
 
-def reference_user_draws(clicks, alpha, rho, rng):
-    """User augmentation through one (N, n, n) log-weight table, -inf off each item's rank block."""
+def reference_block_draws(clicks, alpha, iterations, rng):
+    """``iterations`` draws of every user's rank blocks through the log-space
+    reference. Per block size m, ascending, each iteration's blocks of that
+    size (users' clicked blocks, then their unclicked ones) take a uniform
+    item order and one draw from the m x m table -(alpha/n) |target - rank|,
+    shifted onto the block's ranks. Entry [t, u, j] is the rank of user u's
+    item with 0-based target j at iteration t."""
+    n_users, n = clicks.shape
+    c = clicks.sum(axis=1)
+    blocks = [(u, 0, c[u]) for u in range(n_users)] + [(u, c[u], n - c[u]) for u in range(n_users)]
+    ranks0 = np.arange(n)
+    out = np.empty((iterations, n_users, n), dtype=np.int64)
+    for m in sorted({size for _, _, size in blocks} - {0}):
+        group = [(u, lo) for u, lo, size in blocks if size == m]
+        orderings0 = np.argsort(rng.random((iterations * len(group), m)), axis=1)
+        draws = reference_draws(-(alpha / n) * np.abs(ranks0[:m, None] - ranks0[:m]), orderings0, rng)
+        for row, (t, (u, lo)) in zip(draws, itertools.product(range(iterations), group)):
+            out[t, u, lo:lo + m] = lo + row
+    return out
+
+
+def reference_user_draws(clicks, alpha, rho, rng, drawn=None):
+    """One compatible ranking per user: one iteration of block draws (or
+    ``drawn``) relabelled by each user's targets, the compatible ranking that
+    follows ``rho`` within each click group."""
     n = clicks.shape[1]
-    target = rank_of(np.asarray(rho) + (1 - clicks) * 2 * n)
-    ranks = np.arange(1, n + 1)
-    in_block = (ranks <= clicks.sum(axis=1)[:, None, None]) == (clicks[:, :, None] == 1)
-    log_weights = np.where(in_block, -(alpha / n) * np.abs(target[:, :, None] - ranks), -np.inf)
-    return reference_draws(log_weights, np.argsort(rng.random(clicks.shape), axis=1), rng)
+    drawn = reference_block_draws(clicks, alpha, 1, rng)[0] if drawn is None else drawn
+    target0 = rank_of(np.asarray(rho) + (1 - clicks) * 2 * n) - 1
+    return np.take_along_axis(drawn, target0, axis=1)
 
 
 def reference_clicking(clicks, cfg, warmup):
     """The alternating click loop on one generator, through the log-space
-    references, centred at the rank of the augmented mean ranks."""
+    references, centred at the rank of the augmented column sums. The block
+    draws of a chunk of iterations come before its consensus steps; warm-up
+    and kept iterations are chunked apart, at most ``_CHUNK_CELLS`` user ranks
+    (and at least one iteration) per chunk."""
     rng = np.random.default_rng(cfg.seed)
-    n = clicks.shape[1]
+    n_users, n = clicks.shape
+    chunk = max(1, clicking._CHUNK_CELLS // max(n_users * n, 1))
     rho = rank_of(-clicks.sum(axis=0))
     rhos, users = [], []
-    for _ in range(warmup + cfg.n_samples):
-        R = reference_user_draws(clicks, cfg.alpha, rho, rng)
-        v = perturbed_v_ranking(rank_of(R.mean(axis=0)), cfg.sigma, rng, 1)
-        cost = RankCountMatrix(R).cost
-        rho = reference_draws(-(cfg.alpha / n) * cost, np.argsort(v, axis=1, kind="stable"), rng)[0]
-        rhos.append(rho)
-        users.append(R)
+    for iterations in (warmup, cfg.n_samples):
+        for lo in range(0, iterations, chunk):
+            for drawn in reference_block_draws(clicks, cfg.alpha, min(chunk, iterations - lo), rng):
+                R = reference_user_draws(clicks, cfg.alpha, rho, None, drawn)
+                v = perturbed_v_ranking(rank_of(R.sum(axis=0)), cfg.sigma, rng, 1)
+                cost = RankCountMatrix(R).cost
+                rho = reference_draws(-(cfg.alpha / n) * cost, np.argsort(v, axis=1, kind="stable"), rng)[0]
+                rhos.append(rho)
+                users.append(R)
     return np.array(rhos[warmup:]), np.array(users[warmup:])
 
 
@@ -91,6 +119,29 @@ def test_seeded_clicking_equals_the_reference_loop(alpha, sigma, monkeypatch):
     want_rho, want_users = reference_clicking(clicks, cfg, 3)
     assert np.array_equal(ss.samples, want_rho) and np.array_equal(users, want_users)
     assert bool(fallbacks) == (alpha > 100)
+
+
+@pytest.mark.parametrize(
+    "n_users, n, clicked, warmup, n_samples",
+    [(6, 5, "random", 0, 5), (6, 5, "random", 7, 3), (6, 5, "random", 3, 1),
+     (0, 5, "random", 4, 3), (6, 5, "all", 3, 4), (6, 1, "random", 3, 4)],
+    ids=["warmup-0", "warmup-over-chunks", "one-sample", "no-users", "all-clicked", "n=1"],
+)
+def test_click_loop_chunk_edges(n_users, n, clicked, warmup, n_samples, monkeypatch):
+    """Chunks of two iterations (one with no users): shapes, compatible and
+    reproducible draws, and the reference loop's stream."""
+    monkeypatch.setattr(clicking, "_CHUNK_CELLS", 2 * n_users * n)
+    rng = np.random.default_rng(warmup + n_samples)
+    clicks = rng.integers(0, 2, (n_users, n)) if clicked == "random" else np.ones((n_users, n), dtype=np.int64)
+    cfg = PseudoConfig(2.0, 0.5, n_samples, seed=11)
+    ss, users = pseudo_clicking(clicks, cfg, warmup)
+    assert ss.samples.shape == (n_samples, n) and users.shape == (n_samples, n_users, n)
+    assert all(is_permutation(r) for r in ss.samples)
+    assert all(in_compatible_set(r, b) for draw in users for r, b in zip(draw, clicks))
+    again, users_again = pseudo_clicking(clicks, cfg, warmup)
+    assert np.array_equal(ss.samples, again.samples) and np.array_equal(users, users_again)
+    want_rho, want_users = reference_clicking(clicks, cfg, warmup)
+    assert np.array_equal(ss.samples, want_rho) and np.array_equal(users, want_users)
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 2.0, 1e4, 1e6])
@@ -219,18 +270,19 @@ def test_two_level_draws_equal_the_log_space_reference(n, alpha, two_level_calls
 
 
 @pytest.mark.parametrize("alpha", [1e-6, 2.0, 1e4, 1e6])
-def test_wide_user_draws_stay_single_level(alpha, monkeypatch, two_level_calls):
-    """Click augmentation keeps the single-level search at any width."""
-    n, n_users = 150, 40
-    monkeypatch.setattr(pseudo, "_COARSE_MIN", 1)
+def test_wide_user_draws_equal_the_log_space_reference(alpha, two_level_calls):
+    """Blocks up to n = 150 ranks. The 130 users with no clicks or with all
+    of them make 130 full-width blocks, which take the two-level search
+    through the kernel's T/n rule; the other block sizes take one level."""
+    n, n_users = 150, 170
     rng = np.random.default_rng(7)
     counts = rng.integers(0, n + 1, n_users)
-    counts[:4] = (0, n, 0, n)  # users with no clicks and users with all
+    counts[:130] = np.arange(130) % 2 * n
     clicks = (np.argsort(rng.random((n_users, n)), axis=1) < counts[:, None]).astype(np.int64)
     rho = rng.permutation(n) + 1
     got = sample_user_rankings(clicks, alpha, rho, np.random.default_rng(2))
     want = reference_user_draws(clicks, alpha, rho, np.random.default_rng(2))
-    assert two_level_calls == []
+    assert two_level_calls == [(130, n)]
     assert np.array_equal(got, want)
     assert all(in_compatible_set(r, b) for r, b in zip(got, clicks))
 
