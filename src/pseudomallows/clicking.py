@@ -97,7 +97,7 @@ def click_frequency_ranking(clicks) -> np.ndarray:
     return rank_of(-freq)
 
 
-_CHUNK_CELLS = 200_000  # user ranks per chunk of block draws: bounds their buffers
+_CHUNK_CELLS = 200_000  # user ranks per chunk of block draws (50 iterations at N=200, n=20)
 
 
 def _draw_blocks(b: np.ndarray, alpha: float, out: np.ndarray, rng) -> np.ndarray:
