@@ -132,13 +132,14 @@ def _targets(b: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     """Draw one compatible ranking per user given the consensus (vectorized).
 
-    Each user's ranking is one sequential draw per rank block, in a
-    uniformly random item order. The target is the compatible ranking that
-    follows ``rho`` within each group; item i takes rank r with weight
-    exp(-(alpha/n) |target_i - r|) on its own rank block and zero off it.
-    This is one iteration of the loop's block draws (``_draw_blocks``),
-    relabelled by the targets. Memory is O(N * n + n^2). ``clicks`` is a
-    ClickDataset or anything ClickDataset accepts.
+    Each user's ranking is one sequential draw per rank block, in a uniform
+    item order: item i takes rank r of its own block with weight
+    exp(-(alpha/n) |target_i - r|), the target being the compatible ranking
+    that follows ``rho`` within each group. This is one iteration of the
+    loop's block draws (``_draw_blocks``), one kernel call per block size;
+    with few users per size it costs more than an iteration of the loop,
+    which draws a chunk of iterations per call. Memory is O(N * n + n^2).
+    ``clicks`` is a ClickDataset or anything ClickDataset accepts.
     """
     alpha = check_alpha(alpha)
     rho = as_ranking(rho)
@@ -166,9 +167,8 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     in ``estimate_rho_hat``). The first ``warmup`` iterations are discarded.
     The clicks are read once per call; block draws come a chunk of warm-up or
     kept iterations at a time (``_CHUNK_CELLS`` user ranks, at least one).
-    Returns the consensus SampleSet and the per-user ranking draws with
-    shape (n_samples, N, n). ``clicks`` is a ClickDataset or anything
-    ClickDataset accepts.
+    Returns the consensus SampleSet and the (n_samples, N, n) user-ranking
+    draws. ``clicks`` is a ClickDataset or anything ClickDataset accepts.
     """
     if warmup < 0:
         raise ValueError("warmup must be nonnegative")
