@@ -18,9 +18,7 @@ from .clicking import (
     pseudo_clicking,
     recommend_all,
     recommend_topk,
-    sample_user_ranking,
     sample_user_rankings,
-    topk_probabilities,
 )
 from .data import ClickDataset, RankCountMatrix, RankingDataset, RowError, SampleSet, rankings_of
 from .evaluation import (
@@ -61,12 +59,11 @@ from .experiments import (
     run_sigma_study,
 )
 from .io import load_clicks, load_rankings, emit
-from .mcmc import McmcConfig, McmcTrace, leap_and_shift_propose, ls_move, mcmc_clicking, mcmc_rho
+from .mcmc import McmcConfig, McmcTrace, ls_move, mcmc_clicking, mcmc_rho
 from .perms import (
     CapacityError,
     VSet,
     adjacent_swaps,
-    enumerate_permutations,
     footrule_distance,
     ordering_of,
     perturbed_v_ranking,

@@ -65,13 +65,19 @@ def _cmd_fit_rho(args) -> int:
     return 0
 
 
-def _cmd_fit_clicks(args) -> int:
+def _fit_clicks(args):
+    """The steps ``fit-clicks`` and ``recommend`` share: require --alpha, load
+    the clicks, default sigma to 0 and run the alternating sampler."""
     if args.alpha is None:
-        raise SystemExit("fit-clicks requires --alpha (see estimate_alpha_clicks)")
+        raise SystemExit(f"{args.command} requires --alpha (see estimate_alpha_clicks)")
     clicks = load_clicks(args.input)
     sigma = args.sigma if args.sigma is not None else 0.0
     cfg = PseudoConfig(args.alpha, sigma, args.samples, seed=args.seed)
-    rho_ss, _ = pseudo_clicking(clicks, cfg, warmup=args.warmup)
+    return clicks, *pseudo_clicking(clicks, cfg, warmup=args.warmup)
+
+
+def _cmd_fit_clicks(args) -> int:
+    _, rho_ss, _ = _fit_clicks(args)
     consensus = cp_consensus(rho_ss)
     print(f"consensus: {','.join(map(str, consensus))}")
     print(f"wall_clock_s: {rho_ss.wall_clock:.4f}")
@@ -82,14 +88,9 @@ def _cmd_fit_clicks(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
-    if args.alpha is None:
-        raise SystemExit("recommend requires --alpha")
     if args.k < 1:
         raise ValueError(f"k must be at least 1, got {args.k}")
-    clicks = load_clicks(args.input)
-    sigma = args.sigma if args.sigma is not None else 0.0
-    cfg = PseudoConfig(args.alpha, sigma, args.samples, seed=args.seed)
-    _, user_samples = pseudo_clicking(clicks, cfg, warmup=args.warmup)
+    clicks, _, user_samples = _fit_clicks(args)
     recs = recommend_all(user_samples, clicks, args.k)
     out = sys.stdout
     if args.output:

@@ -14,8 +14,8 @@ per block size, and relabels them at each iteration's consensus.
 
 Both click-data samplers (this loop and ``mcmc.mcmc_clicking``) start from
 ``click_frequency_ranking`` and return a (T, N, n) user-ranking trace;
-``recommend_all`` turns either trace into every user's top-k list, one
-``recommend_topk`` call per user.
+``recommend_all`` turns either trace into every user's top-k list with one
+window count over the trace and one stable argsort per user.
 """
 
 from __future__ import annotations
@@ -151,11 +151,6 @@ def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     return np.take_along_axis(drawn, _targets(b, rho), axis=1)
 
 
-def sample_user_ranking(clicks_row, alpha: float, rho, rng) -> np.ndarray:
-    """Single-user version of :func:`sample_user_rankings`."""
-    return sample_user_rankings(np.asarray(clicks_row)[None, :], alpha, rho, rng)[0]
-
-
 def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     """Alternating sampler for click data.
 
@@ -200,18 +195,20 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     return rho_samples, user_keep
 
 
-def topk_probabilities(user_samples: np.ndarray, clicks_row, k: int) -> np.ndarray:
-    """P(item ranked in the next-k window) per item, NaN for clicked items."""
-    samples = np.asarray(user_samples, dtype=np.int64)
-    b = np.asarray(clicks_row, dtype=np.int64)
-    n = b.size
-    c = int(b.sum())
-    if not 1 <= k <= n - c:
-        raise ValueError(f"k must be in [1, {n - c}] for this user")
-    window = (samples >= c + 1) & (samples <= c + k)
-    probs = window.mean(axis=0).astype(np.float64)
-    probs[b == 1] = np.nan
-    return probs
+def _recommend(samples: np.ndarray, b: np.ndarray, k: int) -> list[list[Recommendation]]:
+    """Every user's top-k list from a (T, N, n) trace and (N, n) clicks: the
+    share of draws placing each unclicked item in the user's next-k window
+    [c+1, c+k], by one stable argsort per row with clicked items last (ties
+    by ascending item index), cut at min(k, unclicked items)."""
+    c = b.sum(axis=1)[:, None]
+    # int32 counts: the reduction over T runs faster than in int64
+    hits = ((samples > c) & (samples <= c + k)).sum(axis=0, dtype=np.int32)
+    order = np.argsort(np.where(b == 1, 1, -hits), axis=1, kind="stable")
+    n = b.shape[1]
+    return [
+        [Recommendation(i + 1, probs[i]) for i in items[: min(k, n - clicked)]]
+        for items, probs, clicked in zip(order.tolist(), (hits / samples.shape[0]).tolist(), c[:, 0].tolist())
+    ]
 
 
 def recommend_topk(user_samples, clicks_row, k: int) -> list[Recommendation]:
@@ -222,10 +219,10 @@ def recommend_topk(user_samples, clicks_row, k: int) -> list[Recommendation]:
     """
     samples = user_samples.samples if isinstance(user_samples, SampleSet) else user_samples
     b = np.asarray(clicks_row, dtype=np.int64)
-    probs = topk_probabilities(samples, b, k)
-    items = np.flatnonzero(b == 0)
-    order = np.lexsort((items, -probs[items]))
-    return [Recommendation(int(items[i]) + 1, float(probs[items[i]])) for i in order[:k]]
+    c = int(b.sum())
+    if not 1 <= k <= b.size - c:
+        raise ValueError(f"k must be in [1, {b.size - c}] for this user")
+    return _recommend(np.asarray(samples)[:, None, :], b[None, :], k)[0]
 
 
 def recommend_all(user_samples, clicks, k: int) -> list[list[Recommendation]]:
@@ -238,12 +235,10 @@ def recommend_all(user_samples, clicks, k: int) -> list[list[Recommendation]]:
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     b = clicks_of(clicks)
-    n = b.shape[1]
-    out = []
-    for j, row in enumerate(b):
-        take = min(k, n - int(row.sum()))
-        out.append(recommend_topk(user_samples[:, j, :], row, take) if take else [])
-    return out
+    samples = np.asarray(user_samples)
+    if samples.ndim != 3 or samples.shape[1:] != b.shape:
+        raise ValueError(f"a trace of shape {samples.shape} does not match clicks of shape {b.shape}")
+    return _recommend(samples, b, k)
 
 
 def binarize(data: RankingDataset, count_model, rng) -> ClickDataset:

@@ -39,6 +39,7 @@ EXACT_STUDY_CAP = 6  # the enumeration study costs n!^2 evaluations
 ELBO_CAP = 7
 EXACT_SEARCH_CAP = 5
 SAMPLED_SEARCH_CAP = 15
+_REFERENCE_ITERATIONS = 20_000  # chain length of the sampled reference profile
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class MarginalProfile:
     """Per-item rank marginals as an (n, n) row-stochastic matrix."""
 
     matrix: np.ndarray
-    source: str = "exact"
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=np.float64)
@@ -62,7 +62,7 @@ class MarginalProfile:
 
     @classmethod
     def from_distribution(cls, dist: DiscreteDistribution) -> "MarginalProfile":
-        return cls(marginal_profile_matrix(dist), source="exact")
+        return cls(marginal_profile_matrix(dist))
 
     def smooth(self, eps: float) -> "MarginalProfile":
         """Additively smoothed copy; use on an exact reference before
@@ -70,24 +70,22 @@ class MarginalProfile:
         if eps <= 0:
             raise ValueError("eps must be positive")
         m = self.matrix + eps
-        return MarginalProfile(m / m.sum(axis=1, keepdims=True), source=self.source)
+        return MarginalProfile(m / m.sum(axis=1, keepdims=True))
 
     @classmethod
-    def from_samples(cls, samples, n_items: int | None = None, smoothing: float | None = None):
+    def from_samples(cls, samples, smoothing: float | None = None):
         """Empirical profile with additive smoothing (default 1/(2*draws)) so
         unvisited cells stay positive."""
         arr = samples.samples if isinstance(samples, SampleSet) else np.asarray(samples)
         arr = np.asarray(arr, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError("samples must be (T, n)")
-        t, n = arr.shape
-        if n_items is not None and n_items != n:
-            raise ValueError("n_items disagrees with the sample width")
+        t = arr.shape[0]
         eps = 1.0 / (2.0 * t) if smoothing is None else float(smoothing)
         if eps <= 0:
             raise ValueError("smoothing must be positive for empirical profiles")
         counts = RankCountMatrix(arr).counts + eps
-        return cls(counts / counts.sum(axis=1, keepdims=True), source=f"empirical({t})")
+        return cls(counts / counts.sum(axis=1, keepdims=True))
 
 
 def marginal_kl(q: MarginalProfile, p: MarginalProfile) -> float:
@@ -136,12 +134,7 @@ def posterior_profile(data: RankingDataset, alpha: float) -> MarginalProfile:
     return MarginalProfile.from_distribution(exact_posterior(data, alpha))
 
 
-def reference_profile(
-    data: RankingDataset,
-    alpha: float,
-    rng=None,
-    mcmc_iterations: int = 20000,
-) -> MarginalProfile:
+def reference_profile(data: RankingDataset, alpha: float, rng=None) -> MarginalProfile:
     """Posterior rank marginals to compare approximations against: exact at
     enumeration scale, otherwise estimated from a long chain."""
     if data.n_items <= EXACT_STUDY_CAP:
@@ -151,8 +144,8 @@ def reference_profile(
         data,
         alpha,
         McmcConfig(
-            iterations=mcmc_iterations,
-            burn_in=mcmc_iterations // 5,
+            iterations=_REFERENCE_ITERATIONS,
+            burn_in=_REFERENCE_ITERATIONS // 5,
             seed=int(rng.integers(2**63)),
         ),
     )
@@ -255,10 +248,6 @@ class SearchTrace:
     def best_kl(self) -> float:
         return float(self.kl_values[self.best_index])
 
-    @property
-    def last_ranking(self) -> np.ndarray:
-        return self.rankings[-1]
-
 
 def iterative_search(
     data: RankingDataset,
@@ -270,7 +259,6 @@ def iterative_search(
     reference: MarginalProfile | None = None,
     vset_base=None,
     rng=None,
-    mcmc_reference_iterations: int = 20000,
 ) -> SearchTrace:
     """Assignment-driven search over factorization orderings.
 
@@ -292,7 +280,7 @@ def iterative_search(
     rng = np.random.default_rng(rng)
     incumbent = as_ranking(init).copy()
     if reference is None:
-        reference = reference_profile(data, alpha, rng, mcmc_reference_iterations)
+        reference = reference_profile(data, alpha, rng)
     vset = v_set(estimate_rho_hat(data) if vset_base is None else vset_base)
     cost_table = RankCountMatrix.from_dataset(data)
     sample_draws = draws if eval_mode == "sampled" else None

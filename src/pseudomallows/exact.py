@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .data import RankCountMatrix, RankingDataset, check_alpha, rankings_of
-from .perms import CapacityError, as_ranking, factorial, permutation_matrix
+from .perms import CapacityError, as_ranking, permutation_matrix
 
 EXACT_CAP = 8  # 8! = 40320 permutations stays sub-second
 
@@ -167,4 +167,4 @@ def constrained_l1_minimizer(data: RankingDataset | np.ndarray, item: int, exclu
 def uniform_distribution(n: int) -> DiscreteDistribution:
     _check_cap(n)
     perms = permutation_matrix(n)
-    return DiscreteDistribution(perms, np.full(len(perms), 1.0 / factorial(n)))
+    return DiscreteDistribution(perms, np.full(len(perms), 1.0 / len(perms)))

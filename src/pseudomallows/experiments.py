@@ -56,16 +56,6 @@ COLUMNS = (
     "config_hash",
 )
 
-_EXPERIMENT_KINDS = (
-    "full-timing",
-    "clicking-accuracy",
-    "ordering-enum",
-    "sigma-study",
-    "g-bias",
-    "alpha-roundtrip",
-)
-
-
 @dataclass
 class ResultTable:
     """Long-format experiment results with a stable column order."""
@@ -79,9 +69,6 @@ class ResultTable:
             raise ValueError(f"unknown columns: {sorted(unknown)}")
         row = {c: kw.get(c, "") for c in self.columns}
         self.rows.append(row)
-
-    def column(self, name: str) -> list:
-        return [r[name] for r in self.rows]
 
     def where(self, **conditions) -> "ResultTable":
         keep = [
@@ -128,7 +115,7 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.kind not in _EXPERIMENT_KINDS:
+        if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         for name in ("n", "n_users", "replicates", "k", "n_samples", "sim_users"):
             if getattr(self, name) < 1:

@@ -11,8 +11,8 @@ unclick bits, which lists a user's clicked items, then the unclicked ones.
 Every consensus update is one leap-and-shift move, written once here: a
 destination drawn within the leap window (``_leap_target``), the log window
 sizes that give its proposal ratio (``_log_windows``), and an in-place shift
-of the item -> rank and rank -> item state (``_shift``). Both chains,
-``leap_and_shift_propose`` and the deterministic ``ls_move`` share them.
+of the item -> rank and rank -> item state (``_shift``). Both chains and
+the deterministic ``ls_move`` of the ordering search share them.
 """
 
 from __future__ import annotations
@@ -77,8 +77,9 @@ def _leap_target(q: int, du: float, leap: int, n: int) -> int:
 
 def _log_windows(n: int, leap: int) -> list[float]:
     """``out[p]`` is the log of the number of destinations of a leap from rank
-    ``p`` (``out[0]`` is unused); a move q -> r with |r - q| > 1 has log
-    proposal ratio ``out[q] - out[r]``."""
+    ``p`` (``out[0]`` is unused); a move q -> r with |r - q| > 1 names its
+    leaped item and has log proposal ratio ``out[q] - out[r]``. An adjacent
+    swap is reached by leaping either of its items, so its ratio is zero."""
     return [0.0] + [math.log(min(n, p + leap) - max(1, p - leap)) for p in range(1, n + 1)]
 
 
@@ -113,33 +114,6 @@ def ls_move(ranking, item: int, rank: int) -> np.ndarray:
     order[rho] = np.arange(n)
     _shift(rho, order, item - 1, int(rho[item - 1]), rank)
     return rho
-
-
-def leap_and_shift_propose(rho, leap_size: int, rng: np.random.Generator):
-    """One leap-and-shift proposal from ``rho``.
-
-    Picks an item uniformly, draws a new rank uniformly within ``leap_size``
-    of its current rank (excluding the current rank, clamped to [1, n]) and
-    shifts the intervening items by one. Returns the proposal and the log
-    proposal-density ratio log g(rho|rho') - log g(rho'|rho).
-
-    A move of distance one is a swap of adjacent ranks, reachable by leaping
-    either of the two items involved, and its forward and backward densities
-    coincide; longer moves identify the leaped item uniquely and the ratio
-    reduces to the ratio of window sizes.
-    """
-    ranks = as_ranking(rho)
-    n = ranks.size
-    if n == 1:
-        raise ValueError("no proposal exists for a single item")
-    if not 1 <= leap_size <= max(1, (n - 1) // 2):
-        raise ValueError(f"leap_size must be in [1, {max(1, (n - 1) // 2)}] for n={n}")
-    u = int(rng.integers(0, n))
-    q = int(ranks[u])
-    r = _leap_target(q, rng.random(), leap_size, n)
-    log_w = _log_windows(n, leap_size)
-    log_ratio = log_w[q] - log_w[r] if abs(r - q) > 1 else 0.0
-    return ls_move(ranks, u + 1, r), log_ratio
 
 
 def _run_rho_chain(cost_rows, scale, n, cfg, rng, init_ranks):

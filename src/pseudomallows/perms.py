@@ -14,7 +14,6 @@ All functions accept any integer sequence and return ``numpy`` arrays.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Iterator
 
 import numpy as np
@@ -96,15 +95,6 @@ def ordering_of(ranking) -> np.ndarray:
     return out
 
 
-def enumerate_permutations(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every permutation of ``{1, ..., n}`` once, in lexicographic order."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > ENUMERATION_CAP:
-        raise CapacityError(f"refusing to enumerate {n}! permutations (cap n <= {ENUMERATION_CAP})")
-    return itertools.permutations(range(1, n + 1))
-
-
 _PERM_MATRIX_CACHE: dict[int, np.ndarray] = {}
 
 
@@ -112,7 +102,11 @@ def permutation_matrix(n: int) -> np.ndarray:
     """All of P_n as an ``(n!, n)`` read-only array, lexicographic row order."""
     mat = _PERM_MATRIX_CACHE.get(n)
     if mat is None:
-        mat = np.array(list(enumerate_permutations(n)), dtype=np.int64)
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if n > ENUMERATION_CAP:
+            raise CapacityError(f"refusing to enumerate {n}! permutations (cap n <= {ENUMERATION_CAP})")
+        mat = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int64)
         mat.setflags(write=False)
         _PERM_MATRIX_CACHE[n] = mat
     return mat
@@ -226,6 +220,3 @@ def adjacent_swaps(ranking, count: int, rng: np.random.Generator) -> np.ndarray:
         order[pos], order[pos + 1] = order[pos + 1], order[pos]
     return ordering_of(order)
 
-
-def factorial(n: int) -> int:
-    return math.factorial(n)

@@ -22,11 +22,11 @@ from pseudomallows.clicking import (
     pseudo_clicking,
     recommend_all,
     recommend_topk,
-    sample_user_ranking,
     sample_user_rankings,
 )
 from pseudomallows.data import ClickDataset, RankingDataset
-from pseudomallows.perms import enumerate_permutations, footrule_distance, is_permutation, rank_of
+from pseudomallows.mcmc import McmcConfig, mcmc_clicking
+from pseudomallows.perms import footrule_distance, is_permutation, permutation_matrix, rank_of
 from pseudomallows.pseudo import PseudoConfig
 from pseudomallows.simulate import make_dataset
 
@@ -48,7 +48,7 @@ def exact_user_law(clicks_row, alpha, rho) -> dict:
         target[items] = offset + 1 + np.argsort(np.argsort(rho[items]))
     blocks = [range(1, c + 1) if b[i] else range(c + 1, n + 1) for i in range(n)]
     weight = lambda i, r: math.exp(-(alpha / n) * abs(target[i] - r))
-    compatible = [r for r in enumerate_permutations(n) if in_compatible_set(r, b)]
+    compatible = [tuple(r) for r in permutation_matrix(n).tolist() if in_compatible_set(r, b)]
     law = {}
     for r in compatible:
         total = 0.0
@@ -61,6 +61,20 @@ def exact_user_law(clicks_row, alpha, rho) -> dict:
             total += prob
         law[r] = total / math.factorial(n)
     return law
+
+
+def window_mean_recommendations(users, clicks, k) -> list:
+    """Each user's list, one user at a time: the share of draws placing each
+    unclicked item in ranks [c+1, c+take], take = min(k, unclicked items),
+    ordered by descending share then ascending item."""
+    out = []
+    for j, row in enumerate(np.asarray(clicks)):
+        c = int(row.sum())
+        take = min(k, row.size - c)
+        probs = ((users[:, j] >= c + 1) & (users[:, j] <= c + take)).mean(axis=0)
+        items = sorted(np.flatnonzero(row == 0), key=lambda i: (-probs[i], i))
+        out.append([Recommendation(int(i) + 1, float(probs[i])) for i in items[:take]])
+    return out
 
 
 class TestCountModels:
@@ -116,7 +130,7 @@ class TestUserSampler:
     def test_single_click_forces_rank_one(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
-            r = sample_user_ranking((1, 0, 0), 3.0, (1, 2, 3), rng)
+            r = sample_user_rankings([[1, 0, 0]], 3.0, (1, 2, 3), rng)[0]
             assert r[0] == 1
 
     def test_two_rank_closed_form(self):
@@ -200,13 +214,13 @@ class TestUserSampler:
 
     def test_zero_click_user_unconstrained(self):
         rng = np.random.default_rng(4)
-        r = sample_user_ranking((0, 0, 0, 0), 2.0, (4, 3, 2, 1), rng)
+        r = sample_user_rankings([[0, 0, 0, 0]], 2.0, (4, 3, 2, 1), rng)[0]
         assert is_permutation(r)
 
     def test_alpha_validation(self):
         for alpha in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha"):
-                sample_user_ranking((1, 0), alpha, (1, 2), np.random.default_rng(0))
+                sample_user_rankings([[1, 0]], alpha, (1, 2), np.random.default_rng(0))
 
 
 class TestPseudoClicking:
@@ -301,9 +315,10 @@ class TestRecommendations:
                 assert clicks.clicks[j, item - 1] == 0
 
     def test_recommend_all_is_the_per_user_loop(self):
-        """Every user's list is recommend_topk at min(k, unclicked); a user who
-        clicked everything gets [] and one with fewer than k unclicked items
-        gets all of them."""
+        """Every user's list is the per-user window mean at min(k, unclicked),
+        for pseudo and MCMC traces: a user who clicked everything gets [],
+        one with fewer than k unclicked items gets all of them, and no users
+        give no lists. recommend_topk at that size gives the same list."""
         rng = np.random.default_rng(21)
         data = make_dataset(np.arange(1, 7), 2.0, 8, rng)
         b = binarize(data, TruncatedPoisson(2.0, 1, 5), rng).clicks.copy()
@@ -311,16 +326,22 @@ class TestRecommendations:
         b[1] = (1, 1, 1, 1, 0, 1)
         b[2] = 0
         clicks = ClickDataset(b)
-        _, users = pseudo_clicking(clicks, PseudoConfig(2.0, 0.0, 30, seed=5), warmup=2)
-        k = 3
-        got = recommend_all(users, clicks, k)
-        want = [
-            recommend_topk(users[:, j], b[j], min(k, 6 - int(b[j].sum()))) if b[j].sum() < 6 else []
-            for j in range(clicks.n_users)
-        ]
-        assert got == want
-        assert got[0] == [] and len(got[1]) == 1 and len(got[2]) == k
-        assert recommend_all(users, b, k) == got
+        _, pseudo_users = pseudo_clicking(clicks, PseudoConfig(2.0, 0.0, 30, seed=5), warmup=2)
+        _, mcmc_users = mcmc_clicking(clicks, 2.0, McmcConfig(600, burn_in=100, thin=10, seed=5))
+        for users in (pseudo_users, mcmc_users):
+            for k in (1, 3, 4, 7):
+                got = recommend_all(users, clicks, k)
+                assert got == window_mean_recommendations(users, b, k)
+                assert got[0] == [] and len(got[1]) == 1 and len(got[2]) == min(k, 6)
+                assert recommend_all(users, b, k) == got
+                for j in range(1, clicks.n_users):
+                    assert recommend_topk(users[:, j], b[j], len(got[j])) == got[j]
+        assert recommend_all(np.zeros((5, 0, 6), dtype=np.int64), np.zeros((0, 6), dtype=int), 3) == []
+
+    def test_recommend_all_rejects_a_trace_of_other_users(self):
+        users = np.tile([1, 2, 3], (4, 2, 1))
+        with pytest.raises(ValueError, match="does not match"):
+            recommend_all(users, [[1, 0, 0]], 1)
 
     @pytest.mark.parametrize("k", [0, -2])
     def test_recommend_all_rejects_k_below_one(self, k):

@@ -15,7 +15,8 @@ from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset
 from pseudomallows.exact import exact_posterior
 from pseudomallows.mcmc import (
     McmcConfig,
-    leap_and_shift_propose,
+    _leap_target,
+    _log_windows,
     ls_move,
     mcmc_clicking,
     mcmc_rho,
@@ -153,37 +154,49 @@ def test_seeded_chains_equal_the_reference(n, leap, alpha):
 
 class TestLeapAndShift:
     def test_n2_always_transposition_ratio_zero(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            prop, ratio = leap_and_shift_propose((1, 2), 1, rng)
-            assert prop.tolist() == [2, 1]
-            assert ratio == 0.0
+        """At n=2 a leap from either rank lands on the other one: an adjacent
+        swap, whose two windows are equal, so its log ratio is zero."""
+        for q in (1, 2):
+            for du in np.random.default_rng(0).random(20):
+                r = _leap_target(q, du, 1, 2)
+                assert r == 3 - q
+                assert ls_move((1, 2), q, r).tolist() == [2, 1]
+        assert _log_windows(2, 1) == [0.0, 0.0, 0.0]
 
     def test_case_table_downshift(self):
         # relocating item 1 from rank 1 to rank 3 pulls items at ranks 2..3 down
-        rng = np.random.default_rng(1)
-        seen = set()
-        for _ in range(500):
-            prop, _ = leap_and_shift_propose((1, 2, 3, 4), 1, rng)
-            seen.add(tuple(prop))
+        assert ls_move((1, 2, 3, 4), 1, 3).tolist() == [3, 1, 2, 4]
+        assert ls_move((1, 2, 3, 4), 4, 2).tolist() == [1, 3, 4, 2]
         # leap_size 1 from the identity can only swap adjacent ranks
-        assert seen <= {(2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3)}
+        seen = set()
+        for u in range(4):
+            for du in np.linspace(0.0, 1.0, 50, endpoint=False):
+                seen.add(tuple(ls_move((1, 2, 3, 4), u + 1, _leap_target(u + 1, du, 1, 4)).tolist()))
+        assert seen == {(2, 1, 3, 4), (1, 3, 2, 4), (1, 2, 4, 3)}
 
     def test_validity_many_trials(self):
         rng = np.random.default_rng(2)
         state = np.arange(1, 11)
-        for _ in range(100000):
-            state, _ = leap_and_shift_propose(state, 4, rng)
+        for u, du in zip(rng.integers(0, 10, 100_000).tolist(), rng.random(100_000).tolist()):
+            r = _leap_target(int(state[u]), du, 4, 10)
+            assert 1 <= r <= 10 and 0 < abs(r - state[u]) <= 4
+            state = ls_move(state, u + 1, r)
         assert is_permutation(state)
 
     def test_leap_size_validation(self):
-        rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="leap_size"):
-            leap_and_shift_propose((1, 2, 3, 4, 5), 3, rng)
+            McmcConfig(10, leap_size=3).resolved_leap(5)
+        with pytest.raises(ValueError, match="leap_size"):
+            mcmc_rho(RankingDataset(np.tile(np.arange(1, 6), (3, 1))), 1.0, McmcConfig(10, leap_size=3))
+        assert McmcConfig(10, leap_size=2).resolved_leap(5) == 2
+        assert McmcConfig(10).resolved_leap(25) == 2 and McmcConfig(10).resolved_leap(2) == 1
 
     def test_proposal_law_and_ratio(self):
-        """The law of 1e5 proposals against the one enumerated from the window
-        rule; an adjacent swap is reached by leaping either of its items."""
+        """The law of 1e5 proposals (a uniform item, ``_leap_target`` and
+        ``ls_move``) against the one enumerated from the window rule; the log
+        windows are those of the rule. A longer move names its leaped item,
+        so its ratio is that of the window sizes; an adjacent swap is reached
+        by leaping either of its items, so its ratio is zero."""
         n, leap = 6, 2
         rho = np.array([3, 1, 6, 2, 5, 4])
         window = lambda p: min(n, p + leap) - max(1, p - leap)
@@ -204,27 +217,26 @@ class TestLeapAndShift:
         rng = np.random.default_rng(17)
         t = 100_000
         counts = Counter()
-        ratios = {}
-        for _ in range(t):
-            prop, ratio = leap_and_shift_propose(rho, leap, rng)
-            key = tuple(prop.tolist())
-            counts[key] += 1
-            ratios.setdefault(key, set()).add(ratio)
+        for u, du in zip(rng.integers(0, n, t).tolist(), rng.random(t).tolist()):
+            counts[tuple(ls_move(rho, u + 1, _leap_target(int(rho[u]), du, leap, n)).tolist())] += 1
         assert set(counts) <= set(law)
         tv = 0.5 * sum(abs(counts.get(r, 0) / t - p) for r, p in law.items())
         assert tv <= 0.015
 
-        for key, seen in ratios.items():
+        for size, width in ((n, leap), (7, 1), (10, 4), (3, 1)):
+            assert _log_windows(size, width)[1:] == [
+                math.log(min(size, p + width) - max(1, p - width)) for p in range(1, size + 1)
+            ]
+        for key in counts:
             prop = np.array(key)
             moved = np.flatnonzero(prop != rho)
             jump = np.abs(prop - rho)
             if jump.max() > 1:
                 u = int(np.argmax(jump))
-                q, r = int(rho[u]), int(prop[u])
-                assert seen == {math.log(window(q)) - math.log(window(r))}
-                assert ls_move(rho, u + 1, r).tolist() == list(key)
+                assert int(prop[u]) - int(rho[u]) in (-moved.size + 1, moved.size - 1)
+                assert ls_move(rho, u + 1, int(prop[u])).tolist() == list(key)
             else:
-                assert seen == {0.0} and moved.size == 2
+                assert moved.size == 2
                 for u in moved:
                     assert ls_move(rho, int(u) + 1, int(prop[u])).tolist() == list(key)
 

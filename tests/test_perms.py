@@ -7,7 +7,6 @@ from scipy.stats import chi2
 from pseudomallows.perms import (
     CapacityError,
     adjacent_swaps,
-    enumerate_permutations,
     footrule_distance,
     is_permutation,
     ordering_of,
@@ -72,8 +71,8 @@ class TestRankOperator:
 
     def test_rank_of_permutation_is_identity_map(self):
         for n in range(1, 7):
-            for p in enumerate_permutations(n):
-                assert rank_of(p).tolist() == list(p)
+            for p in permutation_matrix(n):
+                assert rank_of(p).tolist() == p.tolist()
 
 
 class TestOrderingConversion:
@@ -131,7 +130,7 @@ class TestVSet:
     def test_membership_test_agrees_with_enumeration(self):
         vs = v_set((2, 4, 1, 5, 3))
         member_set = {tuple(m) for m in vs.members()}
-        for p in enumerate_permutations(5):
+        for p in map(tuple, permutation_matrix(5).tolist()):
             assert (np.array(p) in vs) == (p in member_set)
 
     def test_uniform_sampling_frequencies(self):
@@ -185,27 +184,30 @@ class TestPerturbedVRanking:
             counts[key] = counts.get(key, 0) + 1
         expected = draws / 120
         stat = sum((counts.get(tuple(p), 0) - expected) ** 2 / expected
-                   for p in enumerate_permutations(5))
+                   for p in permutation_matrix(5))
         assert stat < chi2.ppf(0.999, 119)
 
 
 class TestEnumeration:
     def test_n1(self):
-        assert list(enumerate_permutations(1)) == [(1,)]
+        assert permutation_matrix(1).tolist() == [[1]]
+        with pytest.raises(ValueError, match="n must be"):
+            permutation_matrix(0)
 
     def test_n3_lexicographic(self):
-        perms = list(enumerate_permutations(3))
+        perms = permutation_matrix(3).tolist()
         assert len(perms) == 6
-        assert perms[0] == (1, 2, 3)
-        assert perms[-1] == (3, 2, 1)
+        assert perms[0] == [1, 2, 3]
+        assert perms[-1] == [3, 2, 1]
         assert perms == sorted(perms)
 
     def test_n4_count(self):
-        assert len(list(enumerate_permutations(4))) == 24
+        mat = permutation_matrix(4)
+        assert mat.shape == (24, 4) and len(set(map(tuple, mat.tolist()))) == 24
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            enumerate_permutations(11)
+            permutation_matrix(11)
 
     def test_matrix_cache_read_only(self):
         mat = permutation_matrix(4)
