@@ -215,10 +215,14 @@ def recommend_topk(user_samples, clicks_row, k: int) -> list[Recommendation]:
     """The k unclicked items most likely to sit in the next-k rank window.
 
     Probabilities are the fraction of posterior samples placing the item in
-    [c+1, c+k]; ties are broken by ascending item index.
+    [c+1, c+k]; ties are broken by ascending item index. ``clicks_row`` must
+    hold only 0 and 1.
     """
     samples = user_samples.samples if isinstance(user_samples, SampleSet) else user_samples
-    b = np.asarray(clicks_row, dtype=np.int64)
+    b = np.asarray(clicks_row)
+    if not ((b == 0) | (b == 1)).all():
+        raise ValueError(f"clicks row contains values outside {{0, 1}}: {b.tolist()}")
+    b = b.astype(np.int64)
     c = int(b.sum())
     if not 1 <= k <= b.size - c:
         raise ValueError(f"k must be in [1, {b.size - c}] for this user")

@@ -9,13 +9,18 @@ the rank-cost table is built.
 
 Every draw, here and in click augmentation, goes through one kernel,
 ``_sequential_draws``. Once per call it exponentiates a shared log-weight
-table, lays out every step's items and draws all uniforms. Each step then
-takes one table row per draw, zeroes the taken ranks and inverts the
-cumulative sum. Rows whose linear weights underflow are redone in log space;
-the test for it runs only on tables wide enough to underflow.
-Draws on wide tables (T and n both at least ``_COARSE_MIN``) invert in two
-levels: a block of about sqrt(n) ranks from the blocks' free masses, then
-the rank within it, so no step takes a cumulative sum over all n ranks.
+table, lays out every step's items and draws all uniforms. Its tables are
+rank-major, (n, T): one row per rank, one column per draw. Each step then
+takes one table row per draw as a column, zeroes the taken ranks and inverts
+the cumulative sum down each column. With many draws that sum is n - 1
+vector adds of T draws each, the same float adds in the same order as
+``np.cumsum``, so the layout leaves every seeded draw as it was. The last
+step takes the one free rank left. Draws whose linear weights underflow are
+redone in log space; the test for it runs only on tables wide enough to
+underflow. Draws on wide tables (T and n both at least ``_COARSE_MIN``)
+invert in two levels: a block of about sqrt(n) ranks from the blocks' free
+masses, then the rank within it, so no step takes a cumulative sum over all
+n ranks.
 Click augmentation calls the kernel once per rank-block size, on the
 top-left corner of its table, and takes the same rule.
 """
@@ -37,6 +42,7 @@ from .perms import (
 
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0)
 _COARSE_MIN = 128  # smallest T and n at which _sequential_draws searches in two levels
+_ROW_ADD_MIN = 160  # smallest T at which a single-level step sums its prefix row by row
 _UNDERFLOW_SPAN = 600.0  # nats a table row must span before a free mass can fall below 1e-300
 
 
@@ -56,24 +62,27 @@ class PseudoConfig:
 
 
 def _pick(w: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, the first column whose cumulative weight ``cum`` exceeds ``u >= 0``.
+    """Per column, the first row whose cumulative weight ``cum`` exceeds ``u >= 0``.
 
-    That column's weight is positive, since ``cum`` rises there. Only a row
-    whose ``u`` is not below its total (a float edge) finds no such column;
-    it takes the column of its last positive weight, so a zero weight is
-    never taken.
+    ``w`` and ``cum`` are rank-major, (m, T): one column per draw. That row's
+    weight is positive, since ``cum`` rises there. Only a column whose ``u``
+    is not below its total (a float edge) finds no such row; it takes the row
+    of its last positive weight, so a zero weight is never taken.
     """
-    m = w.shape[1]
-    idx = (cum <= u[:, None]).sum(axis=1)
+    m = w.shape[0]
+    # an int8 count over the ranks runs about twice as fast as the default int64 one
+    below = (cum <= u).view(np.int8)
+    idx = below.sum(axis=0, dtype=np.int8 if m < 128 else np.intp).astype(np.intp)
     past = idx == m
     if past.any():
-        idx[past] = m - 1 - np.argmax(w[past][:, ::-1] > 0, axis=1)
+        idx[past] = m - 1 - np.argmax(w[::-1, past] > 0, axis=0)
     return idx
 
 
 def _log_space(lw: np.ndarray, items: np.ndarray, free: np.ndarray):
-    """Weights and cumulative weights of rows whose free linear mass underflowed,
-    recomputed from the log weights relative to each row's free maximum."""
+    """Weights and cumulative weights of draws whose free linear mass
+    underflowed, recomputed from the log weights relative to each draw's free
+    maximum; one row per draw, as ``free`` has them."""
     lw_free = np.where(free, lw[items], -np.inf)
     lw_free -= lw_free.max(axis=1, keepdims=True)
     w = np.exp(lw_free)
@@ -88,47 +97,77 @@ def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> n
     sequence per draw.
 
     The work is in linear space: the table is exponentiated once, relative to
-    each row's maximum, and each step multiplies the gathered rows by the
+    each row's maximum, and each step multiplies the gathered weights by the
     free ranks and inverts their cumulative sum with one uniform per draw.
     Once per call, before the steps, the kernel lays the item sequences out
     as (n, T) steps and draws all n·T uniforms with one
     ``rng.random((n, T))``, the stream of n calls to ``rng.random(T)``.
-    A row whose free mass falls below 1e-300 is recomputed from the log
+    A draw whose free mass falls below 1e-300 is recomputed from the log
     weights relative to its free maximum, so the law does not depend on
     underflow. That test runs only when some table row spans at least
     ``_UNDERFLOW_SPAN`` nats: below that every linear weight is at least
     exp(-600), so no free mass can underflow.
 
+    The gathered weights, the free-rank mask and the cumulative sums are
+    rank-major (n, T) buffers, written in place at every step, so a step's
+    prefix sum runs down the ranks as n - 1 vector adds over all T draws
+    (``np.cumsum`` costs 5-8 ns per element along either axis; an add of two
+    rows costs a call plus under 1 ns per element). The adds stay
+    sequential, rank after rank, because that is the order in which
+    ``np.cumsum`` adds: every prefix is the same float, so seeded draws are
+    byte-identical to a row-major cumsum's, where a pairwise sum would move
+    draws whose uniform sits within rounding of a boundary. Below
+    ``_ROW_ADD_MIN`` draws the calls cost more than they save and the step
+    takes ``np.add.accumulate`` (``np.cumsum``) down the same columns. With
+    the kernel forced to each branch (medians of 3 runs, n = 8 and 20), the
+    adds take 1.1-1.2x the cumsum's time at T=64, 0.96-1.0x at T=128-160,
+    0.85x at T=256 and 0.72-0.74x at T=1000. The last step takes its one
+    free rank, the ranks' sum less the taken ones; its uniform is still drawn.
+
     When both T and n are at least ``_COARSE_MIN``, each step inverts the
     cumulative sum in two levels (see ``_two_level_draws``). Below that the
     extra calls per step cost more than the narrower sums save: two levels
     take 1.04x as long at n = T = 128, 1.1-1.7x with n or T at 64, and 0.55x
-    at n=200, T=1000 (2-vCPU Intel Xeon host, numpy 2.4.6).
+    at n=200, T=1000 (2-vCPU Intel Xeon host, numpy 2.4.6, as for every
+    figure here).
     """
     T, n = orderings0.shape
     lw = np.asarray(log_weights)
     lin = np.exp(lw - lw.max(axis=1, keepdims=True))
     if min(T, n) >= _COARSE_MIN:
         return _two_level_draws(lw, lin, orderings0, rng)
-    rows = np.arange(T)
+    cols = np.arange(T)
     steps = np.ascontiguousarray(orderings0.T)  # (n, T): the items of step k in row k
+    lin_t = np.ascontiguousarray(lin.T)  # (ranks, items): a step gathers columns
     may_underflow = not (np.ptp(lw, axis=1) < _UNDERFLOW_SPAN).all()
     u01 = rng.random((n, T))
-    avail = np.ones((T, n), dtype=bool)
+    free = np.ones((n, T))  # 1.0 where the draw's rank is still free
+    w = np.empty((n, T))
+    cum = np.empty((n, T))
     taken = np.empty((n, T), dtype=np.int64)
-    for k, items in enumerate(steps):
-        w = lin[items]
-        w *= avail
-        cum = w.cumsum(axis=1)
-        if may_underflow:
-            low = cum[:, -1] < 1e-300
-            if low.any():  # underflow: renormalize these rows in log space
-                w[low], cum[low] = _log_space(lw, items[low], avail[low])
-        chosen = _pick(w, cum, u01[k] * cum[:, -1])
+    last = cum[-1]  # each draw's free mass, once the step's prefix sum is in
+    row_adds = list(zip(cum[:-1], w[1:], cum[1:])) if T >= _ROW_ADD_MIN else None
+    for k, items in enumerate(steps[:-1]):
+        np.take(lin_t, items, axis=1, out=w, mode="clip")
+        w *= free
+        if row_adds is None:
+            np.add.accumulate(w, 0, None, cum)  # np.cumsum(w, axis=0) without its wrappers
+        else:  # np.cumsum's adds, in its order, one row of T draws at a time
+            cum[0] = w[0]
+            for before, weight, out_row in row_adds:
+                np.add(before, weight, out_row)
+        if may_underflow and last.min(initial=np.inf) < 1e-300:
+            low = last < 1e-300  # underflow: renormalize these draws in log space
+            w_low, cum_low = _log_space(lw, items[low], free[:, low].T > 0)
+            w[:, low], cum[:, low] = w_low.T, cum_low.T
+        chosen = _pick(w, cum, u01[k] * last)
         taken[k] = chosen
-        avail[rows, chosen] = False
+        free[chosen, cols] = 0.0
+    # the last step takes the one free rank, the ranks' sum less the taken ones;
+    # its uniform was drawn with the others but decides nothing
+    taken[-1] = n * (n - 1) // 2 - taken[:-1].sum(axis=0)
     out = np.empty((T, n), dtype=np.int64)
-    out[rows, steps] = taken + 1
+    out.reshape(-1)[steps + cols * n] = taken + 1
     return out
 
 
@@ -147,7 +186,8 @@ def _two_level_draws(lw, lin, orderings0, rng) -> np.ndarray:
 
     Free ranks are a float table. The gathered rows, the free table and the
     block masses are allocated once per call and written in place at every
-    step.
+    step. These tables stay row-major, (T, B) and (T, s), and ``_pick`` reads
+    their transposed views.
     """
     T, n = orderings0.shape
     s = math.isqrt(n - 1) + 1
@@ -169,15 +209,15 @@ def _two_level_draws(lw, lin, orderings0, rng) -> np.ndarray:
         cum = np.cumsum(mass, axis=1)
         u01 = rng.random(T)
         u = u01 * cum[:, -1]
-        b = _pick(mass, cum, u)
+        b = _pick(mass.T, cum.T, u)
         u -= np.where(b > 0, cum[rows, b - 1], 0.0)
         at = rows * B + b
         w = np.take(g2, at, axis=0) * np.take(avail2, at, axis=0)
-        chosen = b * s + _pick(w, np.cumsum(w, axis=1), u)
+        chosen = b * s + _pick(w.T, np.cumsum(w, axis=1).T, u)
         low = cum[:, -1] < 1e-300
         if low.any():  # underflow: redo these rows in log space over the full row
             w, cum = _log_space(lw, items[low], avail[low, :n] > 0)
-            chosen[low] = _pick(w, cum, u01[low] * cum[:, -1])
+            chosen[low] = _pick(w.T, cum.T, u01[low] * cum[:, -1])
         out[rows, items] = chosen + 1
         avail[rows, chosen] = 0.0
     return out

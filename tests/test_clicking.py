@@ -303,6 +303,18 @@ class TestRecommendations:
         with pytest.raises(ValueError, match="k"):
             recommend_topk(samples, (1, 1, 0), 2)
 
+    def test_click_row_must_hold_only_zeros_and_ones(self):
+        """A 2 is not two clicks and 0.5 is not cut down to no click; a 0/1
+        row of ints, floats or bools gives the list recommend_all gives."""
+        samples = np.array([[1, 2, 3], [2, 1, 3]])
+        for row in ((2, 0, 0), (0.5, 0, 0)):
+            with pytest.raises(ValueError, match="outside"):
+                recommend_topk(samples, row, 1)
+        want = recommend_all(samples[:, None, :], [[1, 0, 0]], 1)[0]
+        assert want == [Recommendation(2, 0.5)]
+        for row in ((1, 0, 0), np.array([1.0, 0.0, 0.0]), np.array([True, False, False])):
+            assert recommend_topk(samples, row, 1) == want
+
     def test_clicked_items_never_recommended(self):
         rng = np.random.default_rng(8)
         data = make_dataset(np.arange(1, 7), 3.0, 10, rng)

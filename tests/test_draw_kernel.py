@@ -144,16 +144,28 @@ def test_click_loop_chunk_edges(n_users, n, clicked, warmup, n_samples, monkeypa
     assert np.array_equal(ss.samples, want_rho) and np.array_equal(users, want_users)
 
 
-@pytest.mark.parametrize("alpha", [1e-6, 2.0, 1e4, 1e6])
-@pytest.mark.parametrize("n", [1, 5, 20, 200])
-def test_seeded_draws_equal_the_log_space_reference(n, alpha):
+@pytest.mark.parametrize("n, alpha, T", [
+    # the T=60 cases keep their ids; the others sit just below and at the row-add cut-over
+    pytest.param(n, alpha, T, id=f"{n}-{alpha}" + ("" if T == 60 else f"-T{T}"))
+    for T in (60, pseudo._ROW_ADD_MIN - 1, pseudo._ROW_ADD_MIN)
+    for alpha in (1e-6, 2.0, 1e4, 1e6) for n in (1, 5, 20, 200)
+])
+def test_seeded_draws_equal_the_log_space_reference(n, alpha, T, monkeypatch):
+    """Single-level draws take np.cumsum below ``_ROW_ADD_MIN`` draws and
+    row-by-row adds from it on; at n=200 and T >= ``_COARSE_MIN`` they take
+    two levels. At alpha >= 1e4 with n >= 20, underflowing draws are redone
+    in log space in whichever branch runs."""
+    fallbacks = []
+    inner = pseudo._log_space
+    monkeypatch.setattr(pseudo, "_log_space", lambda *a: fallbacks.append(1) or inner(*a))
     rng = np.random.default_rng(n)
     data = make_dataset(np.arange(1, n + 1), 2.0, 40, rng)
-    orderings = np.argsort(rng.random((60, n)), axis=1) + 1
+    orderings = np.argsort(rng.random((T, n)), axis=1) + 1
     cost = RankCountMatrix.from_dataset(data).cost
     got = sample_rho_with_orderings(data, alpha, orderings, np.random.default_rng(1))
     want = reference_draws(-(alpha / n) * cost, orderings - 1, np.random.default_rng(1))
     assert np.array_equal(got, want)
+    assert bool(fallbacks) == (alpha > 100 and n >= 20)
 
     counts = rng.integers(0, n + 1, 40)
     counts[:2] = (0, n)  # a user with no clicks and one with all
@@ -199,38 +211,40 @@ def test_pick_never_takes_a_zero_weight():
     """A uniform past the last positive weight, as rounding between a block's
     mass and its own cumulative sum can give, falls back onto that weight;
     a uniform of 0 skips leading zero weights, and a uniform on a cumulative
-    value skips the zero weights after it."""
-    w = np.array([[0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 2.0], [0.0, 0.0, 1.0, 0.0],
-                  [1.0, 0.0, 0.0, 2.0], [1.0, 2.0, 0.0, 0.0]])
+    value skips the zero weights after it. One column per draw."""
+    w = np.array([[0.5, 0.0, 0.0, 1.0, 1.0], [0.5, 1.0, 0.0, 0.0, 2.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 2.0, 0.0, 2.0, 0.0]])
     u = np.array([1.0 + 1e-12, 3.0, 0.0, 1.0, 3.0])
-    assert _pick(w, np.cumsum(w, axis=1), u).tolist() == [1, 3, 2, 3, 1]
+    assert _pick(w, np.cumsum(w, axis=0), u).tolist() == [1, 3, 2, 3, 1]
 
 
 def reference_pick(w, cum, u):
-    """The inverse-CDF pick that checks every row for a zero weight."""
-    m = w.shape[1]
-    idx = np.minimum((cum <= u[:, None]).sum(axis=1), m - 1)
-    bad = w[np.arange(len(w)), idx] == 0
+    """The inverse-CDF pick that checks every draw for a zero weight, over
+    rank-major (m, T) tables."""
+    m = w.shape[0]
+    idx = np.minimum((cum <= u).sum(axis=0), m - 1)
+    bad = w[idx, np.arange(w.shape[1])] == 0
     if bad.any():
-        idx[bad] = m - 1 - np.argmax(w[bad][:, ::-1] > 0, axis=1)
+        idx[bad] = m - 1 - np.argmax(w[::-1, bad] > 0, axis=0)
     return idx
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(st.integers(1, 8), st.integers(1, 10), st.integers(0, 2**32 - 1))
+@given(st.integers(1, 8), st.integers(1, 10) | st.sampled_from([127, 128]), st.integers(0, 2**32 - 1))
 def test_pick_matches_the_zero_checking_rule(T, m, seed):
-    """Rows with zero weights, and uniforms at 0, on cumulative values, at
-    and past the total, or anywhere in [0, total)."""
+    """Columns with zero weights, and uniforms at 0, on cumulative values, at
+    and past the total, or anywhere in [0, total); m = 127 and 128 sit on
+    either side of the widest count kept in int8."""
     rng = np.random.default_rng(seed)
-    w = np.where(rng.random((T, m)) < 0.5, 0.0, rng.exponential(1.0, (T, m)))
-    cum = np.cumsum(w, axis=1)
-    total = cum[:, -1]
-    choices = np.stack([np.zeros(T), cum[np.arange(T), rng.integers(0, m, T)], total,
+    w = np.where(rng.random((m, T)) < 0.5, 0.0, rng.exponential(1.0, (m, T)))
+    cum = np.cumsum(w, axis=0)
+    total = cum[-1]
+    choices = np.stack([np.zeros(T), cum[rng.integers(0, m, T), np.arange(T)], total,
                         total * (1 + 1e-12) + 1e-300, rng.random(T) * total])
     u = choices[rng.integers(0, len(choices), T), np.arange(T)]
     got = _pick(w, cum, u)
     assert np.array_equal(got, reference_pick(w, cum, u))
-    assert (w[np.arange(T), got] > 0)[(w > 0).any(axis=1)].all()
+    assert (w[got, np.arange(T)] > 0)[(w > 0).any(axis=0)].all()
 
 
 @pytest.fixture()
