@@ -42,7 +42,7 @@ from .perms import (
 
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0)
 _COARSE_MIN = 128  # smallest T and n at which _sequential_draws searches in two levels
-_ROW_ADD_MIN = 160  # smallest T at which a single-level step sums its prefix row by row
+_ROW_ADD_MIN = 224  # smallest T at which a single-level step sums its prefix row by row
 _UNDERFLOW_SPAN = 600.0  # nats a table row must span before a free mass can fall below 1e-300
 
 
@@ -119,10 +119,11 @@ def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> n
     draws whose uniform sits within rounding of a boundary. Below
     ``_ROW_ADD_MIN`` draws the calls cost more than they save and the step
     takes ``np.add.accumulate`` (``np.cumsum``) down the same columns. With
-    the kernel forced to each branch (medians of 3 runs, n = 8 and 20), the
-    adds take 1.1-1.2x the cumsum's time at T=64, 0.96-1.0x at T=128-160,
-    0.85x at T=256 and 0.72-0.74x at T=1000. The last step takes its one
-    free rank, the ranks' sum less the taken ones; its uniform is still drawn.
+    the kernel forced to each branch (medians of 7 alternating runs, n = 8,
+    16, 20 and 40), the adds take 0.9-1.2x the cumsum's time at T=64-192,
+    1.0x at T=224, 0.76-0.94x at T=256 and 0.69-0.83x at T=512. The last
+    step takes its one free rank, the ranks' sum less the taken ones; its
+    uniform is still drawn.
 
     When both T and n are at least ``_COARSE_MIN``, each step inverts the
     cumulative sum in two levels (see ``_two_level_draws``). Below that the
@@ -148,7 +149,7 @@ def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> n
     last = cum[-1]  # each draw's free mass, once the step's prefix sum is in
     row_adds = list(zip(cum[:-1], w[1:], cum[1:])) if T >= _ROW_ADD_MIN else None
     for k, items in enumerate(steps[:-1]):
-        np.take(lin_t, items, axis=1, out=w, mode="clip")
+        np.take(lin_t, items, axis=1, out=w, mode="clip")  # mode="raise" would buffer ``out``
         w *= free
         if row_adds is None:
             np.add.accumulate(w, 0, None, cum)  # np.cumsum(w, axis=0) without its wrappers
