@@ -19,12 +19,8 @@ vset = v_set(rho0)
 init = adjacent_swaps(vset.sample(rng), 2 * n, rng)
 print(f"start: {init.tolist()} (footrule {vset.nearest_distance(init)} from the V-set)")
 
-trace = iterative_search(
-    data, alpha0, init, max_iters=12, eval_mode="exact", vset_base=rho0, rng=rng
-)
-for i, (ranking, kl, dist) in enumerate(
-    zip(trace.rankings, trace.kl_values, trace.v_distances)
-):
-    print(f"iter {i:>2}: {ranking.tolist()}  KL {kl:.6f}  V-distance {dist}")
+trace = iterative_search(data, alpha0, init, max_iters=12, eval_mode="exact", rng=rng)
+for i, (ranking, kl) in enumerate(zip(trace.rankings, trace.kl_values)):
+    print(f"iter {i:>2}: {ranking.tolist()}  KL {kl:.6f}  V-distance {vset.nearest_distance(ranking)}")
 print(f"\nbest iterate: {trace.best_ranking.tolist()} "
-      f"(KL {trace.best_kl:.6f}, V-distance {trace.v_distances[trace.best_index]})")
+      f"(KL {trace.best_kl:.6f}, V-distance {vset.nearest_distance(trace.best_ranking)})")

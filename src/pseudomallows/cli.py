@@ -32,9 +32,11 @@ from .pseudo import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alpha", type=float, default=None, help="Mallows scale; estimated from the data when omitted")
-    p.add_argument("--sigma", type=float, default=None, help="ordering jitter; rule-based default when omitted")
+_ALPHA_REQUIRED = "Mallows scale (required)"
+
+
+def _add_common(p: argparse.ArgumentParser, alpha_help: str) -> None:
+    p.add_argument("--alpha", type=float, default=None, help=alpha_help)
     p.add_argument("--samples", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
 
@@ -67,12 +69,11 @@ def _cmd_fit_rho(args) -> int:
 
 def _fit_clicks(args):
     """The steps ``fit-clicks`` and ``recommend`` share: require --alpha, load
-    the clicks, default sigma to 0 and run the alternating sampler."""
+    the clicks and run the alternating sampler."""
     if args.alpha is None:
         raise SystemExit(f"{args.command} requires --alpha (see estimate_alpha_clicks)")
     clicks = load_clicks(args.input)
-    sigma = args.sigma if args.sigma is not None else 0.0
-    cfg = PseudoConfig(args.alpha, sigma, args.samples, seed=args.seed)
+    cfg = PseudoConfig(args.alpha, args.sigma, args.samples, seed=args.seed)
     return clicks, *pseudo_clicking(clicks, cfg, warmup=args.warmup)
 
 
@@ -168,14 +169,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-rho", help="sample the consensus from full rankings")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None, help="CSV path for the drawn samples")
-    _add_common(p)
+    _add_common(p, "Mallows scale; estimated from the data when omitted")
+    p.add_argument("--sigma", type=float, default=None, help="ordering jitter; rule-based default when omitted")
     p.set_defaults(func=_cmd_fit_rho)
 
     p = sub.add_parser("fit-clicks", help="sample the consensus from click data")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default=None)
     p.add_argument("--warmup", type=int, default=10)
-    _add_common(p)
+    _add_common(p, _ALPHA_REQUIRED)
+    p.add_argument("--sigma", type=float, default=0.0, help="ordering jitter (default 0)")
     p.set_defaults(func=_cmd_fit_clicks)
 
     p = sub.add_parser("recommend", help="top-k recommendations from click data")
@@ -183,20 +186,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--warmup", type=int, default=10)
-    _add_common(p)
+    _add_common(p, _ALPHA_REQUIRED)
+    p.add_argument("--sigma", type=float, default=0.0, help="ordering jitter (default 0)")
     p.set_defaults(func=_cmd_recommend)
 
     p = sub.add_parser("eval-kl", help="marginal KL of one ordering vs the exact posterior")
     p.add_argument("--input", required=True)
     p.add_argument("--ordering", required=True, help="ordering-ranking, e.g. 2,1,3")
-    _add_common(p)
+    _add_common(p, _ALPHA_REQUIRED)
     p.set_defaults(func=_cmd_eval_kl)
 
     p = sub.add_parser("search-ordering", help="iterative ordering search")
     p.add_argument("--input", required=True)
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-    _add_common(p)
+    _add_common(p, _ALPHA_REQUIRED)
     p.set_defaults(func=_cmd_search_ordering)
 
     p = sub.add_parser("experiment", help="run a configured experiment")

@@ -62,10 +62,10 @@ class TruncatedExponential:
         return _rejection_counts(draw, self.low, self.high, size)
 
 
-def _rejection_counts(draw, low, high, size, max_rounds: int = 1000) -> np.ndarray:
+def _rejection_counts(draw, low, high, size) -> np.ndarray:
     out = np.empty(size, dtype=np.int64)
     filled = 0
-    for _ in range(max_rounds):
+    for _ in range(1000):
         cand = np.asarray(draw(max(size - filled, 16)), dtype=np.int64)
         ok = cand >= low
         if high is not None:

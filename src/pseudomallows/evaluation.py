@@ -152,14 +152,6 @@ def reference_profile(data: RankingDataset, alpha: float, rng=None) -> MarginalP
     return MarginalProfile.from_samples(trace.rho_samples)
 
 
-def _check_mode(mode: str, n: int, caps: dict[str, int], what: str, name: str) -> None:
-    """Reject a mode outside ``caps`` and an ``n`` above that mode's cap."""
-    if mode not in caps:
-        raise ValueError(f"unknown {name} {mode!r}")
-    if n > caps[mode]:
-        raise CapacityError(f"{mode} {what} requires n <= {caps[mode]}")
-
-
 def ordering_kl(cost, alpha: float, ordering, reference: MarginalProfile,
                 draws: int | None = None, rng=None) -> float:
     """Marginal KL of the factorized sampler at one ordering against ``reference``.
@@ -178,33 +170,21 @@ def ordering_kl(cost, alpha: float, ordering, reference: MarginalProfile,
     return marginal_kl(q, reference)
 
 
-def enumerate_ordering_study(
-    data: RankingDataset,
-    alpha: float,
-    mode: str = "exact",
-    draws: int = 200,
-    rng=None,
-):
+def enumerate_ordering_study(data: RankingDataset, alpha: float):
     """Score every factorization ordering against the exact posterior.
 
     Returns [(ordering_ranking, marginal_kl), ...] over all of P_n sorted by
-    ascending KL. ``mode="exact"`` evaluates the factorized marginals by
-    enumeration (n <= 6); ``mode="sampled"`` estimates them from ``draws``
-    samples per ordering with additive smoothing.
+    ascending KL, with the factorized marginals evaluated by enumeration
+    (n <= EXACT_STUDY_CAP).
     """
     n = data.n_items
-    caps = {"exact": EXACT_STUDY_CAP, "sampled": EXACT_STUDY_CAP + 1}
-    _check_mode(mode, n, caps, "study", "mode")
-    rng = np.random.default_rng(rng)
+    if n > EXACT_STUDY_CAP:
+        raise CapacityError(f"the ordering study requires n <= {EXACT_STUDY_CAP}")
     reference = posterior_profile(data, alpha)
-    if mode == "sampled":
-        reference = reference.smooth(1.0 / (2.0 * draws))
-    else:
-        draws = None
     cost = RankCountMatrix.from_dataset(data)
     results = []
     for ranking in permutation_matrix(n):
-        kl = ordering_kl(cost, alpha, ordering_of(ranking), reference, draws, rng)
+        kl = ordering_kl(cost, alpha, ordering_of(ranking), reference)
         results.append((tuple(int(v) for v in ranking), kl))
     results.sort(key=lambda pair: pair[1])
     return results
@@ -256,8 +236,6 @@ def iterative_search(
     max_iters: int,
     eval_mode: str = "exact",
     draws: int = 200,
-    reference: MarginalProfile | None = None,
-    vset_base=None,
     rng=None,
 ) -> SearchTrace:
     """Assignment-driven search over factorization orderings.
@@ -266,22 +244,26 @@ def iterative_search(
     leap-and-shift move, scores the candidate ordering by marginal KL
     against the reference posterior profile, converts the score differences
     into edge weights, and adopts the permutation solving the induced
-    minimum-cost matching. The trace records the KL and the footrule
-    distance to the nearest V-set member at every iterate; the search can
-    wander after finding a good ordering, so consumers should read the
-    best-so-far entry rather than the last one.
+    minimum-cost matching. ``eval_mode`` is "exact" (n <= 5) or "sampled"
+    (``draws`` samples per candidate, n <= 15). The trace records the KL and
+    the footrule distance to the nearest member of the V-set of the mean-rank
+    estimate at every iterate; the search can wander after finding a good
+    ordering, so consumers should read the best-so-far entry rather than the
+    last one.
     """
     check_alpha(alpha)
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
     n = data.n_items
     caps = {"exact": EXACT_SEARCH_CAP, "sampled": SAMPLED_SEARCH_CAP}
-    _check_mode(eval_mode, n, caps, "search", "eval_mode")
+    if eval_mode not in caps:
+        raise ValueError(f"unknown eval_mode {eval_mode!r}")
+    if n > caps[eval_mode]:
+        raise CapacityError(f"{eval_mode} search requires n <= {caps[eval_mode]}")
     rng = np.random.default_rng(rng)
     incumbent = as_ranking(init).copy()
-    if reference is None:
-        reference = reference_profile(data, alpha, rng)
-    vset = v_set(estimate_rho_hat(data) if vset_base is None else vset_base)
+    reference = reference_profile(data, alpha, rng)
+    vset = v_set(estimate_rho_hat(data))
     cost_table = RankCountMatrix.from_dataset(data)
     sample_draws = draws if eval_mode == "sampled" else None
 
@@ -346,19 +328,12 @@ def choose_sigma(
     return best_sigma
 
 
-def default_sigma(
-    data: RankingDataset,
-    alpha: float,
-    sigma_grid=(0.0, 1.0, 2.0, 3.0),
-    n_samples: int = 300,
-    reference: MarginalProfile | None = None,
-    rng=None,
-) -> float:
+def default_sigma(data: RankingDataset, alpha: float, rng=None) -> float:
     """Jitter heuristic: 0 when the posterior is well determined (large alpha
-    and many users), otherwise grid-selected against a reference profile."""
+    and many users), otherwise chosen from {0, 1, 2, 3} with 300 draws each
+    against ``reference_profile``."""
     if alpha >= 2.0 and data.n_users >= 500:
         return 0.0
     rng = np.random.default_rng(rng)
-    if reference is None:
-        reference = reference_profile(data, alpha, rng)
-    return choose_sigma(data, alpha, sigma_grid, reference, n_samples=n_samples, rng=rng)
+    reference = reference_profile(data, alpha, rng)
+    return choose_sigma(data, alpha, (0.0, 1.0, 2.0, 3.0), reference, n_samples=300, rng=rng)

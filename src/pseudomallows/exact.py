@@ -8,7 +8,6 @@ rank marginals, restricted medians, and the constrained L1 minimizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import logsumexp
@@ -19,9 +18,9 @@ from .perms import CapacityError, as_ranking, permutation_matrix
 EXACT_CAP = 8  # 8! = 40320 permutations stays sub-second
 
 
-def _check_cap(n: int, cap: int = EXACT_CAP) -> None:
-    if n > cap:
-        raise CapacityError(f"exact enumeration requires n <= {cap}, got {n}")
+def _check_cap(n: int) -> None:
+    if n > EXACT_CAP:
+        raise CapacityError(f"exact enumeration requires n <= {EXACT_CAP}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -53,29 +52,6 @@ class DiscreteDistribution:
         return float(self.probs[match[0]]) if match.size else 0.0
 
 
-@lru_cache(maxsize=None)
-def _distance_multiset(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct footrule distances from any fixed reference, with counts."""
-    perms = permutation_matrix(n)
-    ident = np.arange(1, n + 1)
-    dists = np.abs(perms - ident).sum(axis=1)
-    return np.unique(dists, return_counts=True)
-
-
-def log_partition(n: int, alpha: float) -> float:
-    """log of the Mallows normalizing constant Z_n(alpha).
-
-    The footrule distance is right-invariant, so the reference ranking is
-    irrelevant and the sum collapses onto the cached distance multiset.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    alpha = check_alpha(alpha, allow_zero=True)
-    _check_cap(n)
-    values, counts = _distance_multiset(n)
-    return float(logsumexp(-(alpha / n) * values, b=counts))
-
-
 def _log_posterior_weights(rankings: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized log posterior weight of every rho in P_n."""
     alpha = check_alpha(alpha, allow_zero=True)
@@ -102,6 +78,17 @@ def log_evidence(data: RankingDataset | np.ndarray, alpha: float) -> float:
     """log Z_n(alpha, R^1..R^N): the log normalizer of the posterior."""
     _, logw = _log_posterior_weights(rankings_of(data), alpha)
     return float(logsumexp(logw))
+
+
+def log_partition(n: int, alpha: float) -> float:
+    """log of the Mallows normalizing constant Z_n(alpha).
+
+    The footrule distance is right-invariant, so Z_n(alpha) is the evidence
+    of a single ranking, whichever ranking it is.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return log_evidence(np.arange(1, n + 1)[None, :], alpha)
 
 
 def mallows_distribution(rho0, alpha: float) -> DiscreteDistribution:

@@ -79,13 +79,6 @@ class ResultTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ResultTable)
-            and self.columns == other.columns
-            and self.rows == other.rows
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -230,8 +223,10 @@ def _score_recommendations(user_traces, clicks: ClickDataset, truth, k: int):
     return (correct / total if total else float("nan")), preds
 
 
-def _calibration_bins(preds, bins: int = 10):
-    """(bin mean predicted, realized accuracy, count) triples, empty bins skipped."""
+def _calibration_bins(preds):
+    """(bin mean predicted, realized accuracy, count) triples over ten
+    equal-width probability bins, empty bins skipped."""
+    bins = 10
     out = []
     if not preds:
         return out
@@ -318,7 +313,7 @@ def run_ordering_enum(cfg: ExperimentConfig) -> ResultTable:
 
     def one(rep: int, rng, add) -> None:
         data = make_dataset(rho0, cfg.alpha0, cfg.n_users, rng)
-        ranking, kl = enumerate_ordering_study(data, cfg.alpha0, mode="exact")[0]
+        ranking, kl = enumerate_ordering_study(data, cfg.alpha0)[0]
         best_rankings[rep] = ranking
         add(
             method="enumeration", x_name="argmin_ranking", x_value=",".join(map(str, ranking)),

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .data import RankCountMatrix, RankingDataset, SampleSet, check_alpha, rankings_of
-from .exact import EXACT_CAP, DiscreteDistribution, _check_cap
+from .exact import DiscreteDistribution, _check_cap
 from .perms import (
     as_ranking, non_permutation_rows, permutation_matrix, perturbed_v_ranking, rank_of,
 )
@@ -267,7 +267,7 @@ def _pm_log_components(data, alpha: float, ordering):
     alpha = check_alpha(alpha, allow_zero=True)
     cost = _cost_table(data)
     n = cost.shape[0]
-    _check_cap(n, EXACT_CAP)
+    _check_cap(n)
     ordering0 = as_ranking(ordering, "ordering") - 1
     if ordering0.size != n:
         raise ValueError("ordering length does not match the data")

@@ -17,22 +17,12 @@ from .mcmc import McmcConfig, mcmc_rho
 from .perms import as_ranking
 
 
-def sample_mallows(
-    rho0,
-    alpha: float,
-    size: int,
-    rng,
-    method: str = "auto",
-    thin: int | None = None,
-    burn_in: int | None = None,
-    leap_size: int | None = None,
-) -> np.ndarray:
+def sample_mallows(rho0, alpha: float, size: int, rng) -> np.ndarray:
     """Draw ``size`` rankings from Mallows(rho0, alpha) as a (size, n) array.
 
-    ``method`` is "exact" (enumeration, n <= 8), "mcmc", or "auto". The MCMC
-    route thins aggressively (default burn 60n, thin 3n) so that draws are
-    close to independent; heavier thinning can be requested for stricter
-    independence requirements.
+    Exact by enumeration for n <= EXACT_CAP; above it, an ``mcmc_rho`` chain
+    with burn-in 60n, thinning 3n and leap size max(1, n // 5), thinned
+    aggressively so that the draws are close to independent.
     """
     rho0 = as_ranking(rho0)
     n = rho0.size
@@ -43,27 +33,21 @@ def sample_mallows(
     if alpha == 0 or n == 1:
         keys = rng.random((size, n))
         return np.argsort(np.argsort(keys, axis=1), axis=1) + 1
-    if method == "auto":
-        method = "exact" if n <= EXACT_CAP else "mcmc"
-    if method == "exact":
+    if n <= EXACT_CAP:
         dist = mallows_distribution(rho0, alpha)
         idx = rng.choice(len(dist.probs), size=size, p=dist.probs)
         return dist.support[idx]
-    if method != "mcmc":
-        raise ValueError(f"unknown method {method!r}")
-    burn = 60 * n if burn_in is None else burn_in
-    step = 3 * n if thin is None else thin
-    leap = max(1, n // 5) if leap_size is None else leap_size
+    burn, thin = 60 * n, 3 * n
     cfg = McmcConfig(
-        iterations=burn + size * step,
-        leap_size=leap,
-        thin=step,
+        iterations=burn + size * thin,
+        leap_size=max(1, n // 5),
+        thin=thin,
         burn_in=burn,
         seed=rng,
     )
     return mcmc_rho(RankingDataset(rho0[None, :]), alpha, cfg).rho_samples
 
 
-def make_dataset(rho0, alpha: float, n_users: int, rng, **kwargs) -> RankingDataset:
+def make_dataset(rho0, alpha: float, n_users: int, rng) -> RankingDataset:
     """A RankingDataset of independent Mallows draws."""
-    return RankingDataset(sample_mallows(rho0, alpha, n_users, rng, **kwargs))
+    return RankingDataset(sample_mallows(rho0, alpha, n_users, rng))

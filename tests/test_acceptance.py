@@ -223,7 +223,7 @@ def test_criterion_05_v_ranking_optimality(n):
     for rep in range(20):
         rng = np.random.default_rng(1000 + rep)
         data = make_dataset(rho0, 2.0, 50, rng)
-        best = enumerate_ordering_study(data, 2.0, mode="exact")[0][0]
+        best = enumerate_ordering_study(data, 2.0)[0][0]
         hits += np.array(best) in vs
     _report(
         f"criterion 5 (V-ranking optimality, n={n})",

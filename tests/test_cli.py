@@ -101,6 +101,16 @@ def test_missing_alpha_is_reported_before_the_input_is_read(tmp_path, command, e
         main([command, "--input", str(missing), *extra])
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("eval-kl", ["--ordering", "3,1,2,4"]),
+    ("search-ordering", []),
+])
+def test_sigma_is_refused_where_it_is_not_used(ranking_csv, command, extra):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--input", str(ranking_csv), "--alpha", "3.0", "--sigma", "1", *extra])
+    assert exit_info.value.code == 2
+
+
 def test_eval_kl(ranking_csv, capsys):
     rc = main([
         "eval-kl", "--input", str(ranking_csv), "--alpha", "3.0",

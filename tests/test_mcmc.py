@@ -115,10 +115,12 @@ def reference_mcmc_rho(data, alpha, cfg):
     return reference_chain(cost_rows, alpha / n, n, cfg, rng, init)
 
 
-def reference_sample_mallows(rho0, alpha, size, rng, thin, burn_in, leap_size):
-    """The MCMC route of ``sample_mallows`` with its own cost table."""
+def reference_sample_mallows(rho0, alpha, size, rng):
+    """The MCMC route of ``sample_mallows`` with its own cost table: burn-in
+    60n, thinning 3n, leap size max(1, n // 5)."""
     n = len(rho0)
-    cfg = McmcConfig(iterations=burn_in + size * thin, leap_size=leap_size,
+    burn_in, thin = 60 * n, 3 * n
+    cfg = McmcConfig(iterations=burn_in + size * thin, leap_size=max(1, n // 5),
                      thin=thin, burn_in=burn_in)
     cost_rows = [[abs(int(r) - l) for l in range(1, n + 1)] for r in rho0]
     init = rng.permutation(n) + 1
@@ -143,11 +145,20 @@ def test_seeded_chains_equal_the_reference(n, leap, alpha):
     assert np.array_equal(trace.rho_samples, want)
     assert trace.acceptance_rate == rate
 
+
+# sizes whose chains (60n burn-in + size * 3n iterations) cross one block boundary
+MALLOWS_SIZES = {9: 1300, 20: 600, 200: 40}
+assert all(BLOCK < 60 * n + size * 3 * n < 2 * BLOCK for n, size in MALLOWS_SIZES.items())
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 2.0, 1e4])
+@pytest.mark.parametrize("n", sorted(MALLOWS_SIZES))
+def test_seeded_sample_mallows_equals_the_reference(n, alpha):
+    rho0 = np.random.default_rng(n).permutation(n) + 1
+    size = MALLOWS_SIZES[n]
     got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
-    got = sample_mallows(rho0, alpha, SIZE, got_rng, method="mcmc", thin=THIN,
-                         burn_in=BURN, leap_size=leap_size)
-    default_leap = max(1, n // 5) if leap_size is None else leap_size
-    want = reference_sample_mallows(rho0, alpha, SIZE, want_rng, THIN, BURN, default_leap)
+    got = sample_mallows(rho0, alpha, size, got_rng)
+    want = reference_sample_mallows(rho0, alpha, size, want_rng)
     assert np.array_equal(got, want)
     assert got_rng.random() == want_rng.random()  # the same randomness was used
 
