@@ -1,18 +1,17 @@
 """Probabilistic preference learning over permutations.
 
 Sequential-conditional (pseudo-Mallows) sampling of a consensus ranking,
-exact enumeration and MCMC baselines, click-data augmentation for top-k
-recommendation, and the evaluation machinery (marginal KL, ELBO, ordering
-search) that quantifies approximation quality.
+exact enumeration (including the factorized law, its ELBO and joint KL) and
+MCMC baselines, click-data augmentation for top-k recommendation, and the
+evaluation machinery (marginal KL, ordering search) that quantifies
+approximation quality.
 """
 
 from .clicking import (
     Recommendation,
-    TruncatedExponential,
     TruncatedPoisson,
     binarize,
     binary_mean_similarity,
-    click_frequency_ranking,
     estimate_alpha_clicks,
     in_compatible_set,
     pseudo_clicking,
@@ -20,17 +19,17 @@ from .clicking import (
     recommend_topk,
     sample_user_rankings,
 )
-from .data import ClickDataset, RankCountMatrix, RankingDataset, RowError, SampleSet, rankings_of
+from .data import (
+    ClickDataset, RankCountMatrix, RankingDataset, RowError, SampleSet, click_frequency_ranking, rankings_of,
+)
 from .evaluation import (
     MarginalProfile,
     SearchTrace,
     assignment_solve,
     choose_sigma,
     default_sigma,
-    elbo_exact,
     enumerate_ordering_study,
     iterative_search,
-    joint_kl_exact,
     marginal_kl,
     ordering_kl,
     posterior_profile,
@@ -39,7 +38,10 @@ from .evaluation import (
 from .exact import (
     DiscreteDistribution,
     constrained_l1_minimizer,
+    elbo_exact,
+    exact_distribution,
     exact_posterior,
+    joint_kl_exact,
     log_evidence,
     log_partition,
     mallows_distribution,
@@ -76,7 +78,6 @@ from .pseudo import (
     PseudoConfig,
     estimate_alpha_full,
     estimate_rho_hat,
-    exact_distribution,
     mean_pairwise_similarity,
     sample_rho,
     sample_rho_given_ordering,

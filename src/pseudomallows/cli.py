@@ -123,7 +123,8 @@ def _cmd_eval_kl(args) -> int:
         draws, mode = None, "exact"
     else:
         draws, mode = args.samples, f"sampled({args.samples})"
-        reference = reference.smooth(1.0 / (2.0 * draws))
+        if draws > 0:  # draws < 1 is left for ordering_kl to reject
+            reference = reference.smooth(1.0 / (2.0 * draws))
     kl = ordering_kl(data, args.alpha, ordering_of(ranking), reference, draws, rng)
     print(f"marginal_kl: {kl:.6f} [{mode}]")
     return 0

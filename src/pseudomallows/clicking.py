@@ -13,9 +13,11 @@ The loop draws the blocks of a chunk of iterations up front, one kernel call
 per block size, and relabels them at each iteration's consensus.
 
 Both click-data samplers (this loop and ``mcmc.mcmc_clicking``) start from
-``click_frequency_ranking`` and return a (T, N, n) user-ranking trace;
+``data.click_frequency_ranking``, take each user's targets from
+``data.click_targets`` and return a (T, N, n) user-ranking trace;
 ``recommend_all`` turns either trace into every user's top-k list with one
-window count over the trace and one stable argsort per user.
+window count over the trace and one stable argsort per user. Rankings are
+turned into clicks with a truncated Poisson count model.
 """
 
 from __future__ import annotations
@@ -26,9 +28,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_alpha, clicks_of
+from .data import (
+    ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_alpha, click_frequency_ranking,
+    click_targets, clicks_of,
+)
 from .perms import as_ranking, perturbed_v_ranking, rank_of
 from .pseudo import PseudoConfig, _sequential_draws, match_alpha_grid, mean_pairwise_similarity
+from .simulate import make_dataset
 
 
 class Recommendation(NamedTuple):
@@ -45,37 +51,19 @@ class TruncatedPoisson:
     high: int | None = None
 
     def sample(self, rng, size: int) -> np.ndarray:
-        return _rejection_counts(lambda s: rng.poisson(self.mean, s), self.low, self.high, size)
-
-
-@dataclass(frozen=True)
-class TruncatedExponential:
-    """Exponential click-count model; draws are rounded to integers, then
-    restricted to [low, high] by rejection."""
-
-    mean: float
-    low: int = 1
-    high: int | None = None
-
-    def sample(self, rng, size: int) -> np.ndarray:
-        draw = lambda s: np.rint(rng.exponential(self.mean, s)).astype(np.int64)
-        return _rejection_counts(draw, self.low, self.high, size)
-
-
-def _rejection_counts(draw, low, high, size) -> np.ndarray:
-    out = np.empty(size, dtype=np.int64)
-    filled = 0
-    for _ in range(1000):
-        cand = np.asarray(draw(max(size - filled, 16)), dtype=np.int64)
-        ok = cand >= low
-        if high is not None:
-            ok &= cand <= high
-        cand = cand[ok][: size - filled]
-        out[filled : filled + cand.size] = cand
-        filled += cand.size
-        if filled == size:
-            return out
-    raise ValueError(f"truncation bounds [{low}, {high}] reject essentially all draws")
+        out = np.empty(size, dtype=np.int64)
+        filled = 0
+        for _ in range(1000):
+            cand = rng.poisson(self.mean, max(size - filled, 16)).astype(np.int64)
+            ok = cand >= self.low
+            if self.high is not None:
+                ok &= cand <= self.high
+            cand = cand[ok][: size - filled]
+            out[filled : filled + cand.size] = cand
+            filled += cand.size
+            if filled == size:
+                return out
+        raise ValueError(f"truncation bounds [{self.low}, {self.high}] reject essentially all draws")
 
 
 def in_compatible_set(ranking, clicks_row) -> bool:
@@ -84,17 +72,6 @@ def in_compatible_set(ranking, clicks_row) -> bool:
     b = np.asarray(clicks_row, dtype=np.int64)
     c = int(b.sum())
     return bool((r[b == 1] <= c).all() and (r[b == 0] >= c + 1).all())
-
-
-def click_frequency_ranking(clicks) -> np.ndarray:
-    """Items ranked by descending click frequency, ties by item index.
-
-    The most-clicked item gets rank 1, consistent with clicked items being
-    the preferred ones. ``clicks`` is a ClickDataset or anything ClickDataset
-    accepts.
-    """
-    freq = clicks_of(clicks).sum(axis=0).astype(np.float64)
-    return rank_of(-freq)
 
 
 _CHUNK_CELLS = 200_000  # user ranks per chunk of block draws (50 iterations at N=200, n=20)
@@ -120,15 +97,6 @@ def _draw_blocks(b: np.ndarray, alpha: float, out: np.ndarray, rng) -> np.ndarra
     return out
 
 
-def _targets(b: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Each user's 0-based targets, ``rank_of(rho + (1 - b) * 2 * n) - 1`` (the
-    compatible ranking that follows ``rho`` in each click group), from one
-    argsort of ``rho`` and the cumulative click counts in its order."""
-    in_order = b[:, np.argsort(rho)]
-    clicked = in_order.cumsum(axis=1)  # clicked items up to each consensus position
-    return np.where(in_order, clicked - 1, clicked[:, -1:] + np.arange(rho.size) - clicked)[:, rho - 1]
-
-
 def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     """Draw one compatible ranking per user given the consensus (vectorized).
 
@@ -148,7 +116,7 @@ def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     if b.shape[1] != n:
         raise ValueError(f"clicks have {b.shape[1]} columns but rho ranks {n} items")
     drawn = _draw_blocks(b, alpha, np.empty((1, *b.shape), dtype=np.int64), rng)[0]
-    return np.take_along_axis(drawn, _targets(b, rho), axis=1)
+    return np.take_along_axis(drawn, click_targets(b, rho), axis=1)
 
 
 def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
@@ -182,7 +150,7 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
         drawn = (user_keep[lo - warmup : hi - warmup] if lo >= warmup
                  else np.empty((hi - lo, n_users, n), dtype=np.int64))
         for t, R in enumerate(_draw_blocks(b, cfg.alpha, drawn, rng), lo):
-            R[:] = np.take_along_axis(R, _targets(b, rho), axis=1)
+            R[:] = np.take_along_axis(R, click_targets(b, rho), axis=1)
             v = perturbed_v_ranking(rank_of(R.sum(axis=0)), cfg.sigma, rng, 1)
             ordering0 = np.argsort(v, axis=1, kind="stable")
             rho = _sequential_draws(-(cfg.alpha / n) * RankCountMatrix(R).cost, ordering0, rng)[0]
@@ -270,7 +238,7 @@ def binary_mean_similarity(clicks: ClickDataset | np.ndarray) -> float:
 
 
 def estimate_alpha_clicks(
-    clicks: ClickDataset,
+    clicks: ClickDataset | np.ndarray,
     alpha_grid,
     count_model=None,
     sim_users: int = 300,
@@ -283,14 +251,13 @@ def estimate_alpha_clicks(
     the binary similarity statistic.
     """
     rng = np.random.default_rng(rng)
-    observed = binary_mean_similarity(clicks)
-    n = clicks.n_items
+    b = clicks_of(clicks)
+    observed = mean_pairwise_similarity(b)  # binary_mean_similarity of the clicks just read
+    n = b.shape[1]
     if count_model is None:
-        counts = clicks.click_counts()
+        counts = b.sum(axis=1)
         counts = counts[counts > 0]
         count_model = TruncatedPoisson(mean=float(counts.mean()), low=1, high=n)
-    from .simulate import make_dataset
-
     rho0 = np.arange(1, n + 1)
     return match_alpha_grid(
         alpha_grid,

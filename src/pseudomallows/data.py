@@ -1,7 +1,9 @@
-"""Dataset containers and the aggregated rank-cost table.
+"""Dataset containers, the one rank-count routine and the rank-cost table.
 
 Everything here is immutable after construction and safe to share across
-threads; samplers receive their own RNG streams.
+threads; samplers receive their own RNG streams. The two click-data rules
+that both click samplers start from, the click-frequency ranking and each
+user's targets, live here, below both.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import non_permutation_rows
+from .perms import non_permutation_rows, rank_of
 
 
 def check_alpha(alpha: float, allow_zero: bool = False) -> float:
@@ -84,11 +86,6 @@ class RankingDataset:
     def n_items(self) -> int:
         return self.rankings.shape[1]
 
-    def item_labels(self) -> tuple[str, ...]:
-        if self.labels is not None:
-            return self.labels
-        return tuple(f"item{i}" for i in range(1, self.n_items + 1))
-
 
 @dataclass(frozen=True)
 class ClickDataset:
@@ -126,6 +123,26 @@ def clicks_of(data) -> np.ndarray:
     return (data if isinstance(data, ClickDataset) else ClickDataset(data)).clicks
 
 
+def click_frequency_ranking(clicks) -> np.ndarray:
+    """Items ranked by descending click frequency, ties by item index.
+
+    The most-clicked item gets rank 1, consistent with clicked items being
+    the preferred ones. ``clicks`` is a ClickDataset or anything ClickDataset
+    accepts.
+    """
+    freq = clicks_of(clicks).sum(axis=0).astype(np.float64)
+    return rank_of(-freq)
+
+
+def click_targets(b: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Each user's 0-based targets, ``rank_of(rho + (1 - b) * 2 * n) - 1`` (the
+    compatible ranking that follows ``rho`` in each click group), from one
+    argsort of ``rho`` and the cumulative click counts in its order."""
+    in_order = b[:, np.argsort(rho)]
+    clicked = in_order.cumsum(axis=1)  # clicked items up to each consensus position
+    return np.where(in_order, clicked - 1, clicked[:, -1:] + np.arange(rho.size) - clicked)[:, rho - 1]
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """A sequence of ranking draws plus the settings that generated them."""
@@ -151,6 +168,23 @@ class SampleSet:
         return self.samples.shape[1]
 
 
+def rank_counts(rankings, weights=None) -> np.ndarray:
+    """The (n, n) table whose cell (i, l-1) counts the rows of ``rankings``
+    giving item i rank l: each adds 1, or its entry of ``weights`` (then the
+    table is float), in row order."""
+    arr = np.asarray(rankings, dtype=np.int64)
+    if arr.ndim != 2:
+        raise ValueError("expected a (N, n) ranking array")
+    n = arr.shape[1]
+    if arr.size and (arr.min() < 1 or arr.max() > n):
+        raise ValueError(f"ranks must lie in 1..{n}")
+    flat = arr - 1
+    flat += np.arange(n) * n  # cell (item, rank - 1) of the (n, n) table
+    if weights is not None:
+        weights = np.repeat(weights, n)
+    return np.bincount(flat.ravel(), weights, minlength=n * n).reshape(n, n)
+
+
 class RankCountMatrix:
     """Per-item rank counts with precomputed L1 cost sums.
 
@@ -161,14 +195,8 @@ class RankCountMatrix:
 
     def __init__(self, rankings: np.ndarray):
         arr = np.asarray(rankings, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError("expected a (N, n) ranking array")
+        counts = rank_counts(arr)
         n_users, n = arr.shape
-        if arr.size and (arr.min() < 1 or arr.max() > n):
-            raise ValueError(f"ranks must lie in 1..{n}")
-        flat = arr - 1
-        flat += np.arange(n) * n  # cell (item, rank - 1) of the (n, n) table
-        counts = np.bincount(flat.ravel(), minlength=n * n).reshape(n, n)
         ranks = np.arange(1, n + 1, dtype=np.int64)
         cum_c = np.cumsum(counts, axis=1)
         cum_w = np.cumsum(counts * ranks, axis=1)
@@ -186,5 +214,6 @@ class RankCountMatrix:
         self.n_items = n
 
     @classmethod
-    def from_dataset(cls, data: RankingDataset) -> "RankCountMatrix":
-        return cls(data.rankings)
+    def from_dataset(cls, data) -> "RankCountMatrix":
+        """The table of a RankingDataset or raw rankings; a table is returned as it is."""
+        return data if isinstance(data, cls) else cls(rankings_of(data))

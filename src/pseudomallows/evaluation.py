@@ -2,8 +2,8 @@
 
 Marginal KL (the sum of per-item rank-marginal divergences) is the working
 surrogate for the joint KL between the factorized sampler and the exact
-posterior; the exact ELBO and joint KL are available at enumeration scale
-to validate it. ``ordering_kl`` scores one ordering, exactly or from
+posterior; the exact ELBO and joint KL that validate it at enumeration
+scale live in ``exact``. ``ordering_kl`` scores one ordering, exactly or from
 samples; the enumeration study, the ordering search and the ``eval-kl``
 command all call it. The search relocates one item at a time, scores
 candidates by marginal KL, and recombines the scores through a minimum
@@ -16,27 +16,19 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.special import logsumexp
 
-from .data import RankCountMatrix, RankingDataset, SampleSet, check_alpha
+from .data import RankCountMatrix, RankingDataset, SampleSet, check_alpha, rank_counts, rankings_of
 from .exact import (
     DiscreteDistribution,
+    exact_distribution,
     exact_posterior,
     marginal_profile_matrix,
 )
 from .mcmc import McmcConfig, ls_move, mcmc_rho
-from .perms import CapacityError, as_ranking, ordering_of, permutation_matrix, v_set
-from .pseudo import (
-    PseudoConfig,
-    _pm_log_components,
-    exact_distribution,
-    estimate_rho_hat,
-    sample_rho,
-    sample_rho_given_ordering,
-)
+from .perms import CapacityError, as_ranking, ordering_of, permutation_matrix, rank_of, v_set
+from .pseudo import PseudoConfig, sample_rho, sample_rho_given_ordering
 
 EXACT_STUDY_CAP = 6  # the enumeration study costs n!^2 evaluations
-ELBO_CAP = 7
 EXACT_SEARCH_CAP = 5
 SAMPLED_SEARCH_CAP = 15
 _REFERENCE_ITERATIONS = 20_000  # chain length of the sampled reference profile
@@ -76,15 +68,12 @@ class MarginalProfile:
     def from_samples(cls, samples, smoothing: float | None = None):
         """Empirical profile with additive smoothing (default 1/(2*draws)) so
         unvisited cells stay positive."""
-        arr = samples.samples if isinstance(samples, SampleSet) else np.asarray(samples)
-        arr = np.asarray(arr, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError("samples must be (T, n)")
-        t = arr.shape[0]
-        eps = 1.0 / (2.0 * t) if smoothing is None else float(smoothing)
+        arr = samples.samples if isinstance(samples, SampleSet) else samples
+        counts = rank_counts(arr)  # rejects all but a (T, n) table of ranks in 1..n
+        eps = 1.0 / (2.0 * len(arr)) if smoothing is None else float(smoothing)
         if eps <= 0:
             raise ValueError("smoothing must be positive for empirical profiles")
-        counts = RankCountMatrix(arr).counts + eps
+        counts = counts + eps
         return cls(counts / counts.sum(axis=1, keepdims=True))
 
 
@@ -100,48 +89,21 @@ def marginal_kl(q: MarginalProfile, p: MarginalProfile) -> float:
     return max(total, 0.0)
 
 
-def elbo_exact(data: RankingDataset, alpha: float, ordering) -> float:
-    """Exact evidence lower bound of the factorized family at one ordering.
-
-    Enumerates P_n, weighting each permutation's log step-normalizer by its
-    factorized probability. Feasible for n <= 7.
-    """
-    n = data.n_items
-    if n > ELBO_CAP:
-        raise CapacityError(f"elbo_exact requires n <= {ELBO_CAP}")
-    _, log_q, log_zpm, _ = _pm_log_components(data, alpha, ordering)
-    q = np.exp(log_q)
-    live = q > 0
-    return float(np.sum(q[live] * log_zpm[live]))
-
-
-def joint_kl_exact(data: RankingDataset, alpha: float, ordering) -> float:
-    """KL between the factorized distribution and the exact posterior, by
-    full enumeration of P_n."""
-    n = data.n_items
-    if n > ELBO_CAP:
-        raise CapacityError(f"joint_kl_exact requires n <= {ELBO_CAP}")
-    _, log_q, _, neg_log_target = _pm_log_components(data, alpha, ordering)
-    log_p = -neg_log_target
-    log_p = log_p - logsumexp(log_p)
-    q = np.exp(log_q)
-    live = q > 0
-    return float(np.sum(q[live] * (log_q[live] - log_p[live])))
-
-
-def posterior_profile(data: RankingDataset, alpha: float) -> MarginalProfile:
-    """Exact posterior rank marginals (n <= 8)."""
+def posterior_profile(data: RankingDataset | np.ndarray, alpha: float) -> MarginalProfile:
+    """Exact posterior rank marginals (n <= 8); ``data`` is a RankCountMatrix or rankings."""
     return MarginalProfile.from_distribution(exact_posterior(data, alpha))
 
 
-def reference_profile(data: RankingDataset, alpha: float, rng=None) -> MarginalProfile:
+def reference_profile(data: RankingDataset | np.ndarray, alpha: float, rng=None) -> MarginalProfile:
     """Posterior rank marginals to compare approximations against: exact at
-    enumeration scale, otherwise estimated from a long chain."""
-    if data.n_items <= EXACT_STUDY_CAP:
-        return posterior_profile(data, alpha)
+    enumeration scale, otherwise estimated from a long chain. ``data`` is a
+    RankCountMatrix or rankings."""
+    table = RankCountMatrix.from_dataset(data)
+    if table.n_items <= EXACT_STUDY_CAP:
+        return posterior_profile(table, alpha)
     rng = np.random.default_rng(rng)
     trace = mcmc_rho(
-        data,
+        table,
         alpha,
         McmcConfig(
             iterations=_REFERENCE_ITERATIONS,
@@ -160,8 +122,10 @@ def ordering_kl(cost, alpha: float, ordering, reference: MarginalProfile,
     the item sampled at each step (1-based). With ``draws=None`` the sampler's
     marginals are exact, by enumeration (n <= 8); otherwise they are estimated
     from ``draws`` samples drawn with ``rng``, and the caller smooths
-    ``reference`` to match as it sees fit.
+    ``reference`` to match as it sees fit; ``draws`` below 1 is rejected.
     """
+    if draws is not None and draws < 1:
+        raise ValueError(f"draws must be at least 1, got {draws}")
     if draws is None:
         q = MarginalProfile.from_distribution(exact_distribution(cost, alpha, ordering))
     else:
@@ -170,18 +134,18 @@ def ordering_kl(cost, alpha: float, ordering, reference: MarginalProfile,
     return marginal_kl(q, reference)
 
 
-def enumerate_ordering_study(data: RankingDataset, alpha: float):
+def enumerate_ordering_study(data: RankingDataset | np.ndarray, alpha: float):
     """Score every factorization ordering against the exact posterior.
 
     Returns [(ordering_ranking, marginal_kl), ...] over all of P_n sorted by
     ascending KL, with the factorized marginals evaluated by enumeration
     (n <= EXACT_STUDY_CAP).
     """
-    n = data.n_items
+    cost = RankCountMatrix.from_dataset(data)
+    n = cost.n_items
     if n > EXACT_STUDY_CAP:
         raise CapacityError(f"the ordering study requires n <= {EXACT_STUDY_CAP}")
-    reference = posterior_profile(data, alpha)
-    cost = RankCountMatrix.from_dataset(data)
+    reference = posterior_profile(cost, alpha)
     results = []
     for ranking in permutation_matrix(n):
         kl = ordering_kl(cost, alpha, ordering_of(ranking), reference)
@@ -230,7 +194,7 @@ class SearchTrace:
 
 
 def iterative_search(
-    data: RankingDataset,
+    data: RankingDataset | np.ndarray,
     alpha: float,
     init,
     max_iters: int,
@@ -254,7 +218,8 @@ def iterative_search(
     check_alpha(alpha)
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
-    n = data.n_items
+    rankings = rankings_of(data)
+    n = rankings.shape[1]
     caps = {"exact": EXACT_SEARCH_CAP, "sampled": SAMPLED_SEARCH_CAP}
     if eval_mode not in caps:
         raise ValueError(f"unknown eval_mode {eval_mode!r}")
@@ -262,9 +227,9 @@ def iterative_search(
         raise CapacityError(f"{eval_mode} search requires n <= {caps[eval_mode]}")
     rng = np.random.default_rng(rng)
     incumbent = as_ranking(init).copy()
-    reference = reference_profile(data, alpha, rng)
-    vset = v_set(estimate_rho_hat(data))
-    cost_table = RankCountMatrix.from_dataset(data)
+    cost_table = RankCountMatrix(rankings)
+    reference = reference_profile(cost_table, alpha, rng)
+    vset = v_set(rank_of(rankings.sum(axis=0)))  # estimate_rho_hat of the rankings just read
     sample_draws = draws if eval_mode == "sampled" else None
 
     def evaluate(ranking) -> float:
@@ -301,7 +266,7 @@ def iterative_search(
 
 
 def choose_sigma(
-    data: RankingDataset,
+    data: RankingDataset | np.ndarray,
     alpha: float,
     sigma_grid,
     reference: MarginalProfile,
@@ -328,11 +293,11 @@ def choose_sigma(
     return best_sigma
 
 
-def default_sigma(data: RankingDataset, alpha: float, rng=None) -> float:
+def default_sigma(data: RankingDataset | np.ndarray, alpha: float, rng=None) -> float:
     """Jitter heuristic: 0 when the posterior is well determined (large alpha
     and many users), otherwise chosen from {0, 1, 2, 3} with 300 draws each
     against ``reference_profile``."""
-    if alpha >= 2.0 and data.n_users >= 500:
+    if alpha >= 2.0 and len(rankings_of(data)) >= 500:
         return 0.0
     rng = np.random.default_rng(rng)
     reference = reference_profile(data, alpha, rng)

@@ -1,8 +1,11 @@
 """Exact enumeration oracle for the Mallows model (feasible for n <= 8).
 
 This module is the ground truth the approximate samplers are tested
-against: likelihood normalizer, posterior over the consensus, per-item
-rank marginals, restricted medians, and the constrained L1 minimizer.
+against, and the one module that enumerates P_n: likelihood normalizer,
+posterior over the consensus, per-item rank marginals, restricted medians,
+the constrained L1 minimizer, and the factorized (pseudo-Mallows) law at a
+fixed ordering with its ELBO and joint KL. Both laws take their target term
+from one gather over the cost table.
 """
 
 from __future__ import annotations
@@ -12,15 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import RankCountMatrix, RankingDataset, check_alpha, rankings_of
+from .data import RankCountMatrix, RankingDataset, check_alpha, rank_counts, rankings_of
 from .perms import CapacityError, as_ranking, permutation_matrix
 
 EXACT_CAP = 8  # 8! = 40320 permutations stays sub-second
-
-
-def _check_cap(n: int) -> None:
-    if n > EXACT_CAP:
-        raise CapacityError(f"exact enumeration requires n <= {EXACT_CAP}, got {n}")
+ELBO_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -52,14 +51,14 @@ class DiscreteDistribution:
         return float(self.probs[match[0]]) if match.size else 0.0
 
 
-def _log_posterior_weights(rankings: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized log posterior weight of every rho in P_n."""
+def _log_posterior_weights(cost: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized log posterior weight of every rho in P_n, lexicographic,
+    from the (n, n) cost table: -(alpha/n) * sum_j d(R^j, rho)."""
     alpha = check_alpha(alpha, allow_zero=True)
-    n = rankings.shape[1]
-    _check_cap(n)
+    n = cost.shape[0]
+    if n > EXACT_CAP:
+        raise CapacityError(f"exact enumeration requires n <= {EXACT_CAP}, got {n}")
     perms = permutation_matrix(n)
-    # sum over users of |R^j_i - rho_i|, aggregated per (item, rank) first
-    cost = RankCountMatrix(rankings).cost  # (n, n)
     total = cost[np.arange(n)[None, :], perms - 1].sum(axis=1)
     return perms, -(alpha / n) * total
 
@@ -67,16 +66,17 @@ def _log_posterior_weights(rankings: np.ndarray, alpha: float) -> tuple[np.ndarr
 def exact_posterior(data: RankingDataset | np.ndarray, alpha: float) -> DiscreteDistribution:
     """Posterior over the consensus under a uniform prior, by enumeration.
 
-    With no users (or alpha = 0) this is the uniform distribution on P_n.
+    ``data`` is a RankCountMatrix or rankings; with no users (or alpha = 0)
+    this is the uniform distribution on P_n.
     """
-    perms, logw = _log_posterior_weights(rankings_of(data), alpha)
+    perms, logw = _log_posterior_weights(RankCountMatrix.from_dataset(data).cost, alpha)
     logw = logw - logsumexp(logw)
     return DiscreteDistribution(perms, np.exp(logw))
 
 
 def log_evidence(data: RankingDataset | np.ndarray, alpha: float) -> float:
     """log Z_n(alpha, R^1..R^N): the log normalizer of the posterior."""
-    _, logw = _log_posterior_weights(rankings_of(data), alpha)
+    _, logw = _log_posterior_weights(RankCountMatrix.from_dataset(data).cost, alpha)
     return float(logsumexp(logw))
 
 
@@ -96,23 +96,17 @@ def mallows_distribution(rho0, alpha: float) -> DiscreteDistribution:
     return exact_posterior(as_ranking(rho0)[None, :], alpha)
 
 
+def marginal_profile_matrix(dist: DiscreteDistribution) -> np.ndarray:
+    """All per-item rank marginals of ``dist`` as an (n, n) row-stochastic matrix."""
+    return rank_counts(dist.support, dist.probs)
+
+
 def marginal_rank_distribution(dist: DiscreteDistribution, item: int) -> np.ndarray:
     """P(rank of ``item`` = r) for r = 1..n under ``dist`` (item is 1-based)."""
     n = dist.n_items
     if not 1 <= item <= n:
         raise IndexError(f"item {item} out of range 1..{n}")
-    out = np.zeros(n)
-    np.add.at(out, dist.support[:, item - 1] - 1, dist.probs)
-    return out
-
-
-def marginal_profile_matrix(dist: DiscreteDistribution) -> np.ndarray:
-    """All per-item rank marginals of ``dist`` as an (n, n) row-stochastic matrix."""
-    n = dist.n_items
-    out = np.zeros((n, n))
-    for i in range(n):
-        np.add.at(out[i], dist.support[:, i] - 1, dist.probs)
-    return out
+    return marginal_profile_matrix(dist)[item - 1]
 
 
 def marginal_expectation(rho0, alpha: float, item: int) -> float:
@@ -151,7 +145,70 @@ def constrained_l1_minimizer(data: RankingDataset | np.ndarray, item: int, exclu
     return admissible[int(np.argmin(costs))]
 
 
-def uniform_distribution(n: int) -> DiscreteDistribution:
-    _check_cap(n)
-    perms = permutation_matrix(n)
-    return DiscreteDistribution(perms, np.full(len(perms), 1.0 / len(perms)))
+def _factorized_log_components(data, alpha: float, ordering):
+    """Per-permutation log probability and log normalizer of the factorization
+    of ``data`` (a RankCountMatrix or rankings) at a 1-based ``ordering``.
+
+    Returns (perms, log_q, log_zpm, log_target) over all of P_n in
+    lexicographic order, where log_target is the unnormalized log posterior
+    weight -(alpha/n) * sum_j d(R^j, rho).
+    """
+    cost = RankCountMatrix.from_dataset(data).cost
+    perms, log_target = _log_posterior_weights(cost, alpha)
+    n = cost.shape[0]
+    ordering0 = as_ranking(ordering, "ordering") - 1
+    if ordering0.size != n:
+        raise ValueError("ordering length does not match the data")
+    m = len(perms)
+    log_e = -(alpha / n) * cost  # (n_items, n_ranks); alpha was checked above
+    remaining = np.ones((m, n), dtype=bool)
+    log_zpm = np.zeros(m)
+    with np.errstate(divide="ignore"):
+        for i in ordering0.tolist():
+            row = log_e[i]
+            shift = row.max()
+            weights = np.exp(row - shift)
+            den = remaining @ weights
+            log_zpm += shift + np.log(den)
+            remaining[np.arange(m), perms[:, i] - 1] = False
+    return perms, log_target - log_zpm, log_zpm, log_target
+
+
+def exact_distribution(data, alpha: float, ordering) -> DiscreteDistribution:
+    """The full factorized distribution over P_n for a fixed ordering (n <= 8).
+
+    Each permutation's probability is the product of its n sequential factor
+    probabilities; equivalently the Mallows numerator divided by the product
+    of per-step denominators.
+    """
+    perms, log_q, _, _ = _factorized_log_components(data, alpha, ordering)
+    probs = np.exp(log_q - logsumexp(log_q))
+    return DiscreteDistribution(perms, probs)
+
+
+def elbo_exact(data, alpha: float, ordering) -> float:
+    """Exact evidence lower bound of the factorized family at one ordering.
+
+    Enumerates P_n, weighting each permutation's log step-normalizer by its
+    factorized probability. Feasible for n <= 7.
+    """
+    table = RankCountMatrix.from_dataset(data)
+    if table.n_items > ELBO_CAP:
+        raise CapacityError(f"elbo_exact requires n <= {ELBO_CAP}")
+    _, log_q, log_zpm, _ = _factorized_log_components(table, alpha, ordering)
+    q = np.exp(log_q)
+    live = q > 0
+    return float(np.sum(q[live] * log_zpm[live]))
+
+
+def joint_kl_exact(data, alpha: float, ordering) -> float:
+    """KL between the factorized distribution and the exact posterior, by
+    full enumeration of P_n."""
+    table = RankCountMatrix.from_dataset(data)
+    if table.n_items > ELBO_CAP:
+        raise CapacityError(f"joint_kl_exact requires n <= {ELBO_CAP}")
+    _, log_q, _, log_p = _factorized_log_components(table, alpha, ordering)
+    log_p = log_p - logsumexp(log_p)
+    q = np.exp(log_q)
+    live = q > 0
+    return float(np.sum(q[live] * (log_q[live] - log_p[live])))

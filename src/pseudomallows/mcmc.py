@@ -4,9 +4,10 @@
 ``mcmc_clicking`` alternates per-user augmentation updates (within-group rank
 swaps) with consensus updates for click data. Both are the comparison arm in
 the timing and accuracy experiments. ``mcmc_clicking`` starts from
-``clicking.click_frequency_ranking``, as the pseudo-Mallows loop does, and
-finds each user's groups in one table made once: the stable argsort of the
-unclick bits, which lists a user's clicked items, then the unclicked ones.
+``data.click_frequency_ranking`` and the users' targets
+(``data.click_targets``), as the pseudo-Mallows loop does, and finds each
+user's groups in one table made once: the stable argsort of the unclick
+bits, which lists a user's clicked items, then the unclicked ones.
 
 Every consensus update is one leap-and-shift move, written once here: a
 destination drawn within the leap window (``_leap_target``), the log window
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clicking import click_frequency_ranking
-from .data import RankCountMatrix, RankingDataset, check_alpha, clicks_of
-from .perms import as_ranking, rank_of
+from .data import RankCountMatrix, RankingDataset, check_alpha, click_frequency_ranking, click_targets, clicks_of
+from .perms import as_ranking
 
 _BLOCK = 1 << 15  # pre-drawn randomness block size for the hot loops
 
@@ -163,20 +163,21 @@ def _run_rho_chain(cost_rows, scale, n, cfg, rng, init_ranks):
     return np.array(keep, dtype=np.int64), accepted / cfg.iterations
 
 
-def mcmc_rho(data: RankingDataset, alpha: float, cfg: McmcConfig) -> McmcTrace:
+def mcmc_rho(data: RankingDataset | np.ndarray, alpha: float, cfg: McmcConfig) -> McmcTrace:
     """Metropolis chain for the consensus posterior given complete rankings.
 
     The chain is deterministic given ``cfg.seed`` and starts from a random
     permutation drawn from the same stream.
     """
     check_alpha(alpha)
-    n = data.n_items
+    table = RankCountMatrix.from_dataset(data)
+    n = table.n_items
     rng = np.random.default_rng(cfg.seed)
     if n == 1:
         t = (cfg.iterations - cfg.burn_in) // cfg.thin
         return McmcTrace(np.ones((t, 1), dtype=np.int64), 1.0, 0.0)
     init = rng.permutation(n) + 1
-    cost_rows = RankCountMatrix.from_dataset(data).cost.tolist()
+    cost_rows = table.cost.tolist()
     start = time.perf_counter()
     samples, rate = _run_rho_chain(cost_rows, alpha / n, n, cfg, rng, init)
     return McmcTrace(samples, rate, time.perf_counter() - start)
@@ -203,7 +204,7 @@ def mcmc_clicking(clicks, alpha: float, cfg: McmcConfig):
             McmcTrace(np.ones((n_keep, 1), dtype=np.int64), 1.0, 0.0),
             np.ones((n_keep, n_users, 1), dtype=np.int64),
         )
-    R = rank_of(rho + (1 - B) * 2 * n)  # compatible, following rho within each group
+    R = np.ascontiguousarray(click_targets(B, rho) + 1)  # follows rho in each group; row-major, as user_keep is
     # each user's clicked items, then unclicked items, each in item-index order
     grouped = np.argsort(1 - B, axis=1, kind="stable")
     c = B.sum(axis=1)

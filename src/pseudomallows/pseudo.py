@@ -23,6 +23,9 @@ masses, then the rank within it, so no step takes a cumulative sum over all
 n ranks.
 Click augmentation calls the kernel once per rank-block size, on the
 top-left corner of its table, and takes the same rule.
+
+The factorized law at a fixed ordering, computed by enumerating P_n, lives
+with the other exact oracles in ``exact``.
 """
 
 from __future__ import annotations
@@ -32,13 +35,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import RankCountMatrix, RankingDataset, SampleSet, check_alpha, rankings_of
-from .exact import DiscreteDistribution, _check_cap
-from .perms import (
-    as_ranking, non_permutation_rows, permutation_matrix, perturbed_v_ranking, rank_of,
-)
+from .perms import non_permutation_rows, perturbed_v_ranking, rank_of
+from .simulate import sample_mallows
 
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0)
 _COARSE_MIN = 128  # smallest T and n at which _sequential_draws searches in two levels
@@ -224,12 +224,6 @@ def _two_level_draws(lw, lin, orderings0, rng) -> np.ndarray:
     return out
 
 
-def _cost_table(data) -> np.ndarray:
-    if isinstance(data, RankCountMatrix):
-        return data.cost
-    return RankCountMatrix(rankings_of(data)).cost
-
-
 def sample_rho_given_ordering(data, alpha: float, ordering, rng, size: int | None = None):
     """Sample consensus rankings with a fixed factorization ordering.
 
@@ -246,7 +240,7 @@ def sample_rho_given_ordering(data, alpha: float, ordering, rng, size: int | Non
 def sample_rho_with_orderings(data, alpha: float, orderings, rng) -> np.ndarray:
     """Sample one consensus ranking per row of ``orderings``, each a permutation of 1..n."""
     check_alpha(alpha)
-    cost = _cost_table(data)
+    cost = RankCountMatrix.from_dataset(data).cost
     n = cost.shape[0]
     o = np.asarray(orderings)
     if o.ndim != 2 or o.shape[1] != n:
@@ -257,62 +251,16 @@ def sample_rho_with_orderings(data, alpha: float, orderings, rng) -> np.ndarray:
     return _sequential_draws(-(alpha / n) * cost, o.astype(np.int64, copy=False) - 1, rng)
 
 
-def _pm_log_components(data, alpha: float, ordering):
-    """Per-permutation log probability and log normalizer of the factorization
-    of ``data`` (a RankCountMatrix or rankings) at a 1-based ``ordering``.
-
-    Returns (perms, log_q, log_zpm, neg_log_target) over all of P_n in
-    lexicographic order, where neg_log_target(rho) = (alpha/n) * sum_j d(R^j, rho).
-    """
-    alpha = check_alpha(alpha, allow_zero=True)
-    cost = _cost_table(data)
-    n = cost.shape[0]
-    _check_cap(n)
-    ordering0 = as_ranking(ordering, "ordering") - 1
-    if ordering0.size != n:
-        raise ValueError("ordering length does not match the data")
-    perms = permutation_matrix(n)
-    m = len(perms)
-    scale = alpha / n
-    log_e = -scale * cost  # (n_items, n_ranks)
-    a_term = scale * cost[np.arange(n)[None, :], perms - 1].sum(axis=1)
-    remaining = np.ones((m, n), dtype=bool)
-    log_zpm = np.zeros(m)
-    with np.errstate(divide="ignore"):
-        for k in range(n):
-            i = int(ordering0[k])
-            row = log_e[i]
-            shift = row.max()
-            weights = np.exp(row - shift)
-            den = remaining @ weights
-            log_zpm += shift + np.log(den)
-            remaining[np.arange(m), perms[:, i] - 1] = False
-    log_q = -a_term - log_zpm
-    return perms, log_q, log_zpm, a_term
-
-
-def exact_distribution(data, alpha: float, ordering) -> DiscreteDistribution:
-    """The full factorized distribution over P_n for a fixed ordering (n <= 8).
-
-    Each permutation's probability is the product of its n sequential factor
-    probabilities; equivalently the Mallows numerator divided by the product
-    of per-step denominators.
-    """
-    perms, log_q, _, _ = _pm_log_components(data, alpha, ordering)
-    probs = np.exp(log_q - logsumexp(log_q))
-    return DiscreteDistribution(perms, probs)
-
-
-def estimate_rho_hat(data: RankingDataset) -> np.ndarray:
+def estimate_rho_hat(data: RankingDataset | np.ndarray) -> np.ndarray:
     """Rank of the per-item mean ranks (ties broken by item index).
 
     The column sums are ranked: they order the items as the means do, exactly,
     and with no users they tie everywhere, giving the identity ranking.
     """
-    return rank_of(data.rankings.sum(axis=0))
+    return rank_of(rankings_of(data).sum(axis=0))
 
 
-def sample_rho(data: RankingDataset, cfg: PseudoConfig) -> SampleSet:
+def sample_rho(data: RankingDataset | np.ndarray, cfg: PseudoConfig) -> SampleSet:
     """Draw independent consensus samples with V-set orderings.
 
     For each draw a V-set member of the estimated central ranking is drawn,
@@ -320,10 +268,11 @@ def sample_rho(data: RankingDataset, cfg: PseudoConfig) -> SampleSet:
     and used as the factorization ordering.
     """
     rng = np.random.default_rng(cfg.seed)
-    rho_hat = estimate_rho_hat(data)
-    n = data.n_items
+    rankings = rankings_of(data)
+    rho_hat = rank_of(rankings.sum(axis=0))  # estimate_rho_hat of the rankings just read
+    n = rankings.shape[1]
     t = cfg.n_samples
-    cost = RankCountMatrix.from_dataset(data).cost
+    cost = RankCountMatrix(rankings).cost
     start = time.perf_counter()
     v_rows = perturbed_v_ranking(rho_hat, cfg.sigma, rng, t)
     orderings0 = np.argsort(v_rows, axis=1, kind="stable")
@@ -366,7 +315,7 @@ def match_alpha_grid(alpha_grid, observed: float, simulate) -> float:
 
 
 def estimate_alpha_full(
-    data: RankingDataset,
+    data: RankingDataset | np.ndarray,
     alpha_grid=DEFAULT_ALPHA_GRID,
     sim_users: int = 300,
     rng=None,
@@ -379,10 +328,9 @@ def estimate_alpha_full(
     which makes the matching well posed.
     """
     rng = np.random.default_rng(rng)
-    observed = mean_pairwise_similarity(data.rankings)
-    from .simulate import sample_mallows
-
-    rho0 = np.arange(1, data.n_items + 1)
+    rankings = rankings_of(data)
+    observed = mean_pairwise_similarity(rankings)
+    rho0 = np.arange(1, rankings.shape[1] + 1)
     return match_alpha_grid(
         alpha_grid,
         observed,

@@ -19,14 +19,12 @@ from pseudomallows.clicking import (
     pseudo_clicking,
 )
 from pseudomallows.data import RankCountMatrix, RankingDataset
-from pseudomallows.evaluation import (
-    elbo_exact,
-    enumerate_ordering_study,
-    iterative_search,
-    joint_kl_exact,
-)
+from pseudomallows.evaluation import enumerate_ordering_study, iterative_search
 from pseudomallows.exact import (
+    elbo_exact,
+    exact_distribution,
     exact_posterior,
+    joint_kl_exact,
     log_evidence,
     mallows_distribution,
     marginal_median,
@@ -37,14 +35,12 @@ from pseudomallows.experiments import (
     ExperimentConfig,
     _calibration_bins,
     _score_recommendations,
-    cp_consensus,
     run_full_timing,
     run_g_bias,
 )
 from pseudomallows.mcmc import McmcConfig, mcmc_clicking, mcmc_rho
 from pseudomallows.perms import (
     adjacent_swaps,
-    footrule_distance,
     ordering_of,
     permutation_matrix,
     v_set,
@@ -54,7 +50,6 @@ from pseudomallows.pseudo import (
     PseudoConfig,
     estimate_alpha_full,
     estimate_rho_hat,
-    exact_distribution,
     sample_rho,
     sample_rho_given_ordering,
 )

@@ -111,6 +111,19 @@ def test_sigma_is_refused_where_it_is_not_used(ranking_csv, command, extra):
     assert exit_info.value.code == 2
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("eval-kl", ["--ordering", "7,6,5,4,3,2,1"]),
+    ("search-ordering", ["--mode", "sampled", "--iters", "1"]),
+])
+def test_zero_samples_exit_2_with_an_error_line(tmp_path, capsys, command, extra):
+    """At n = 7 eval-kl samples its ordering; both commands reject 0 draws."""
+    path = tmp_path / "rankings7.csv"
+    save_rankings(make_dataset(np.arange(1, 8), 3.0, 20, np.random.default_rng(1)), path)
+    rc = main([command, "--input", str(path), "--alpha", "3.0", "--samples", "0", *extra])
+    assert rc == 2
+    assert "error: draws must be at least 1" in capsys.readouterr().err
+
+
 def test_eval_kl(ranking_csv, capsys):
     rc = main([
         "eval-kl", "--input", str(ranking_csv), "--alpha", "3.0",

@@ -11,8 +11,6 @@ from scipy.stats import chi2
 
 from pseudomallows.clicking import (
     Recommendation,
-    _targets,
-    TruncatedExponential,
     TruncatedPoisson,
     binarize,
     binary_mean_similarity,
@@ -24,7 +22,7 @@ from pseudomallows.clicking import (
     recommend_topk,
     sample_user_rankings,
 )
-from pseudomallows.data import ClickDataset, RankingDataset
+from pseudomallows.data import ClickDataset, RankingDataset, click_targets
 from pseudomallows.mcmc import McmcConfig, mcmc_clicking
 from pseudomallows.perms import footrule_distance, is_permutation, permutation_matrix, rank_of
 from pseudomallows.pseudo import PseudoConfig
@@ -88,11 +86,6 @@ class TestCountModels:
         rng = np.random.default_rng(1)
         draws = TruncatedPoisson(mean=5.0, low=1, high=47).sample(rng, 100000)
         assert abs(draws.mean() - 5.0) < 0.05
-
-    def test_truncated_exponential(self):
-        rng = np.random.default_rng(2)
-        draws = TruncatedExponential(mean=6.0, low=3, high=40).sample(rng, 20000)
-        assert draws.min() >= 3 and draws.max() <= 40
 
     def test_infeasible_bounds_raise(self):
         rng = np.random.default_rng(3)
@@ -210,7 +203,7 @@ class TestUserSampler:
             for _ in range(5):
                 rho = rng.permutation(n) + 1
                 want = rank_of(rho + (1 - b) * 2 * n) - 1
-                assert np.array_equal(_targets(b, rho), want)
+                assert np.array_equal(click_targets(b, rho), want)
 
     def test_zero_click_user_unconstrained(self):
         rng = np.random.default_rng(4)

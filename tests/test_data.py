@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset, RowError, SampleSet
+from pseudomallows.clicking import estimate_alpha_clicks
+from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset, RowError, SampleSet, rank_counts
+from pseudomallows.evaluation import choose_sigma, default_sigma, iterative_search, posterior_profile
+from pseudomallows.exact import elbo_exact, joint_kl_exact
+from pseudomallows.mcmc import McmcConfig, mcmc_rho
 from pseudomallows.perms import as_ranking
+from pseudomallows.pseudo import PseudoConfig, estimate_alpha_full, estimate_rho_hat, sample_rho
+from pseudomallows.simulate import make_dataset
 
 
 def test_ranking_dataset_validates_rows():
@@ -48,7 +54,7 @@ def test_ranking_dataset_accepts_exactly_the_permutation_rows(rows):
 def test_ranking_dataset_shape_and_labels():
     ds = RankingDataset(np.array([[2, 1], [1, 2]]), labels=("a", "b"))
     assert ds.n_users == 2 and ds.n_items == 2
-    assert ds.item_labels() == ("a", "b")
+    assert ds.labels == ("a", "b")
     with pytest.raises(ValueError, match="label"):
         RankingDataset(np.array([[1, 2]]), labels=("only",))
 
@@ -97,3 +103,55 @@ class TestRankCountMatrix:
         for i in range(5):
             for l in range(1, 6):
                 assert rcm.cost[i, l - 1] == np.abs(arr[:, i] - l).sum()
+
+    def test_weighted_counts_add_in_row_order(self):
+        """A weighted count equals the per-item ``np.add.at`` loop bit for bit."""
+        rng = np.random.default_rng(2)
+        for n in range(1, 7):
+            arr = np.array([rng.permutation(n) + 1 for _ in range(30)])
+            weights = rng.random(30)
+            want = np.zeros((n, n))
+            for i in range(n):
+                np.add.at(want[i], arr[:, i] - 1, weights)
+            assert np.array_equal(rank_counts(arr, weights), want)
+
+    def test_from_dataset_takes_a_table_a_dataset_or_rankings(self):
+        arr = np.array([[2, 1, 3], [1, 3, 2]])
+        table = RankCountMatrix.from_dataset(arr)
+        assert RankCountMatrix.from_dataset(table) is table
+        assert np.array_equal(RankCountMatrix.from_dataset(RankingDataset(arr)).cost, table.cost)
+        with pytest.raises(RowError):
+            RankCountMatrix.from_dataset([[1, 1, 3]])
+
+
+_RANKINGS = make_dataset(np.arange(1, 5), 2.0, 12, np.random.default_rng(3)).rankings
+_CLICKS = (_RANKINGS <= 2).astype(np.int64)
+
+# entry -> (input kind, seeded call); each reads its input once, raw or not
+_ENTRIES = {
+    "sample_rho": ("rankings", lambda d: sample_rho(d, PseudoConfig(2.0, 0.5, 50, seed=1)).samples),
+    "estimate_rho_hat": ("rankings", estimate_rho_hat),
+    "estimate_alpha_full": ("rankings", lambda d: estimate_alpha_full(d, (1.0, 3.0), sim_users=30, rng=2)),
+    "estimate_alpha_clicks": ("clicks", lambda d: estimate_alpha_clicks(d, (1.0, 3.0), sim_users=30, rng=2)),
+    "mcmc_rho": ("rankings", lambda d: mcmc_rho(d, 2.0, McmcConfig(300, seed=3)).rho_samples),
+    "choose_sigma": ("rankings", lambda d: choose_sigma(
+        d, 2.0, (0.0, 1.0), posterior_profile(_RANKINGS, 2.0), n_samples=50, rng=4)),
+    "default_sigma": ("rankings", lambda d: default_sigma(d, 1.0, rng=5)),
+    "iterative_search": ("rankings", lambda d: iterative_search(d, 2.0, (1, 2, 3, 4), 1, rng=6).kl_values),
+    "elbo_exact": ("rankings", lambda d: elbo_exact(d, 2.0, (2, 1, 4, 3))),
+    "joint_kl_exact": ("rankings", lambda d: joint_kl_exact(d, 2.0, (2, 1, 4, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRIES))
+def test_entries_take_raw_arrays_as_their_datasets(name):
+    """A raw array gives the seeded output of its dataset, and a row the
+    container rejects is rejected with its RowError."""
+    kind, call = _ENTRIES[name]
+    if kind == "rankings":
+        raw, container, bad_row = _RANKINGS, RankingDataset, [1, 1, 3, 4]
+    else:
+        raw, container, bad_row = _CLICKS, ClickDataset, [0, 2, 1, 0]
+    np.testing.assert_array_equal(call(raw.copy()), call(container(raw)))
+    with pytest.raises(RowError, match="row 12"):
+        call(np.vstack([raw, bad_row]))

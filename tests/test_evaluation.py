@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
 from pseudomallows.data import RankingDataset
 from pseudomallows.evaluation import (
@@ -14,23 +13,20 @@ from pseudomallows.evaluation import (
     assignment_solve,
     choose_sigma,
     default_sigma,
-    elbo_exact,
     enumerate_ordering_study,
     iterative_search,
-    joint_kl_exact,
     ls_move,
     marginal_kl,
     ordering_kl,
     posterior_profile,
 )
-from pseudomallows.exact import exact_posterior, log_evidence
+from pseudomallows.exact import elbo_exact, exact_distribution, exact_posterior, joint_kl_exact, log_evidence
 from pseudomallows.perms import (
     is_permutation,
     ordering_of,
     permutation_matrix,
     v_set,
 )
-from pseudomallows.pseudo import exact_distribution
 from pseudomallows.simulate import make_dataset
 
 

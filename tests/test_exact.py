@@ -10,6 +10,7 @@ from pseudomallows.data import RankingDataset
 from pseudomallows.exact import (
     DiscreteDistribution,
     constrained_l1_minimizer,
+    exact_distribution,
     exact_posterior,
     log_evidence,
     log_partition,
@@ -17,10 +18,8 @@ from pseudomallows.exact import (
     marginal_expectation,
     marginal_median,
     marginal_rank_distribution,
-    uniform_distribution,
 )
 from pseudomallows.perms import CapacityError, permutation_matrix
-from pseudomallows.pseudo import exact_distribution
 
 
 class TestLogPartition:
@@ -111,13 +110,13 @@ class TestDiscreteDistribution:
             DiscreteDistribution(permutation_matrix(2), np.array([0.7, 0.2]))
 
     def test_prob_of_missing_ranking(self):
-        dist = uniform_distribution(3)
+        dist = mallows_distribution((1, 2, 3), 0.0)
         assert dist.prob_of((1, 2, 3)) == pytest.approx(1 / 6)
 
 
 class TestMarginals:
     def test_uniform_marginal(self):
-        dist = uniform_distribution(3)
+        dist = mallows_distribution((1, 2, 3), 0.0)
         for item in (1, 2, 3):
             assert np.allclose(marginal_rank_distribution(dist, item), 1 / 3)
 
@@ -132,7 +131,7 @@ class TestMarginals:
 
     def test_item_out_of_range(self):
         with pytest.raises(IndexError):
-            marginal_rank_distribution(uniform_distribution(3), 4)
+            marginal_rank_distribution(mallows_distribution((1, 2, 3), 0.0), 4)
 
 
 class TestMiddleItemSymmetry:

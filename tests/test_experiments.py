@@ -15,7 +15,7 @@ from pseudomallows.experiments import (
     run_ordering_enum,
     run_sigma_study,
 )
-from pseudomallows.clicking import TruncatedPoisson, binarize, recommend_topk
+from pseudomallows.clicking import recommend_topk
 from pseudomallows.data import SampleSet
 from pseudomallows.exact import exact_posterior
 from pseudomallows.simulate import make_dataset

@@ -9,7 +9,7 @@ import pytest
 from scipy.stats import chi2
 
 from pseudomallows.data import RankCountMatrix, RankingDataset
-from pseudomallows.exact import constrained_l1_minimizer, exact_posterior
+from pseudomallows.exact import constrained_l1_minimizer, exact_distribution
 from pseudomallows.perms import (
     CapacityError,
     is_permutation,
@@ -21,7 +21,6 @@ from pseudomallows.pseudo import (
     PseudoConfig,
     estimate_alpha_full,
     estimate_rho_hat,
-    exact_distribution,
     mean_pairwise_similarity,
     sample_rho,
     sample_rho_given_ordering,
