@@ -10,7 +10,6 @@ import numpy as np
 from pseudomallows import (
     TruncatedPoisson,
     binarize,
-    binary_mean_similarity,
     estimate_alpha_clicks,
     estimate_alpha_full,
     make_dataset,
@@ -28,6 +27,6 @@ print(f"estimate from complete rankings: {est}")
 
 model = TruncatedPoisson(mean=4.0, low=1, high=n)
 clicks = binarize(data, model, rng)
-print(f"observed click similarity: {binary_mean_similarity(clicks):.4f}")
+print(f"observed click similarity: {mean_pairwise_similarity(clicks.clicks):.4f}")
 est = estimate_alpha_clicks(clicks, (1.0, 3.0, 8.0), count_model=model, rng=rng)
 print(f"estimate from clicks: {est}")

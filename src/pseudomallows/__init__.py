@@ -11,7 +11,6 @@ from .clicking import (
     Recommendation,
     TruncatedPoisson,
     binarize,
-    binary_mean_similarity,
     estimate_alpha_clicks,
     in_compatible_set,
     pseudo_clicking,
@@ -80,7 +79,6 @@ from .pseudo import (
     estimate_rho_hat,
     mean_pairwise_similarity,
     sample_rho,
-    sample_rho_given_ordering,
     sample_rho_with_orderings,
 )
 from .simulate import make_dataset, sample_mallows

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .clicking import pseudo_clicking, recommend_all
+from .data import RankCountMatrix
 from .evaluation import (
     EXACT_STUDY_CAP,
     default_sigma,
@@ -41,23 +42,24 @@ def _add_common(p: argparse.ArgumentParser, alpha_help: str) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _resolve_alpha_sigma(data, args, rng) -> tuple[float, float]:
+def _resolve_alpha_sigma(data, table, args, rng) -> tuple[float, float]:
     alpha = args.alpha
     if alpha is None:
         alpha = estimate_alpha_full(data, DEFAULT_ALPHA_GRID, rng=rng)
         print(f"estimated alpha = {alpha}")
     sigma = args.sigma
     if sigma is None:
-        sigma = default_sigma(data, alpha, rng=rng)
+        sigma = default_sigma(table, alpha, rng=rng)
         print(f"selected sigma = {sigma}")
     return alpha, sigma
 
 
 def _cmd_fit_rho(args) -> int:
     data = load_rankings(args.input)
+    table = RankCountMatrix(data.rankings)
     rng = np.random.default_rng(args.seed)
-    alpha, sigma = _resolve_alpha_sigma(data, args, rng)
-    ss = sample_rho(data, PseudoConfig(alpha, sigma, args.samples, seed=args.seed))
+    alpha, sigma = _resolve_alpha_sigma(data, table, args, rng)
+    ss = sample_rho(table, PseudoConfig(alpha, sigma, args.samples, seed=args.seed))
     consensus = cp_consensus(ss)
     print(f"consensus: {','.join(map(str, consensus))}")
     print(f"wall_clock_s: {ss.wall_clock:.4f}")
@@ -123,8 +125,6 @@ def _cmd_eval_kl(args) -> int:
         draws, mode = None, "exact"
     else:
         draws, mode = args.samples, f"sampled({args.samples})"
-        if draws > 0:  # draws < 1 is left for ordering_kl to reject
-            reference = reference.smooth(1.0 / (2.0 * draws))
     kl = ordering_kl(data, args.alpha, ordering_of(ranking), reference, draws, rng)
     print(f"marginal_kl: {kl:.6f} [{mode}]")
     return 0

@@ -4,11 +4,12 @@ Clicked items are assumed ranked above unclicked ones, so a user's latent
 ranking is a sequential draw around the consensus in which every item is
 confined to its own rank block: clicked items to 1..c, unclicked items to
 c+1..n. The alternating loop draws all user rankings given the current
-consensus, then one consensus sample given the augmented rankings, and
-repeats. An item's weight exp(-(alpha/n) |target - r|) depends only on its
-distance from the target, and a block's targets are its own ranks in a
-uniform item order, so each block is a draw from a law on the permutations
-of its m ranks that depends on m and alpha alone, relabelled by the targets.
+consensus, then one consensus sample given the augmented rankings, as a
+``sample_rho`` call on their cost table, and repeats. An item's weight
+exp(-(alpha/n) |target - r|) depends only on its distance from the target,
+and a block's targets are its own ranks in a uniform item order, so each
+block is a draw from a law on the permutations of its m ranks that depends
+on m and alpha alone, relabelled by the targets.
 The loop draws the blocks of a chunk of iterations up front, one kernel call
 per block size, and relabels them at each iteration's consensus.
 
@@ -23,17 +24,17 @@ turned into clicks with a truncated Poisson count model.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import (
     ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_alpha, click_frequency_ranking,
-    click_targets, clicks_of,
+    click_targets, clicks_of, rankings_of,
 )
-from .perms import as_ranking, perturbed_v_ranking, rank_of
-from .pseudo import PseudoConfig, _sequential_draws, match_alpha_grid, mean_pairwise_similarity
+from .perms import as_ranking
+from .pseudo import PseudoConfig, _sequential_draws, match_alpha_grid, mean_pairwise_similarity, sample_rho
 from .simulate import make_dataset
 
 
@@ -125,11 +126,11 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     Starts the consensus at the descending click-frequency ranking, then per
     iteration (i) samples every user's ranking given the current consensus
     and (ii) draws one consensus sample treating the augmented rankings as
-    complete data, with a sigma-perturbed V-set ordering around the rank of
-    the augmented rankings' column sums (the order of their mean ranks, as
-    in ``estimate_rho_hat``). The first ``warmup`` iterations are discarded.
-    The clicks are read once per call; block draws come a chunk of warm-up or
-    kept iterations at a time (``_CHUNK_CELLS`` user ranks, at least one).
+    complete data: a one-draw ``sample_rho`` call on their RankCountMatrix,
+    which continues the loop's generator. The first ``warmup`` iterations are
+    discarded. The clicks are read once per call; block draws come a chunk of
+    warm-up or kept iterations at a time (``_CHUNK_CELLS`` user ranks, at
+    least one).
     Returns the consensus SampleSet and the (n_samples, N, n) user-ranking
     draws. ``clicks`` is a ClickDataset or anything ClickDataset accepts.
     """
@@ -138,6 +139,7 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     b = clicks_of(clicks)
     n_users, n = b.shape
     rng = np.random.default_rng(cfg.seed)
+    step = replace(cfg, n_samples=1, seed=rng)
     rho = click_frequency_ranking(b)
     total = warmup + cfg.n_samples
     chunk = max(1, _CHUNK_CELLS // max(n_users * n, 1))
@@ -151,16 +153,11 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
                  else np.empty((hi - lo, n_users, n), dtype=np.int64))
         for t, R in enumerate(_draw_blocks(b, cfg.alpha, drawn, rng), lo):
             R[:] = np.take_along_axis(R, click_targets(b, rho), axis=1)
-            v = perturbed_v_ranking(rank_of(R.sum(axis=0)), cfg.sigma, rng, 1)
-            ordering0 = np.argsort(v, axis=1, kind="stable")
-            rho = _sequential_draws(-(cfg.alpha / n) * RankCountMatrix(R).cost, ordering0, rng)[0]
+            rho = sample_rho(RankCountMatrix(R), step).samples[0]
             if t >= warmup:
                 rho_keep[t - warmup] = rho
     wall = time.perf_counter() - start
-    rho_samples = SampleSet(
-        rho_keep, alpha=cfg.alpha, sigma=cfg.sigma, seed=cfg.seed, wall_clock=wall
-    )
-    return rho_samples, user_keep
+    return SampleSet(rho_keep, alpha=cfg.alpha, sigma=cfg.sigma, seed=cfg.seed, wall_clock=wall), user_keep
 
 
 def _recommend(samples: np.ndarray, b: np.ndarray, k: int) -> list[list[Recommendation]]:
@@ -183,18 +180,15 @@ def recommend_topk(user_samples, clicks_row, k: int) -> list[Recommendation]:
     """The k unclicked items most likely to sit in the next-k rank window.
 
     Probabilities are the fraction of posterior samples placing the item in
-    [c+1, c+k]; ties are broken by ascending item index. ``clicks_row`` must
-    hold only 0 and 1.
+    [c+1, c+k]; ties are broken by ascending item index. ``clicks_row`` is
+    read as a one-row ClickDataset, and must match the samples' width.
     """
     samples = user_samples.samples if isinstance(user_samples, SampleSet) else user_samples
-    b = np.asarray(clicks_row)
-    if not ((b == 0) | (b == 1)).all():
-        raise ValueError(f"clicks row contains values outside {{0, 1}}: {b.tolist()}")
-    b = b.astype(np.int64)
-    c = int(b.sum())
-    if not 1 <= k <= b.size - c:
-        raise ValueError(f"k must be in [1, {b.size - c}] for this user")
-    return _recommend(np.asarray(samples)[:, None, :], b[None, :], k)[0]
+    b = clicks_of(clicks_row)
+    unclicked = b.shape[1] - int(b.sum())
+    if not 1 <= k <= unclicked:
+        raise ValueError(f"k must be in [1, {unclicked}] for this user")
+    return recommend_all(np.asarray(samples)[:, None, :], b, k)[0]
 
 
 def recommend_all(user_samples, clicks, k: int) -> list[list[Recommendation]]:
@@ -213,28 +207,20 @@ def recommend_all(user_samples, clicks, k: int) -> list[list[Recommendation]]:
     return _recommend(samples, b, k)
 
 
-def binarize(data: RankingDataset, count_model, rng) -> ClickDataset:
+def binarize(data: RankingDataset | np.ndarray, count_model, rng) -> ClickDataset:
     """Convert rankings to clicks: draw a click count per user from the count
     model and mark that user's top-ranked items as clicked."""
-    n = data.n_items
+    rankings = rankings_of(data)
+    n_users, n = rankings.shape
     if count_model.low < 1 or (count_model.high is not None and count_model.high > n):
         raise ValueError(f"truncation bounds must sit inside [1, {n}]")
     if count_model.high is not None and count_model.low > count_model.high:
         raise ValueError("low exceeds high")
     rng = np.random.default_rng(rng)
-    counts = count_model.sample(rng, data.n_users)
+    counts = count_model.sample(rng, n_users)
     counts = np.minimum(counts, n)
-    clicks = (data.rankings <= counts[:, None]).astype(np.int64)
+    clicks = (rankings <= counts[:, None]).astype(np.int64)
     return ClickDataset(clicks)
-
-
-def binary_mean_similarity(clicks: ClickDataset | np.ndarray) -> float:
-    """Mean pairwise cosine similarity between click vectors.
-
-    Zero-click users carry no signal and are excluded from both the sum and
-    the pair normalization.
-    """
-    return mean_pairwise_similarity(clicks_of(clicks))
 
 
 def estimate_alpha_clicks(
@@ -248,19 +234,20 @@ def estimate_alpha_clicks(
 
     Simulated Mallows datasets are binarized with ``count_model`` (default: a
     truncated Poisson with the observed mean click count) before computing
-    the binary similarity statistic.
+    the binary similarity statistic (``mean_pairwise_similarity``, which
+    leaves zero-click users out).
     """
     rng = np.random.default_rng(rng)
     b = clicks_of(clicks)
-    observed = mean_pairwise_similarity(b)  # binary_mean_similarity of the clicks just read
+    observed = mean_pairwise_similarity(b)
     n = b.shape[1]
     if count_model is None:
         counts = b.sum(axis=1)
         counts = counts[counts > 0]
         count_model = TruncatedPoisson(mean=float(counts.mean()), low=1, high=n)
     rho0 = np.arange(1, n + 1)
-    return match_alpha_grid(
-        alpha_grid,
-        observed,
-        lambda a: binary_mean_similarity(binarize(make_dataset(rho0, a, sim_users, rng), count_model, rng)),
-    )
+
+    def simulate(a):
+        return mean_pairwise_similarity(binarize(make_dataset(rho0, a, sim_users, rng), count_model, rng).clicks)
+
+    return match_alpha_grid(alpha_grid, observed, simulate)

@@ -190,7 +190,7 @@ class RankCountMatrix:
 
     ``cost[i, l-1]`` equals ``sum_j |R^j_i - l|``; after the O(N*n) setup any
     sampler query is O(1), which makes per-sample work independent of the
-    number of users.
+    number of users. ``rank_sums[i]`` is ``sum_j R^j_i``, exact in int64.
     """
 
     def __init__(self, rankings: np.ndarray):
@@ -210,6 +210,7 @@ class RankCountMatrix:
         )
         self.counts = _frozen(counts)
         self.cost = _frozen(cost)
+        self.rank_sums = _frozen(total_w[:, 0])
         self.n_users = n_users
         self.n_items = n
 

@@ -4,10 +4,10 @@ Marginal KL (the sum of per-item rank-marginal divergences) is the working
 surrogate for the joint KL between the factorized sampler and the exact
 posterior; the exact ELBO and joint KL that validate it at enumeration
 scale live in ``exact``. ``ordering_kl`` scores one ordering, exactly or from
-samples; the enumeration study, the ordering search and the ``eval-kl``
-command all call it. The search relocates one item at a time, scores
-candidates by marginal KL, and recombines the scores through a minimum
-cost assignment.
+samples (then smoothing the reference as the sampled profile is smoothed);
+the enumeration study, the ordering search and the ``eval-kl`` command all
+call it. The search relocates one item at a time, scores candidates by
+marginal KL, and recombines the scores through a minimum cost assignment.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import RankCountMatrix, RankingDataset, SampleSet, check_alpha, rank_counts, rankings_of
+from .data import RankCountMatrix, RankingDataset, SampleSet, check_alpha, rank_counts
 from .exact import (
     DiscreteDistribution,
     exact_distribution,
@@ -25,8 +25,8 @@ from .exact import (
     marginal_profile_matrix,
 )
 from .mcmc import McmcConfig, ls_move, mcmc_rho
-from .perms import CapacityError, as_ranking, ordering_of, permutation_matrix, rank_of, v_set
-from .pseudo import PseudoConfig, sample_rho, sample_rho_given_ordering
+from .perms import CapacityError, as_ranking, ordering_of, permutation_matrix, v_set
+from .pseudo import PseudoConfig, estimate_rho_hat, sample_rho, sample_rho_with_orderings
 
 EXACT_STUDY_CAP = 6  # the enumeration study costs n!^2 evaluations
 EXACT_SEARCH_CAP = 5
@@ -70,6 +70,8 @@ class MarginalProfile:
         unvisited cells stay positive."""
         arr = samples.samples if isinstance(samples, SampleSet) else samples
         counts = rank_counts(arr)  # rejects all but a (T, n) table of ranks in 1..n
+        if not len(arr):
+            raise ValueError("an empirical profile needs at least one draw")
         eps = 1.0 / (2.0 * len(arr)) if smoothing is None else float(smoothing)
         if eps <= 0:
             raise ValueError("smoothing must be positive for empirical profiles")
@@ -121,16 +123,17 @@ def ordering_kl(cost, alpha: float, ordering, reference: MarginalProfile,
     ``cost`` is a RankCountMatrix or a ranking dataset, and ``ordering`` names
     the item sampled at each step (1-based). With ``draws=None`` the sampler's
     marginals are exact, by enumeration (n <= 8); otherwise they are estimated
-    from ``draws`` samples drawn with ``rng``, and the caller smooths
-    ``reference`` to match as it sees fit; ``draws`` below 1 is rejected.
+    from ``draws`` samples drawn with ``rng`` and ``reference`` is smoothed by
+    their 1/(2*draws) to match; ``draws`` below 1 is rejected.
     """
     if draws is not None and draws < 1:
         raise ValueError(f"draws must be at least 1, got {draws}")
     if draws is None:
         q = MarginalProfile.from_distribution(exact_distribution(cost, alpha, ordering))
     else:
-        samples = sample_rho_given_ordering(cost, alpha, ordering, rng, size=draws)
-        q = MarginalProfile.from_samples(samples)
+        orderings = np.broadcast_to(ordering, (draws, np.size(ordering)))
+        q = MarginalProfile.from_samples(sample_rho_with_orderings(cost, alpha, orderings, rng))
+        reference = reference.smooth(1.0 / (2.0 * draws))
     return marginal_kl(q, reference)
 
 
@@ -218,8 +221,8 @@ def iterative_search(
     check_alpha(alpha)
     if max_iters < 0:
         raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
-    rankings = rankings_of(data)
-    n = rankings.shape[1]
+    cost_table = RankCountMatrix.from_dataset(data)
+    n = cost_table.n_items
     caps = {"exact": EXACT_SEARCH_CAP, "sampled": SAMPLED_SEARCH_CAP}
     if eval_mode not in caps:
         raise ValueError(f"unknown eval_mode {eval_mode!r}")
@@ -227,9 +230,8 @@ def iterative_search(
         raise CapacityError(f"{eval_mode} search requires n <= {caps[eval_mode]}")
     rng = np.random.default_rng(rng)
     incumbent = as_ranking(init).copy()
-    cost_table = RankCountMatrix(rankings)
     reference = reference_profile(cost_table, alpha, rng)
-    vset = v_set(rank_of(rankings.sum(axis=0)))  # estimate_rho_hat of the rankings just read
+    vset = v_set(estimate_rho_hat(cost_table))
     sample_draws = draws if eval_mode == "sampled" else None
 
     def evaluate(ranking) -> float:
@@ -266,7 +268,7 @@ def iterative_search(
 
 
 def choose_sigma(
-    data: RankingDataset | np.ndarray,
+    data: RankCountMatrix | RankingDataset | np.ndarray,
     alpha: float,
     sigma_grid,
     reference: MarginalProfile,
@@ -280,25 +282,25 @@ def choose_sigma(
         raise ValueError("sigma grid is empty")
     if any(s < 0 for s in grid):
         raise ValueError("sigma values must be nonnegative")
+    table = RankCountMatrix.from_dataset(data)
     rng = np.random.default_rng(rng)
     best_sigma, best_kl = None, np.inf
     for sigma in grid:
-        cfg = PseudoConfig(
-            alpha=alpha, sigma=sigma, n_samples=n_samples, seed=int(rng.integers(2**63))
-        )
-        profile = MarginalProfile.from_samples(sample_rho(data, cfg))
+        cfg = PseudoConfig(alpha, sigma, n_samples, seed=int(rng.integers(2**63)))
+        profile = MarginalProfile.from_samples(sample_rho(table, cfg))
         kl = marginal_kl(profile, reference)
         if kl < best_kl or (kl == best_kl and best_sigma is not None and sigma < best_sigma):
             best_sigma, best_kl = sigma, kl
     return best_sigma
 
 
-def default_sigma(data: RankingDataset | np.ndarray, alpha: float, rng=None) -> float:
+def default_sigma(data: RankCountMatrix | RankingDataset | np.ndarray, alpha: float, rng=None) -> float:
     """Jitter heuristic: 0 when the posterior is well determined (large alpha
     and many users), otherwise chosen from {0, 1, 2, 3} with 300 draws each
     against ``reference_profile``."""
-    if alpha >= 2.0 and len(rankings_of(data)) >= 500:
+    table = RankCountMatrix.from_dataset(data)
+    if alpha >= 2.0 and table.n_users >= 500:
         return 0.0
     rng = np.random.default_rng(rng)
-    reference = reference_profile(data, alpha, rng)
-    return choose_sigma(data, alpha, (0.0, 1.0, 2.0, 3.0), reference, n_samples=300, rng=rng)
+    reference = reference_profile(table, alpha, rng)
+    return choose_sigma(table, alpha, (0.0, 1.0, 2.0, 3.0), reference, n_samples=300, rng=rng)

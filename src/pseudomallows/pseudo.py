@@ -5,7 +5,9 @@ Mallows-like terms, sampled in a data-driven order: V-set orderings around
 the rank of the per-item mean ranks, optionally jittered with Gaussian
 noise. Draws are mutually independent, which is what buys the speed over
 MCMC; per-draw work is O(n^2) and independent of the number of users after
-the rank-cost table is built.
+the rank-cost table is built. ``sample_rho`` is the one consensus-draw path
+for both kinds of data: it reads the ``RankCountMatrix`` of complete
+rankings, or of one click-loop iteration's augmented rankings.
 
 Every draw, here and in click augmentation, goes through one kernel,
 ``_sequential_draws``. Once per call it exponentiates a shared log-weight
@@ -51,7 +53,7 @@ class PseudoConfig:
     alpha: float
     sigma: float = 0.0
     n_samples: int = 1000
-    seed: int | None = None
+    seed: int | np.random.Generator | None = None  # anything np.random.default_rng accepts
 
     def __post_init__(self):
         check_alpha(self.alpha)
@@ -224,19 +226,6 @@ def _two_level_draws(lw, lin, orderings0, rng) -> np.ndarray:
     return out
 
 
-def sample_rho_given_ordering(data, alpha: float, ordering, rng, size: int | None = None):
-    """Sample consensus rankings with a fixed factorization ordering.
-
-    ``ordering[m-1]`` names the item sampled at step m. With ``size=None`` a
-    single ranking is returned; otherwise an (size, n) array of independent
-    draws.
-    """
-    t = 1 if size is None else int(size)
-    orderings = np.broadcast_to(ordering, (t, np.size(ordering)))
-    draws = sample_rho_with_orderings(data, alpha, orderings, rng)
-    return draws[0] if size is None else draws
-
-
 def sample_rho_with_orderings(data, alpha: float, orderings, rng) -> np.ndarray:
     """Sample one consensus ranking per row of ``orderings``, each a permutation of 1..n."""
     check_alpha(alpha)
@@ -251,32 +240,30 @@ def sample_rho_with_orderings(data, alpha: float, orderings, rng) -> np.ndarray:
     return _sequential_draws(-(alpha / n) * cost, o.astype(np.int64, copy=False) - 1, rng)
 
 
-def estimate_rho_hat(data: RankingDataset | np.ndarray) -> np.ndarray:
+def estimate_rho_hat(data: RankCountMatrix | RankingDataset | np.ndarray) -> np.ndarray:
     """Rank of the per-item mean ranks (ties broken by item index).
 
-    The column sums are ranked: they order the items as the means do, exactly,
-    and with no users they tie everywhere, giving the identity ranking.
+    The column sums (a RankCountMatrix's ``rank_sums``) are ranked: they order
+    the items as the means do, exactly, and with no users they tie everywhere,
+    giving the identity ranking.
     """
-    return rank_of(rankings_of(data).sum(axis=0))
+    sums = data.rank_sums if isinstance(data, RankCountMatrix) else rankings_of(data).sum(axis=0)
+    return rank_of(sums)
 
 
-def sample_rho(data: RankingDataset | np.ndarray, cfg: PseudoConfig) -> SampleSet:
+def sample_rho(data: RankCountMatrix | RankingDataset | np.ndarray, cfg: PseudoConfig) -> SampleSet:
     """Draw independent consensus samples with V-set orderings.
 
-    For each draw a V-set member of the estimated central ranking is drawn,
-    jittered entrywise with Gaussian noise of scale ``cfg.sigma``, re-ranked,
-    and used as the factorization ordering.
+    For each draw a V-set member of ``estimate_rho_hat`` is drawn, jittered
+    entrywise with Gaussian noise of scale ``cfg.sigma``, re-ranked, and used
+    as the factorization ordering. A Generator as ``cfg.seed`` is continued.
     """
     rng = np.random.default_rng(cfg.seed)
-    rankings = rankings_of(data)
-    rho_hat = rank_of(rankings.sum(axis=0))  # estimate_rho_hat of the rankings just read
-    n = rankings.shape[1]
-    t = cfg.n_samples
-    cost = RankCountMatrix(rankings).cost
+    table = RankCountMatrix.from_dataset(data)
     start = time.perf_counter()
-    v_rows = perturbed_v_ranking(rho_hat, cfg.sigma, rng, t)
+    v_rows = perturbed_v_ranking(estimate_rho_hat(table), cfg.sigma, rng, cfg.n_samples)
     orderings0 = np.argsort(v_rows, axis=1, kind="stable")
-    draws = _sequential_draws(-(cfg.alpha / n) * cost, orderings0, rng)
+    draws = _sequential_draws(-(cfg.alpha / table.n_items) * table.cost, orderings0, rng)
     wall = time.perf_counter() - start
     return SampleSet(draws, alpha=cfg.alpha, sigma=cfg.sigma, seed=cfg.seed, wall_clock=wall)
 

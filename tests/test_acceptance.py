@@ -51,7 +51,7 @@ from pseudomallows.pseudo import (
     estimate_alpha_full,
     estimate_rho_hat,
     sample_rho,
-    sample_rho_given_ordering,
+    sample_rho_with_orderings,
 )
 from pseudomallows.simulate import make_dataset
 
@@ -90,7 +90,8 @@ def test_criterion_02_pseudo_mallows_self_consistency():
     data = make_dataset((1, 2, 3), 2.0, 10, np.random.default_rng(202))
     ordering = ordering_of((2, 1, 3))
     dist = exact_distribution(data, 2.0, ordering)
-    draws = sample_rho_given_ordering(data, 2.0, ordering, np.random.default_rng(21), size=100000)
+    orderings = np.broadcast_to(ordering, (100000, 3))
+    draws = sample_rho_with_orderings(data, 2.0, orderings, np.random.default_rng(21))
     tv = _tv(Counter(tuple(r) for r in draws), 100000, dist.support, dist.probs)
 
     identity_exact = True

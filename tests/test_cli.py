@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pseudomallows.cli import main
+from pseudomallows.evaluation import iterative_search
 from pseudomallows.io import load_rankings, save_rankings
 from pseudomallows.simulate import make_dataset
 
@@ -131,6 +132,22 @@ def test_eval_kl(ranking_csv, capsys):
     ])
     assert rc == 0
     assert "marginal_kl:" in capsys.readouterr().out
+
+
+def test_sampled_eval_kl_scores_an_ordering_as_the_search_does(tmp_path, capsys):
+    """At n = 7 with 100 draws, eval-kl prints the sampled search's KL of its
+    starting ordering, for the same seed."""
+    path = tmp_path / "rankings7.csv"
+    save_rankings(make_dataset(np.arange(1, 8), 1.0, 30, np.random.default_rng(5)), path)
+    ranking = (2, 1, 3, 5, 4, 7, 6)
+    rc = main([
+        "eval-kl", "--input", str(path), "--alpha", "1.0", "--samples", "100",
+        "--seed", "5", "--ordering", ",".join(map(str, ranking)),
+    ])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    trace = iterative_search(load_rankings(path), 1.0, ranking, 0, "sampled", 100, rng=5)
+    assert printed == f"marginal_kl: {trace.kl_values[0]:.6f} [sampled(100)]\n"
 
 
 def test_search_ordering(ranking_csv, capsys):

@@ -13,7 +13,6 @@ from pseudomallows.clicking import (
     Recommendation,
     TruncatedPoisson,
     binarize,
-    binary_mean_similarity,
     click_frequency_ranking,
     estimate_alpha_clicks,
     in_compatible_set,
@@ -25,7 +24,7 @@ from pseudomallows.clicking import (
 from pseudomallows.data import ClickDataset, RankingDataset, click_targets
 from pseudomallows.mcmc import McmcConfig, mcmc_clicking
 from pseudomallows.perms import footrule_distance, is_permutation, permutation_matrix, rank_of
-from pseudomallows.pseudo import PseudoConfig
+from pseudomallows.pseudo import PseudoConfig, mean_pairwise_similarity
 from pseudomallows.simulate import make_dataset
 
 
@@ -109,6 +108,12 @@ class TestBinarize:
         ds = RankingDataset(np.array([[1, 2, 3]]))
         with pytest.raises(ValueError, match="bounds"):
             binarize(ds, TruncatedPoisson(mean=2.0, low=1, high=5), np.random.default_rng(0))
+
+    def test_raw_array_gives_its_datasets_clicks(self):
+        ds = make_dataset(np.arange(1, 7), 2.0, 30, np.random.default_rng(4))
+        model = TruncatedPoisson(2.0, 1, 4)
+        from_array = binarize(ds.rankings.copy(), model, np.random.default_rng(5))
+        assert np.array_equal(from_array.clicks, binarize(ds, model, np.random.default_rng(5)).clicks)
 
 
 class TestUserSampler:
@@ -300,13 +305,18 @@ class TestRecommendations:
         """A 2 is not two clicks and 0.5 is not cut down to no click; a 0/1
         row of ints, floats or bools gives the list recommend_all gives."""
         samples = np.array([[1, 2, 3], [2, 1, 3]])
-        for row in ((2, 0, 0), (0.5, 0, 0)):
-            with pytest.raises(ValueError, match="outside"):
+        for row, message in (((2, 0, 0), "outside"), ((0.5, 0, 0), "integers")):
+            with pytest.raises(ValueError, match=message):
                 recommend_topk(samples, row, 1)
         want = recommend_all(samples[:, None, :], [[1, 0, 0]], 1)[0]
         assert want == [Recommendation(2, 0.5)]
         for row in ((1, 0, 0), np.array([1.0, 0.0, 0.0]), np.array([True, False, False])):
             assert recommend_topk(samples, row, 1) == want
+
+    def test_click_row_must_match_the_samples_width(self):
+        samples = np.array([[1, 2, 3], [2, 1, 3]])
+        with pytest.raises(ValueError, match="does not match"):
+            recommend_topk(samples, (1, 0, 0, 0), 1)
 
     def test_clicked_items_never_recommended(self):
         rng = np.random.default_rng(8)
@@ -368,15 +378,15 @@ class TestClickFrequencyRanking:
 
 class TestBinarySimilarity:
     def test_pair_value(self):
-        assert binary_mean_similarity(np.array([[1, 0, 1], [1, 1, 0]])) == pytest.approx(0.5)
+        assert mean_pairwise_similarity(np.array([[1, 0, 1], [1, 1, 0]])) == pytest.approx(0.5)
 
     def test_zero_click_users_excluded(self):
         with_zero = np.array([[1, 0, 1], [1, 1, 0], [0, 0, 0]])
-        assert binary_mean_similarity(with_zero) == pytest.approx(0.5)
+        assert mean_pairwise_similarity(with_zero) == pytest.approx(0.5)
 
     def test_needs_two_clicking_users(self):
         with pytest.raises(ValueError, match="two users"):
-            binary_mean_similarity(np.array([[1, 0], [0, 0]]))
+            mean_pairwise_similarity(np.array([[1, 0], [0, 0]]))
 
 
 class TestAlphaFromClicks:
@@ -405,5 +415,5 @@ class TestAlphaFromClicks:
         sims = []
         for a in (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0):
             data = make_dataset(rho0, a, 250, rng)
-            sims.append(binary_mean_similarity(binarize(data, model, rng)))
+            sims.append(mean_pairwise_similarity(binarize(data, model, rng).clicks))
         assert all(x < y for x, y in zip(sims, sims[1:]))
