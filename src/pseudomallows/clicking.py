@@ -30,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import (
-    ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_alpha, click_frequency_ranking,
-    click_targets, clicks_of, rankings_of,
+    ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_alpha, check_count,
+    click_frequency_ranking, click_targets, clicks_of, rankings_of,
 )
 from .perms import as_ranking
 from .pseudo import PseudoConfig, _sequential_draws, match_alpha_grid, mean_pairwise_similarity, sample_rho
@@ -134,8 +134,7 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     Returns the consensus SampleSet and the (n_samples, N, n) user-ranking
     draws. ``clicks`` is a ClickDataset or anything ClickDataset accepts.
     """
-    if warmup < 0:
-        raise ValueError("warmup must be nonnegative")
+    check_count(warmup, "warmup", 0)
     b = clicks_of(clicks)
     n_users, n = b.shape
     rng = np.random.default_rng(cfg.seed)
@@ -198,8 +197,7 @@ def recommend_all(user_samples, clicks, k: int) -> list[list[Recommendation]]:
     a user who clicked everything gets ``[]``. ``clicks`` is a ClickDataset
     or anything ClickDataset accepts.
     """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    check_count(k, "k", 1)
     b = clicks_of(clicks)
     samples = np.asarray(user_samples)
     if samples.ndim != 3 or samples.shape[1:] != b.shape:

@@ -8,6 +8,7 @@ user's targets, live here, below both.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,18 @@ def check_alpha(alpha: float, allow_zero: bool = False) -> float:
         kind = "nonnegative" if allow_zero else "positive"
         raise ValueError(f"alpha must be {kind} and finite, got {alpha}")
     return alpha
+
+
+def check_count(value, name: str, low: int) -> int:
+    """Return ``value`` as an int, rejecting anything that is not a Python or
+    numpy integer (2.5 and 2.0 alike are never rounded) or is below ``low``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be at least {low}, got {count}")
+    return count
 
 
 def _int_table(values, name: str, labels) -> np.ndarray:

@@ -298,9 +298,11 @@ def default_sigma(data: RankCountMatrix | RankingDataset | np.ndarray, alpha: fl
     """Jitter heuristic: 0 when the posterior is well determined (large alpha
     and many users), otherwise chosen from {0, 1, 2, 3} with 300 draws each
     against ``reference_profile``."""
-    table = RankCountMatrix.from_dataset(data)
-    if alpha >= 2.0 and table.n_users >= 500:
+    if not isinstance(data, (RankCountMatrix, RankingDataset)):
+        data = RankingDataset(data)
+    if alpha >= 2.0 and data.n_users >= 500:
         return 0.0
+    table = RankCountMatrix.from_dataset(data)
     rng = np.random.default_rng(rng)
     reference = reference_profile(table, alpha, rng)
     return choose_sigma(table, alpha, (0.0, 1.0, 2.0, 3.0), reference, n_samples=300, rng=rng)

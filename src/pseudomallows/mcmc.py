@@ -24,7 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RankCountMatrix, RankingDataset, check_alpha, click_frequency_ranking, click_targets, clicks_of
+from .data import (
+    RankCountMatrix, RankingDataset, check_alpha, check_count, click_frequency_ranking, click_targets, clicks_of,
+)
 from .perms import as_ranking
 
 _BLOCK = 1 << 15  # pre-drawn randomness block size for the hot loops
@@ -39,14 +41,12 @@ class McmcConfig:
     seed: int | np.random.Generator | None = None  # anything np.random.default_rng accepts
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
-        if self.thin < 1:
-            raise ValueError("thin must be >= 1")
-        if not 0 <= self.burn_in < self.iterations:
+        check_count(self.iterations, "iterations", 1)
+        check_count(self.thin, "thin", 1)
+        if not 0 <= check_count(self.burn_in, "burn_in", 0) < self.iterations:
             raise ValueError("burn_in must satisfy 0 <= burn_in < iterations")
-        if self.leap_size is not None and self.leap_size < 1:
-            raise ValueError("leap_size must be positive")
+        if self.leap_size is not None:
+            check_count(self.leap_size, "leap_size", 1)
 
     def resolved_leap(self, n: int) -> int:
         leap = self.leap_size if self.leap_size is not None else max(1, n // 10)

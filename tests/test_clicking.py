@@ -265,6 +265,17 @@ class TestPseudoClicking:
         with pytest.raises(ValueError, match="outside"):
             pseudo_clicking([[0, 2, 1]], cfg)
 
+    def test_warmup_must_be_an_integer(self):
+        clicks = ClickDataset(np.array([[1, 0, 0], [0, 1, 1]]))
+        cfg = PseudoConfig(2.0, 0.0, 3, seed=1)
+        with pytest.raises(ValueError, match="warmup must be an integer"):
+            pseudo_clicking(clicks, cfg, warmup=2.5)
+        with pytest.raises(ValueError, match="warmup must be at least 0"):
+            pseudo_clicking(clicks, cfg, warmup=-1)
+        ss, users = pseudo_clicking(clicks, cfg, warmup=np.int64(2))
+        want_ss, want_users = pseudo_clicking(clicks, cfg, warmup=2)
+        assert np.array_equal(ss.samples, want_ss.samples) and np.array_equal(users, want_users)
+
     def test_consensus_recovery(self):
         """Synthetic recovery: enough users and clicks pin the consensus."""
         hits = 0
@@ -363,6 +374,13 @@ class TestRecommendations:
         users = np.tile([1, 2, 3], (4, 1, 1))
         with pytest.raises(ValueError, match="k must be at least 1"):
             recommend_all(users, [[1, 0, 0]], k)
+
+    def test_k_must_be_an_integer(self):
+        users = np.tile([1, 2, 3], (4, 1, 1))
+        for call in (lambda k: recommend_all(users, [[1, 0, 0]], k), lambda k: recommend_topk(users[:, 0], (1, 0, 0), k)):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                call(1.5)
+            assert call(np.int64(1)) == call(1)
 
 
 class TestClickFrequencyRanking:

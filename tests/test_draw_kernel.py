@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from pseudomallows import clicking, pseudo
-from pseudomallows.clicking import in_compatible_set, pseudo_clicking, sample_user_rankings
+from pseudomallows.clicking import (
+    TruncatedPoisson, binarize, click_frequency_ranking, in_compatible_set, pseudo_clicking, sample_user_rankings,
+)
 from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset
 from pseudomallows.perms import is_permutation, permutation_matrix, perturbed_v_ranking, rank_of
 from pseudomallows.pseudo import (
@@ -145,16 +147,18 @@ def test_click_loop_chunk_edges(n_users, n, clicked, warmup, n_samples, monkeypa
 
 
 @pytest.mark.parametrize("n, alpha, T", [
-    # the T=60 cases keep their ids; the others sit just below and at the row-add cut-over
+    # the T=60 cases keep their ids; the others sit just below and at the row-add
+    # cut-over, and at the one draw of the click loop's consensus step
     pytest.param(n, alpha, T, id=f"{n}-{alpha}" + ("" if T == 60 else f"-T{T}"))
-    for T in (60, pseudo._ROW_ADD_MIN - 1, pseudo._ROW_ADD_MIN)
+    for T in (60, pseudo._ROW_ADD_MIN - 1, pseudo._ROW_ADD_MIN, 1)
     for alpha in (1e-6, 2.0, 1e4, 1e6) for n in (1, 5, 20, 200)
 ])
 def test_seeded_draws_equal_the_log_space_reference(n, alpha, T, monkeypatch):
     """Single-level draws take np.cumsum below ``_ROW_ADD_MIN`` draws and
-    row-by-row adds from it on; at n=200 and T >= ``_COARSE_MIN`` they take
-    two levels. At alpha >= 1e4 with n >= 20, underflowing draws are redone
-    in log space in whichever branch runs."""
+    row-by-row adds from it on, and one draw takes Python floats; at n=200
+    and T >= ``_COARSE_MIN`` they take two levels. At alpha >= 1e4 with
+    n >= 20, underflowing draws are redone in log space in whichever branch
+    runs."""
     fallbacks = []
     inner = pseudo._log_space
     monkeypatch.setattr(pseudo, "_log_space", lambda *a: fallbacks.append(1) or inner(*a))
@@ -174,6 +178,52 @@ def test_seeded_draws_equal_the_log_space_reference(n, alpha, T, monkeypatch):
     got = sample_user_rankings(clicks, alpha, rho, np.random.default_rng(2))
     want = reference_user_draws(clicks, alpha, rho, np.random.default_rng(2))
     assert np.array_equal(got, want)
+
+
+def vector_steps(log_weights, ordering0, rng):
+    """One draw through the vector path's steps, written out: one
+    ``rng.random((n, 1))``, then per step the free ranks' linear weights as
+    an (n, 1) column, their np.cumsum, the log-space redo of a free mass
+    below 1e-300, and ``_pick``."""
+    lw = np.asarray(log_weights)
+    lin = np.exp(lw - lw.max(axis=1, keepdims=True))
+    n = ordering0.size
+    u01 = rng.random((n, 1))
+    free = np.ones((n, 1))
+    out = np.empty((1, n), dtype=np.int64)
+    for k, item in enumerate(ordering0):
+        w = lin[item][:, None] * free
+        cum = np.cumsum(w, axis=0)
+        if cum[-1, 0] < 1e-300:
+            w_low, cum_low = pseudo._log_space(lw, ordering0[k : k + 1], free.T > 0)
+            w, cum = w_low.T, cum_low.T
+        chosen = _pick(w, cum, u01[k] * cum[-1])[0]
+        out[0, item] = chosen + 1
+        free[chosen] = 0.0
+    return out
+
+
+def test_one_draw_equals_the_vector_steps_on_a_click_loop_table(monkeypatch):
+    """The consensus step's shape: n=20 items, N=200 augmented rankings and
+    alpha=5, a table that spans more than ``_UNDERFLOW_SPAN`` nats. Each of
+    300 orderings is drawn alone, through the kernel and through the vector
+    steps, from generators on one seed; the draws and the next uniform agree."""
+    one_draws = []
+    inner = pseudo._one_draw
+    monkeypatch.setattr(pseudo, "_one_draw", lambda *a: one_draws.append(1) or inner(*a))
+    n, alpha = 20, 5.0
+    rng = np.random.default_rng(19)
+    clicks = binarize(make_dataset(np.arange(1, n + 1), alpha, 200, rng), TruncatedPoisson(4.0, 1, 17), rng)
+    R = sample_user_rankings(clicks, alpha, click_frequency_ranking(clicks.clicks), rng)
+    log_weights = -(alpha / n) * RankCountMatrix(R).cost
+    assert np.ptp(log_weights, axis=1).max() > pseudo._UNDERFLOW_SPAN
+    for seed in range(300):
+        ordering0 = rng.permutation(n)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sequential_draws(log_weights, ordering0[None], got_rng)
+        assert np.array_equal(got, vector_steps(log_weights, ordering0, want_rng))
+        assert got_rng.random() == want_rng.random()
+    assert len(one_draws) == 300
 
 
 def factorized_law(log_weights, ordering0) -> dict:

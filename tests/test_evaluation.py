@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudomallows.data import RankingDataset
+from pseudomallows.data import RankCountMatrix, RankingDataset
 from pseudomallows.evaluation import (
     MarginalProfile,
     assignment_solve,
@@ -289,3 +289,15 @@ class TestChooseSigma:
     def test_default_sigma_rule_zero_for_strong_data(self):
         ds = make_dataset((1, 2, 3, 4), 3.0, 600, np.random.default_rng(16))
         assert default_sigma(ds, 3.0) == 0.0
+
+    def test_default_sigma_early_return_builds_no_table(self, monkeypatch):
+        """The rule's early return comes before any cost table, from a raw
+        array as from a dataset; the spy sees the build that follows it."""
+        ds = make_dataset((1, 2, 3, 4), 3.0, 600, np.random.default_rng(16))
+        built = []
+        inner = RankCountMatrix.__init__
+        monkeypatch.setattr(RankCountMatrix, "__init__", lambda self, r: built.append(1) or inner(self, r))
+        assert default_sigma(ds, 3.0) == 0.0 and default_sigma(ds.rankings, 3.0) == 0.0
+        assert built == []
+        assert default_sigma(ds.rankings[:5], 3.0, rng=0) in (0.0, 1.0, 2.0, 3.0)
+        assert built == [1]

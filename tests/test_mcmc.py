@@ -274,6 +274,32 @@ class TestConfig:
         with pytest.raises(ValueError, match="burn_in"):
             McmcConfig(iterations=10, burn_in=10)
 
+    def test_iterations_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            McmcConfig(iterations=100.0)
+        with pytest.raises(ValueError, match="iterations must be at least 1"):
+            McmcConfig(iterations=0)
+        assert McmcConfig(iterations=np.int64(100)).iterations == 100
+
+    def test_thin_must_be_an_integer(self):
+        """2.5 once thinned 100 iterations to 20 samples."""
+        with pytest.raises(ValueError, match="thin must be an integer"):
+            McmcConfig(iterations=100, thin=2.5)
+        assert McmcConfig(iterations=100, thin=np.int64(2)).thin == 2
+
+    def test_burn_in_must_be_an_integer(self):
+        """10.5 once gave a 1-d, empty ``rho_samples``."""
+        with pytest.raises(ValueError, match="burn_in must be an integer"):
+            McmcConfig(iterations=100, burn_in=10.5)
+        assert McmcConfig(iterations=100, burn_in=np.int64(10)).burn_in == 10
+
+    def test_leap_size_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="leap_size must be an integer"):
+            McmcConfig(iterations=100, leap_size=1.5)
+        with pytest.raises(ValueError, match="leap_size must be at least 1"):
+            McmcConfig(iterations=100, leap_size=0)
+        assert McmcConfig(iterations=100, leap_size=np.int64(2)).resolved_leap(20) == 2
+
     def test_default_leap(self):
         assert McmcConfig(iterations=10).resolved_leap(20) == 2
         assert McmcConfig(iterations=10).resolved_leap(5) == 1

@@ -225,6 +225,14 @@ class TestSampleRho:
             with pytest.raises(ValueError, match="sigma"):
                 PseudoConfig(alpha=1.0, sigma=sigma, n_samples=10)
 
+    def test_n_samples_must_be_an_integer(self):
+        for bad in (2.5, 2.0, np.float64(3.0), "4"):
+            with pytest.raises(ValueError, match="n_samples must be an integer"):
+                PseudoConfig(alpha=1.0, n_samples=bad)
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            PseudoConfig(alpha=1.0, n_samples=0)
+        assert PseudoConfig(alpha=1.0, n_samples=np.int32(3)).n_samples == 3
+
 
 class TestAlphaEstimation:
     def test_pair_similarity_value(self):
