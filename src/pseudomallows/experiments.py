@@ -24,7 +24,7 @@ from .clicking import (
     pseudo_clicking,
     recommend_all,
 )
-from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet
+from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_count
 from .evaluation import (
     MarginalProfile,
     choose_sigma,
@@ -111,10 +111,13 @@ class ExperimentConfig:
         if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         for name in ("n", "n_users", "replicates", "k", "n_samples", "sim_users"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
+        object.__setattr__(self, "warmup", check_count(self.warmup, "warmup", 0))
         for name in ("mcmc_iterations", "pm_samples", "pm_iterations"):
-            object.__setattr__(self, name, tuple(int(v) for v in getattr(self, name)))
+            budgets = tuple(check_count(v, f"{name} entry", 1) for v in getattr(self, name))
+            if not budgets:
+                raise ValueError(f"{name} must hold at least one budget")
+            object.__setattr__(self, name, budgets)
         object.__setattr__(self, "alpha_grid", tuple(float(v) for v in self.alpha_grid))
         object.__setattr__(self, "sigma_grid", tuple(float(v) for v in self.sigma_grid))
 

@@ -8,7 +8,7 @@ from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset, Ro
 from pseudomallows.evaluation import choose_sigma, default_sigma, iterative_search, posterior_profile
 from pseudomallows.exact import elbo_exact, joint_kl_exact
 from pseudomallows.mcmc import McmcConfig, mcmc_rho
-from pseudomallows.perms import as_ranking
+from pseudomallows.perms import _BLOCK_CELLS, as_ranking, non_permutation_rows
 from pseudomallows.pseudo import PseudoConfig, estimate_alpha_full, estimate_rho_hat, sample_rho
 from pseudomallows.simulate import make_dataset
 
@@ -20,13 +20,33 @@ def test_ranking_dataset_validates_rows():
         RankingDataset([[1.5, 2, 3]])
 
 
+def _non_permutation_reference(table) -> np.ndarray:
+    """True for each row along the last axis whose sorted entries are not 1..n."""
+    a = np.asarray(table)
+    n = a.shape[-1]
+    flags = [sorted(row) != list(range(1, n + 1)) for row in a.reshape(-1, n).tolist()]
+    return np.array(flags, dtype=bool).reshape(a.shape[:-1])
+
+
+def _overwrite(perm, changes) -> list:
+    row = list(perm)
+    for j, value in changes:
+        row[j] = value
+    return row
+
+
 @st.composite
 def _integer_tables(draw):
-    """1-6 rows of width n in [1, 12]: permutations of 1..n or entries in [-1, n+1]."""
-    n = draw(st.integers(1, 12))
+    """1-6 rows of width n in [1, 12] or one of 63, 64, 65, 200. A row is a
+    permutation of 1..n with up to three entries overwritten, or n entries
+    drawn outright. Entries lie in [-1, n+1] or wrap to a rank when cast to
+    a narrow dtype (n + 256, 2**40, -2**63)."""
+    n = draw(st.one_of(st.integers(1, 12), st.sampled_from([63, 64, 65, 200])))
+    entry = st.one_of(st.integers(-1, n + 1), st.sampled_from([n + 256, 2**40, -(2**63)]))
+    edits = st.lists(st.tuples(st.integers(0, n - 1), entry), max_size=3)
     row = st.one_of(
-        st.permutations(list(range(1, n + 1))),
-        st.lists(st.integers(-1, n + 1), min_size=n, max_size=n),
+        st.builds(_overwrite, st.permutations(range(1, n + 1)), edits),
+        st.lists(entry, min_size=n, max_size=n),
     )
     return draw(st.lists(row, min_size=1, max_size=6))
 
@@ -36,6 +56,7 @@ def _integer_tables(draw):
 def test_ranking_dataset_accepts_exactly_the_permutation_rows(rows):
     n = len(rows[0])
     good = [sorted(row) == list(range(1, n + 1)) for row in rows]
+    assert non_permutation_rows(rows).tolist() == _non_permutation_reference(rows).tolist()
     if all(good):
         assert RankingDataset(rows).rankings.tolist() == rows
     else:
@@ -49,6 +70,40 @@ def test_ranking_dataset_accepts_exactly_the_permutation_rows(rows):
         else:
             with pytest.raises(ValueError, match="permutation"):
                 as_ranking(row)
+
+
+@pytest.mark.parametrize("table", [
+    np.array([3, 1, 2]),
+    np.array([3, 3, 2]),
+    np.array([[[1, 2], [2, 2]], [[2, 1], [0, 1]], [[1, 3], [2, 1]]]),
+    np.empty((0, 5), dtype=np.int64),
+    np.array([[True], [False]]),
+    np.array([True, True]),
+    np.array([[1, 2, 3], [2**64 - 1, 1, 2], [3 + 2**63, 1, 2], [3, 3, 1]], dtype=np.uint64),
+    np.array([[1.0, 3.0, 2.0], [2.5, 1.0, 3.0], [np.nan, 1.0, 2.0], [np.inf, 1.0, 2.0],
+              [-np.inf, 1.0, 2.0], [1.0, 1.0, 2.0]]),
+], ids=["1d", "1d-dup", "3d", "no-rows", "bool", "bool-1d", "uint64", "float"])
+def test_non_permutation_rows_matches_a_sorted_reference(table):
+    flags = non_permutation_rows(table)
+    assert np.shape(flags) == table.shape[:-1]
+    assert np.array_equal(flags, _non_permutation_reference(table))
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_first_bad_row_is_named_across_blocks(n):
+    """The check runs over blocks of rows; bad rows in the second and fourth
+    block must still be flagged, and the first of them named."""
+    block = _BLOCK_CELLS // n
+    rng = np.random.default_rng(3)
+    table = np.argsort(rng.random((4 * block + 7, n)), axis=1) + 1
+    first, second = block + 5, 3 * block + 2
+    table[first, 0] = table[first, 1]
+    table[second, -1] = n + 256
+    flags = non_permutation_rows(table)
+    assert np.flatnonzero(flags).tolist() == [first, second]
+    with pytest.raises(RowError) as err:
+        RankingDataset(table)
+    assert err.value.row == first
 
 
 def test_ranking_dataset_shape_and_labels():

@@ -79,6 +79,37 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="kind"):
             ExperimentConfig(kind="nope")
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("n", 2.5, "n must be an integer"),
+        ("n", 0, "n must be at least 1"),
+        ("n_users", 3.0, "n_users must be an integer"),
+        ("replicates", 0, "replicates must be at least 1"),
+        ("k", 1.5, "k must be an integer"),
+        ("n_samples", 2.5, "n_samples must be an integer"),
+        ("sim_users", -1, "sim_users must be at least 1"),
+        ("warmup", -1, "warmup must be at least 0"),
+        ("warmup", 3.5, "warmup must be an integer"),
+        ("pm_samples", (2.5, 50.9), "pm_samples entry must be an integer"),
+        ("pm_samples", (0,), "pm_samples entry must be at least 1"),
+        ("pm_samples", (), "pm_samples must hold at least one budget"),
+        ("mcmc_iterations", (300.7,), "mcmc_iterations entry must be an integer"),
+        ("pm_iterations", [], "pm_iterations must hold at least one budget"),
+    ])
+    def test_counts_and_budgets_are_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(kind="full-timing", **{field: value})
+
+    def test_budgets_stay_tuples_of_ints(self):
+        cfg = ExperimentConfig.from_json(
+            '{"kind": "full-timing", "warmup": 0, "pm_samples": [50, 60], "mcmc_iterations": [300]}'
+        )
+        assert cfg.warmup == 0
+        assert cfg.pm_samples == (50, 60) and cfg.mcmc_iterations == (300,)
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+        cfg = ExperimentConfig(kind="full-timing", n=np.int64(5), pm_samples=(np.int32(7),))
+        assert type(cfg.n) is int and type(cfg.pm_samples[0]) is int
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
 
 class TestFullTiming:
     CFG = dict(kind="full-timing", n=6, n_users=30, alpha0=2.0, replicates=2,

@@ -40,6 +40,17 @@ def test_load_rankings_names_the_file_line(tmp_path):
         load_rankings(path)
 
 
+def test_load_rankings_names_a_line_past_the_first_blocks(tmp_path):
+    """The permutation check runs in blocks of rows; a duplicate rank far
+    past the first block is still named at its own line."""
+    rankings = np.tile(np.arange(1, 21), (10_000, 1))
+    rankings[7_000, 3] = rankings[7_000, 4]
+    path = tmp_path / "r.csv"
+    save_rankings(rankings, path)
+    with pytest.raises(ValueError, match="line 7001: ranking row 7000 "):
+        load_rankings(path)
+
+
 def test_load_rankings_malformed_cell(tmp_path):
     path = tmp_path / "r.csv"
     path.write_text("1,2,3\n1,x,3\n")
