@@ -51,6 +51,12 @@ class TruncatedPoisson:
     low: int = 1
     high: int | None = None
 
+    def __post_init__(self):
+        check_alpha(self.mean, name="mean")
+        low = check_count(self.low, "low", 0)
+        if self.high is not None:
+            check_count(self.high, "high", low)
+
     def sample(self, rng, size: int) -> np.ndarray:
         out = np.empty(size, dtype=np.int64)
         filled = 0
@@ -212,8 +218,6 @@ def binarize(data: RankingDataset | np.ndarray, count_model, rng) -> ClickDatase
     n_users, n = rankings.shape
     if count_model.low < 1 or (count_model.high is not None and count_model.high > n):
         raise ValueError(f"truncation bounds must sit inside [1, {n}]")
-    if count_model.high is not None and count_model.low > count_model.high:
-        raise ValueError("low exceeds high")
     rng = np.random.default_rng(rng)
     counts = count_model.sample(rng, n_users)
     counts = np.minimum(counts, n)

@@ -16,13 +16,13 @@ import numpy as np
 from .perms import non_permutation_rows, rank_of
 
 
-def check_alpha(alpha: float, allow_zero: bool = False) -> float:
-    """Return ``alpha`` as a float, rejecting values that are not finite and
-    positive (nonnegative with ``allow_zero``, as the exact oracles accept)."""
+def check_alpha(alpha: float, allow_zero: bool = False, name: str = "alpha") -> float:
+    """Return ``alpha`` as a float, rejecting values that are not finite and positive
+    (nonnegative with ``allow_zero``, as the exact oracles accept); errors call it ``name``."""
     alpha = float(alpha)
     if not (np.isfinite(alpha) and (alpha > 0 or (allow_zero and alpha == 0))):
         kind = "nonnegative" if allow_zero else "positive"
-        raise ValueError(f"alpha must be {kind} and finite, got {alpha}")
+        raise ValueError(f"{name} must be {kind} and finite, got {alpha}")
     return alpha
 
 
@@ -207,6 +207,8 @@ class RankCountMatrix:
     """
 
     def __init__(self, rankings: np.ndarray):
+        if isinstance(rankings, (RankingDataset, RankCountMatrix)):
+            raise TypeError("RankCountMatrix takes raw rankings; use RankCountMatrix.from_dataset for a dataset")
         arr = np.asarray(rankings, dtype=np.int64)
         counts = rank_counts(arr)
         n_users, n = arr.shape

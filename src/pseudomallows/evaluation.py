@@ -277,11 +277,9 @@ def choose_sigma(
 ) -> float:
     """Grid-select the ordering jitter: smallest marginal KL wins, ties go to
     the smaller sigma."""
-    grid = [float(s) for s in sigma_grid]
+    grid = [check_alpha(s, True, "sigma grid entry") for s in sigma_grid]
     if not grid:
         raise ValueError("sigma grid is empty")
-    if any(s < 0 for s in grid):
-        raise ValueError("sigma values must be nonnegative")
     table = RankCountMatrix.from_dataset(data)
     rng = np.random.default_rng(rng)
     best_sigma, best_kl = None, np.inf

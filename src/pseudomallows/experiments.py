@@ -24,7 +24,7 @@ from .clicking import (
     pseudo_clicking,
     recommend_all,
 )
-from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_count
+from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_alpha, check_count
 from .evaluation import (
     MarginalProfile,
     choose_sigma,
@@ -36,6 +36,7 @@ from .perms import footrule_distance, v_set
 from .pseudo import (
     DEFAULT_ALPHA_GRID,
     PseudoConfig,
+    check_alpha_grid,
     estimate_alpha_full,
     sample_rho,
     sample_rho_with_orderings,
@@ -110,16 +111,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        for name in ("n", "n_users", "replicates", "k", "n_samples", "sim_users"):
-            object.__setattr__(self, name, check_count(getattr(self, name), name, 1))
-        object.__setattr__(self, "warmup", check_count(self.warmup, "warmup", 0))
+        lows = dict(n=1, n_users=1, replicates=1, k=1, n_samples=1, sim_users=1, warmup=0, seed=0, click_min=0)
+        for name, low in lows.items():
+            object.__setattr__(self, name, check_count(getattr(self, name), name, low))
+        if self.click_max is not None:
+            object.__setattr__(self, "click_max", check_count(self.click_max, "click_max", self.click_min))
+        for name in ("alpha0", "click_mean", "sigma"):
+            check_alpha(getattr(self, name), name == "sigma", name)
         for name in ("mcmc_iterations", "pm_samples", "pm_iterations"):
             budgets = tuple(check_count(v, f"{name} entry", 1) for v in getattr(self, name))
             if not budgets:
                 raise ValueError(f"{name} must hold at least one budget")
             object.__setattr__(self, name, budgets)
-        object.__setattr__(self, "alpha_grid", tuple(float(v) for v in self.alpha_grid))
-        object.__setattr__(self, "sigma_grid", tuple(float(v) for v in self.sigma_grid))
+        object.__setattr__(self, "alpha_grid", check_alpha_grid(self.alpha_grid))
+        object.__setattr__(self, "sigma_grid", tuple(check_alpha(v, True, "sigma_grid") for v in self.sigma_grid))
 
     @classmethod
     def from_json(cls, document: str | dict) -> "ExperimentConfig":

@@ -5,9 +5,11 @@
 swaps) with consensus updates for click data. Both are the comparison arm in
 the timing and accuracy experiments. ``mcmc_clicking`` starts from
 ``data.click_frequency_ranking`` and the users' targets
-(``data.click_targets``), as the pseudo-Mallows loop does, and finds each
-user's groups in one table made once: the stable argsort of the unclick
-bits, which lists a user's clicked items, then the unclicked ones.
+(``data.click_targets``), as the pseudo-Mallows loop does. The user
+rankings are item-major, (n, N): flat cell ``i * N + j`` is user j's rank of
+item i. Tables made once give each user's clicked, then unclicked items as
+flat cells and item ids in rows padded to n + 1 (an inactive user's row
+names one cell), and the acceptance probability of every footrule change.
 
 Every consensus update is one leap-and-shift move, written once here: a
 destination drawn within the leap window (``_leap_target``), the log window
@@ -192,6 +194,11 @@ def mcmc_clicking(clicks, alpha: float, cfg: McmcConfig):
     augmented rankings. Returns the consensus trace and the per-user ranking
     trace with shape (T, N, n). ``clicks`` is a ClickDataset or anything
     ClickDataset accepts.
+
+    The chain equals that of the plain per-user update draw for draw: the
+    generator calls and their order are the same, and so is each compared
+    value. A pick cast needs no clamp: u <= 1 - 2**-53 and an integer s >= 1
+    give u * s <= s - s * 2**-53, at least half a spacing below s.
     """
     check_alpha(alpha)
     B = clicks_of(clicks)
@@ -204,20 +211,28 @@ def mcmc_clicking(clicks, alpha: float, cfg: McmcConfig):
             McmcTrace(np.ones((n_keep, 1), dtype=np.int64), 1.0, 0.0),
             np.ones((n_keep, n_users, 1), dtype=np.int64),
         )
-    R = np.ascontiguousarray(click_targets(B, rho) + 1)  # follows rho in each group; row-major, as user_keep is
-    # each user's clicked items, then unclicked items, each in item-index order
-    grouped = np.argsort(1 - B, axis=1, kind="stable")
+    Rt = np.ascontiguousarray(click_targets(B, rho).T + 1)  # follows rho in each group
+    flat = Rt.reshape(-1)
     c = B.sum(axis=1)
-    cc = n - c
-    can_click = c >= 2
-    can_unclick = cc >= 2
-    active = can_click | can_unclick
+    active = (c >= 2) | (c <= n - 2)
+    rows = np.arange(n_users)
+    # each active user's clicked items, then unclicked items, each in item-index order
+    items = np.zeros((n_users, n + 1), dtype=np.int64)
+    items[active, :n] = np.argsort(1 - B[active], axis=1, kind="stable")
+    cells = items * n_users + rows[:, None]  # both tables are read flat, through ``take``
+    # per group: the two pick ranges and the group's first position in the table
+    safe_c, safe_u = np.maximum(c, 2), np.maximum(n - c, 2)
+    group_c = np.stack([safe_c, safe_c - 1, rows * (n + 1)])
+    group_u = np.stack([safe_u, safe_u - 1, rows * (n + 1) + c])
+    # u_g < pick_below picks the clicked group: half the time when both groups can swap
+    pick_below = np.where(c >= 2, np.where(c <= n - 2, 0.5, 2.0), -1.0)
     scale = alpha / n
+    changes = np.r_[0 : 2 * n - 1, 2 - 2 * n : 0]  # negative changes index from the end
+    thr = np.exp(np.minimum(-scale * changes, 0.0))
     leap = cfg.resolved_leap(n)
     order = np.empty(n + 1, dtype=np.int64)
     order[rho] = np.arange(n)
     log_w = _log_windows(n, leap)
-    rows = np.arange(n_users)
 
     rho_keep = np.empty((n_keep, n), dtype=np.int64)
     user_keep = np.empty((n_keep, n_users, n), dtype=np.int64)
@@ -225,39 +240,27 @@ def mcmc_clicking(clicks, alpha: float, cfg: McmcConfig):
     start = time.perf_counter()
     for it in range(1, cfg.iterations + 1):
         # (i) per-user within-group swaps; independent across users given rho
-        u_g, u_1, u_2, u_acc = rng.random((4, n_users))
-        pick_clicked = np.where(can_click & can_unclick, u_g < 0.5, can_click)
-        sizes = np.where(pick_clicked, c, cc)
-        first = np.where(pick_clicked, 0, c)  # where the picked group starts in ``grouped``
-        safe = np.maximum(sizes, 2)
-        i1 = np.minimum((u_1 * safe).astype(np.int64), safe - 1)
-        i2 = np.minimum((u_2 * (safe - 1)).astype(np.int64), safe - 2)
-        i2 = i2 + (i2 >= i1)
-        # the clamp only bites for users with no group of two, whose picks are masked
-        a = np.where(active, grouped[rows, np.minimum(first + i1, n - 1)], 0)
-        b = np.where(active, grouped[rows, np.minimum(first + i2, n - 1)], 0)
-        ra, rb = R[rows, a], R[rows, b]
-        old = np.abs(ra - rho[a]) + np.abs(rb - rho[b])
-        new = np.abs(rb - rho[a]) + np.abs(ra - rho[b])
-        accept = active & (u_acc < np.exp(np.minimum(-scale * (new - old), 0.0)))
-        idx = np.flatnonzero(accept)
-        if idx.size:
-            ai, bi = a[idx], b[idx]
-            tmp = R[idx, ai].copy()
-            R[idx, ai] = R[idx, bi]
-            R[idx, bi] = tmp
+        u_all = rng.random((4, n_users))  # group, first pick, second pick, acceptance
+        group = np.where(u_all[0] < pick_below, group_c, group_u)
+        pos = (u_all[1:3] * group[:2]).astype(np.int64)
+        pos += group[2]
+        pos[1] += pos[1] >= pos[0]  # the second pick skips the first
+        cell = cells.take(pos)
+        rr = flat[cell]
+        gap = np.abs(rr[:, None] - rho[items.take(pos)])  # gap[x, y] = |rank of pick x - rho of pick y|
+        side = gap[:, 1] - gap[:, 0]
+        accept = u_all[3] < thr.take(side[0] - side[1])
+        flat[cell] = np.where(accept, rr[::-1], rr)
 
         # (ii) one leap-and-shift update of rho given the augmented rankings
         u = int(rng.integers(0, n))
         q = int(rho[u])
         r = _leap_target(q, rng.random(), leap, n)
-        col = R[:, u]
-        delta = np.abs(col - r).sum() - np.abs(col - q).sum()
-        step = 1 if q < r else -1
-        for p in range(q + step, r + step, step):  # the items that shift to p - step
-            col = R[:, order[p]]
-            delta += np.abs(col - (p - step)).sum() - np.abs(col - p).sum()
-        log_acc = -scale * delta
+        lo, hi = min(q, r), max(q, r)
+        span = range(lo, hi + 1)  # the items ranked lo..hi move: u to r, the others one rank toward q
+        ranks = np.array([[r if p == q else p + (p < q) - (p > q) for p in span], span])
+        moved = np.abs(Rt.take(order[lo : hi + 1], axis=0) - ranks[:, :, None]).sum(axis=(1, 2))
+        log_acc = -scale * (moved[0] - moved[1])
         if abs(q - r) > 1:
             log_acc += log_w[q] - log_w[r]
         if log_acc >= 0.0 or rng.random() < math.exp(log_acc):
@@ -266,6 +269,6 @@ def mcmc_clicking(clicks, alpha: float, cfg: McmcConfig):
         if it > cfg.burn_in and (it - cfg.burn_in) % cfg.thin == 0:
             kept = (it - cfg.burn_in) // cfg.thin - 1
             rho_keep[kept] = rho
-            user_keep[kept] = R
+            user_keep[kept] = Rt.T
     wall = time.perf_counter() - start
     return McmcTrace(rho_keep, accepted / cfg.iterations, wall), user_keep

@@ -62,8 +62,7 @@ class PseudoConfig:
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        check_alpha(self.sigma, True, "sigma")
         check_count(self.n_samples, "n_samples", 1)
 
 
@@ -333,6 +332,14 @@ def mean_pairwise_similarity(vectors) -> float:
     return float((total @ total - n_users) / (n_users * (n_users - 1)))
 
 
+def check_alpha_grid(alpha_grid) -> tuple[float, ...]:
+    """``alpha_grid`` as a tuple of alphas that is nonempty and strictly ascending."""
+    grid = tuple(check_alpha(a, name="alpha grid entry") for a in alpha_grid)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"alpha grid must be nonempty and strictly ascending, got {grid}")
+    return grid
+
+
 def match_alpha_grid(alpha_grid, observed: float, simulate) -> float:
     """The grid alpha whose simulated statistic is closest to ``observed``.
 
@@ -340,11 +347,7 @@ def match_alpha_grid(alpha_grid, observed: float, simulate) -> float:
     called once per grid value, in ascending order. The grid must be
     nonempty and strictly ascending.
     """
-    grid = [float(a) for a in alpha_grid]
-    if not grid:
-        raise ValueError("alpha grid is empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("alpha grid must be strictly ascending")
+    grid = check_alpha_grid(alpha_grid)
     gaps = [abs(simulate(a) - observed) for a in grid]
     return grid[int(np.argmin(gaps))]
 

@@ -86,6 +86,19 @@ class TestCountModels:
         draws = TruncatedPoisson(mean=5.0, low=1, high=47).sample(rng, 100000)
         assert abs(draws.mean() - 5.0) < 0.05
 
+    @pytest.mark.parametrize("args,message", [
+        ((0.0, 1, 4), "mean must be positive"),
+        ((float("nan"), 1, 4), "mean must be positive and finite"),
+        ((float("inf"), 1, 4), "mean must be positive and finite"),
+        ((5.0, 1.5, 4), "low must be an integer"),
+        ((5.0, -1, 4), "low must be at least 0"),
+        ((5.0, 1, 4.5), "high must be an integer"),
+        ((5.0, 3, 2), "high must be at least 3"),
+    ])
+    def test_bad_parameters_are_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            TruncatedPoisson(*args)
+
     def test_infeasible_bounds_raise(self):
         rng = np.random.default_rng(3)
         with pytest.raises(ValueError, match="truncation"):

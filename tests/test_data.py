@@ -178,6 +178,12 @@ class TestRankCountMatrix:
         with pytest.raises(RowError):
             RankCountMatrix.from_dataset([[1, 1, 3]])
 
+    def test_constructor_names_from_dataset_for_a_dataset(self):
+        arr = np.array([[2, 1, 3], [1, 3, 2]])
+        for data in (RankingDataset(arr), RankCountMatrix(arr)):
+            with pytest.raises(TypeError, match="use RankCountMatrix.from_dataset"):
+                RankCountMatrix(data)
+
 
 _RANKINGS = make_dataset(np.arange(1, 5), 2.0, 12, np.random.default_rng(3)).rankings
 _CLICKS = (_RANKINGS <= 2).astype(np.int64)

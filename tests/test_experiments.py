@@ -99,6 +99,32 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(kind="full-timing", **{field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("seed", 1.5, "seed must be an integer"),
+        ("seed", -1, "seed must be at least 0"),
+        ("click_min", 1.5, "click_min must be an integer"),
+        ("click_max", 4.5, "click_max must be an integer"),
+        ("click_max", 0, "click_max must be at least 1"),
+        ("alpha0", -1.0, "alpha0 must be positive"),
+        ("click_mean", float("nan"), "click_mean must be positive and finite"),
+        ("sigma", -1.0, "sigma must be nonnegative"),
+        ("sigma", float("inf"), "sigma must be nonnegative and finite"),
+        ("alpha_grid", (), "alpha grid must be nonempty"),
+        ("alpha_grid", (2.0, 1.0), "strictly ascending"),
+        ("alpha_grid", (1.0, float("nan")), "alpha grid entry must be positive and finite"),
+        ("sigma_grid", (-1.0,), "sigma_grid must be nonnegative"),
+    ])
+    def test_values_are_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(kind="full-timing", **{field: value})
+
+    def test_checked_values_are_kept(self):
+        cfg = ExperimentConfig(kind="clicking-accuracy", seed=np.int64(3), click_max=np.int64(4),
+                               sigma=0.0, alpha_grid=[1, 2.5], sigma_grid=[0, 1])
+        assert type(cfg.seed) is int and type(cfg.click_max) is int
+        assert cfg.alpha_grid == (1.0, 2.5) and cfg.sigma_grid == (0.0, 1.0)
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
     def test_budgets_stay_tuples_of_ints(self):
         cfg = ExperimentConfig.from_json(
             '{"kind": "full-timing", "warmup": 0, "pm_samples": [50, 60], "mcmc_iterations": [300]}'

@@ -447,15 +447,35 @@ def reference_mcmc_clicking(clicks, alpha, cfg):
     return np.array(rho_keep), np.array(user_keep), accepted / cfg.iterations
 
 
-@pytest.mark.parametrize("alpha", [0.5, 4.0])
-@pytest.mark.parametrize("n", [2, 3, 20])
-def test_seeded_clicking_chain_equals_the_padded_reference(n, alpha):
+def _edge_clicks(n):
     rng = np.random.default_rng(n)
     B = (rng.random((9, n)) < 0.3).astype(np.int64)
     for j, count in enumerate((0, 1, n - 1, n)):  # every group size at its edge
         B[j] = 0
         B[j, rng.permutation(n)[:count]] = 1
-    clicks = ClickDataset(B)
+    return ClickDataset(B)
+
+
+def _benchmark_like_clicks(n):
+    """200 users of Mallows(alpha = 5) rankings with 1..17 clicks each."""
+    rng = np.random.default_rng(n)
+    return binarize(make_dataset(np.arange(1, n + 1), 5.0, 200, rng), TruncatedPoisson(4.0, 1, 17), rng)
+
+
+def _one_click_each(n):
+    """Every user has one click, so at n = 2 no user has a pair to swap."""
+    return ClickDataset(np.eye(n, dtype=np.int64)[np.random.default_rng(n).integers(0, n, 9)])
+
+
+@pytest.mark.parametrize("n, alpha, make_clicks", [
+    *(pytest.param(n, alpha, _edge_clicks, id=f"{n}-{alpha}") for n in (2, 3, 20) for alpha in (0.5, 4.0)),
+    pytest.param(20, 5.0, _benchmark_like_clicks, id="20-5.0-benchmark-like"),
+    # exp(-(1000 / 20) * d) is 0.0 for footrule changes d >= 15
+    pytest.param(20, 1000.0, _edge_clicks, id="20-1000.0-underflow"),
+    pytest.param(2, 4.0, _one_click_each, id="2-4.0-one-click-each"),
+])
+def test_seeded_clicking_chain_equals_the_padded_reference(n, alpha, make_clicks):
+    clicks = make_clicks(n)
     cfg = McmcConfig(iterations=1200, burn_in=200, thin=3, seed=n + 1)
     trace, users = mcmc_clicking(clicks, alpha, cfg)
     want_rho, want_users, want_rate = reference_mcmc_clicking(clicks, alpha, cfg)

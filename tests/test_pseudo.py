@@ -251,3 +251,6 @@ class TestAlphaEstimation:
             estimate_alpha_full(ds, ())
         with pytest.raises(ValueError, match="ascending"):
             estimate_alpha_full(ds, (2.0, 1.0))
+        for grid in ((0.0, 1.0), (0.5, float("nan"))):
+            with pytest.raises(ValueError, match="alpha grid entry must be positive and finite"):
+                estimate_alpha_full(ds, grid)
