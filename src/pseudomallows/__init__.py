@@ -13,10 +13,8 @@ from .clicking import (
     binarize,
     estimate_alpha_clicks,
     in_compatible_set,
-    pseudo_clicking,
     recommend_all,
     recommend_topk,
-    sample_user_rankings,
 )
 from .data import (
     ClickDataset, RankCountMatrix, RankingDataset, RowError, SampleSet, click_frequency_ranking, rankings_of,
@@ -78,8 +76,10 @@ from .pseudo import (
     estimate_alpha_full,
     estimate_rho_hat,
     mean_pairwise_similarity,
+    pseudo_clicking,
     sample_rho,
     sample_rho_with_orderings,
+    sample_user_rankings,
 )
 from .simulate import make_dataset, sample_mallows
 

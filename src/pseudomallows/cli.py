@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clicking import pseudo_clicking, recommend_all
+from .clicking import recommend_all
 from .data import RankCountMatrix
 from .evaluation import (
     EXACT_STUDY_CAP,
@@ -29,6 +29,7 @@ from .pseudo import (
     PseudoConfig,
     estimate_alpha_full,
     estimate_rho_hat,
+    pseudo_clicking,
     sample_rho,
 )
 
@@ -54,19 +55,23 @@ def _resolve_alpha_sigma(data, table, args, rng) -> tuple[float, float]:
     return alpha, sigma
 
 
+def _report_fit(ss, output, what: str) -> int:
+    """Print a fit's consensus and wall clock, and write its ``what`` to ``output`` when given."""
+    print(f"consensus: {','.join(map(str, cp_consensus(ss)))}")
+    print(f"wall_clock_s: {ss.wall_clock:.4f}")
+    if output:
+        save_rankings(ss.samples, output)
+        print(f"wrote {len(ss.samples)} {what} to {output}")
+    return 0
+
+
 def _cmd_fit_rho(args) -> int:
     data = load_rankings(args.input)
     table = RankCountMatrix(data.rankings)
     rng = np.random.default_rng(args.seed)
     alpha, sigma = _resolve_alpha_sigma(data, table, args, rng)
     ss = sample_rho(table, PseudoConfig(alpha, sigma, args.samples, seed=args.seed))
-    consensus = cp_consensus(ss)
-    print(f"consensus: {','.join(map(str, consensus))}")
-    print(f"wall_clock_s: {ss.wall_clock:.4f}")
-    if args.output:
-        save_rankings(ss.samples, args.output)
-        print(f"wrote {args.samples} samples to {args.output}")
-    return 0
+    return _report_fit(ss, args.output, "samples")
 
 
 def _fit_clicks(args):
@@ -81,13 +86,7 @@ def _fit_clicks(args):
 
 def _cmd_fit_clicks(args) -> int:
     _, rho_ss, _ = _fit_clicks(args)
-    consensus = cp_consensus(rho_ss)
-    print(f"consensus: {','.join(map(str, consensus))}")
-    print(f"wall_clock_s: {rho_ss.wall_clock:.4f}")
-    if args.output:
-        save_rankings(rho_ss.samples, args.output)
-        print(f"wrote {args.samples} consensus samples to {args.output}")
-    return 0
+    return _report_fit(rho_ss, args.output, "consensus samples")
 
 
 def _cmd_recommend(args) -> int:

@@ -1,19 +1,9 @@
-"""Preference learning from binary click data.
+"""Preference learning from binary click data: the data model and recommendation.
 
 Clicked items are assumed ranked above unclicked ones, so a user's latent
-ranking is a sequential draw around the consensus in which every item is
-confined to its own rank block: clicked items to 1..c, unclicked items to
-c+1..n. The alternating loop draws all user rankings given the current
-consensus, then one consensus sample given the augmented rankings, as a
-``sample_rho`` call on their cost table, and repeats. An item's weight
-exp(-(alpha/n) |target - r|) depends only on its distance from the target,
-and a block's targets are its own ranks in a uniform item order, so each
-block is a draw from a law on the permutations of its m ranks that depends
-on m and alpha alone, relabelled by the targets.
-The loop draws the blocks of a chunk of iterations up front, one kernel call
-per block size, and relabels them at each iteration's consensus.
-
-Both click-data samplers (this loop and ``mcmc.mcmc_clicking``) start from
+ranking lies in the compatible set of the clicks: clicked items take ranks
+1..c, unclicked items c+1..n. Both click-data samplers
+(``pseudo.pseudo_clicking`` and ``mcmc.mcmc_clicking``) start from
 ``data.click_frequency_ranking``, take each user's targets from
 ``data.click_targets`` and return a (T, N, n) user-ranking trace;
 ``recommend_all`` turns either trace into every user's top-k list with one
@@ -23,18 +13,14 @@ turned into clicks with a truncated Poisson count model.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .data import (
-    ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_alpha, check_count,
-    click_frequency_ranking, click_targets, clicks_of, rankings_of,
-)
-from .perms import as_ranking
-from .pseudo import PseudoConfig, _sequential_draws, match_alpha_grid, mean_pairwise_similarity, sample_rho
+from .data import ClickDataset, RankingDataset, SampleSet, clicks_of, rankings_of
+from .perms import check_alpha, check_count
+from .pseudo import match_alpha_grid, mean_pairwise_similarity
 from .simulate import make_dataset
 
 
@@ -79,90 +65,6 @@ def in_compatible_set(ranking, clicks_row) -> bool:
     b = np.asarray(clicks_row, dtype=np.int64)
     c = int(b.sum())
     return bool((r[b == 1] <= c).all() and (r[b == 0] >= c + 1).all())
-
-
-_CHUNK_CELLS = 200_000  # user ranks per chunk of block draws (50 iterations at N=200, n=20)
-
-
-def _draw_blocks(b: np.ndarray, alpha: float, out: np.ndarray, rng) -> np.ndarray:
-    """Fill and return the (L, N, n) ``out``: ``out[t, u, j]`` is the rank of
-    user u's item with 0-based target j at iteration t. Per block size m,
-    ascending, one kernel call draws all clicked, then unclicked, blocks of m
-    ranks from the m x m corner of -(alpha/n) |target - rank|, in uniform orders."""
-    n_users, n = b.shape
-    c = b.sum(axis=1)
-    sizes, starts = np.concatenate([c, n - c]), np.concatenate([0 * c, c])
-    users = np.tile(np.arange(n_users), 2)
-    ranks0 = np.arange(n)
-    log_weights = -(alpha / n) * np.abs(ranks0[:, None] - ranks0)
-    for m in np.unique(sizes[sizes > 0]):
-        block = sizes == m
-        cols = starts[block][:, None] + ranks0[:m]
-        orderings0 = np.argsort(rng.random((out.shape[0] * cols.shape[0], m)), axis=1)
-        draws = _sequential_draws(log_weights[:m, :m], orderings0, rng)
-        out[:, users[block][:, None], cols] = draws.reshape(out.shape[0], -1, m) + cols[:, :1]
-    return out
-
-
-def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
-    """Draw one compatible ranking per user given the consensus (vectorized).
-
-    Each user's ranking is one sequential draw per rank block, in a uniform
-    item order: item i takes rank r of its own block with weight
-    exp(-(alpha/n) |target_i - r|), the target being the compatible ranking
-    that follows ``rho`` within each group. This is one iteration of the
-    loop's block draws (``_draw_blocks``), one kernel call per block size;
-    with few users per size it costs more than an iteration of the loop,
-    which draws a chunk of iterations per call. Memory is O(N * n + n^2).
-    ``clicks`` is a ClickDataset or anything ClickDataset accepts.
-    """
-    alpha = check_alpha(alpha)
-    rho = as_ranking(rho)
-    b = clicks_of(clicks)
-    n = rho.size
-    if b.shape[1] != n:
-        raise ValueError(f"clicks have {b.shape[1]} columns but rho ranks {n} items")
-    drawn = _draw_blocks(b, alpha, np.empty((1, *b.shape), dtype=np.int64), rng)[0]
-    return np.take_along_axis(drawn, click_targets(b, rho), axis=1)
-
-
-def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
-    """Alternating sampler for click data.
-
-    Starts the consensus at the descending click-frequency ranking, then per
-    iteration (i) samples every user's ranking given the current consensus
-    and (ii) draws one consensus sample treating the augmented rankings as
-    complete data: a one-draw ``sample_rho`` call on their RankCountMatrix,
-    which continues the loop's generator. The first ``warmup`` iterations are
-    discarded. The clicks are read once per call; block draws come a chunk of
-    warm-up or kept iterations at a time (``_CHUNK_CELLS`` user ranks, at
-    least one).
-    Returns the consensus SampleSet and the (n_samples, N, n) user-ranking
-    draws. ``clicks`` is a ClickDataset or anything ClickDataset accepts.
-    """
-    check_count(warmup, "warmup", 0)
-    b = clicks_of(clicks)
-    n_users, n = b.shape
-    rng = np.random.default_rng(cfg.seed)
-    step = replace(cfg, n_samples=1, seed=rng)
-    rho = click_frequency_ranking(b)
-    total = warmup + cfg.n_samples
-    chunk = max(1, _CHUNK_CELLS // max(n_users * n, 1))
-    starts = [*range(0, warmup, chunk), *range(warmup, total, chunk)]
-    rho_keep = np.empty((cfg.n_samples, n), dtype=np.int64)
-    user_keep = np.empty((cfg.n_samples, n_users, n), dtype=np.int64)
-    start = time.perf_counter()
-    for lo, hi in zip(starts, starts[1:] + [total]):
-        # kept iterations draw into their slice of the trace, warm-up ones into scratch
-        drawn = (user_keep[lo - warmup : hi - warmup] if lo >= warmup
-                 else np.empty((hi - lo, n_users, n), dtype=np.int64))
-        for t, R in enumerate(_draw_blocks(b, cfg.alpha, drawn, rng), lo):
-            R[:] = np.take_along_axis(R, click_targets(b, rho), axis=1)
-            rho = sample_rho(RankCountMatrix(R), step).samples[0]
-            if t >= warmup:
-                rho_keep[t - warmup] = rho
-    wall = time.perf_counter() - start
-    return SampleSet(rho_keep, alpha=cfg.alpha, sigma=cfg.sigma, seed=cfg.seed, wall_clock=wall), user_keep
 
 
 def _recommend(samples: np.ndarray, b: np.ndarray, k: int) -> list[list[Recommendation]]:
@@ -239,6 +141,7 @@ def estimate_alpha_clicks(
     the binary similarity statistic (``mean_pairwise_similarity``, which
     leaves zero-click users out).
     """
+    check_count(sim_users, "sim_users", 2)
     rng = np.random.default_rng(rng)
     b = clicks_of(clicks)
     observed = mean_pairwise_similarity(b)

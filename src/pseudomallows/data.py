@@ -8,34 +8,11 @@ user's targets, live here, below both.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .perms import non_permutation_rows, rank_of
-
-
-def check_alpha(alpha: float, allow_zero: bool = False, name: str = "alpha") -> float:
-    """Return ``alpha`` as a float, rejecting values that are not finite and positive
-    (nonnegative with ``allow_zero``, as the exact oracles accept); errors call it ``name``."""
-    alpha = float(alpha)
-    if not (np.isfinite(alpha) and (alpha > 0 or (allow_zero and alpha == 0))):
-        kind = "nonnegative" if allow_zero else "positive"
-        raise ValueError(f"{name} must be {kind} and finite, got {alpha}")
-    return alpha
-
-
-def check_count(value, name: str, low: int) -> int:
-    """Return ``value`` as an int, rejecting anything that is not a Python or
-    numpy integer (2.5 and 2.0 alike are never rounded) or is below ``low``."""
-    try:
-        count = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if count < low:
-        raise ValueError(f"{name} must be at least {low}, got {count}")
-    return count
 
 
 def _int_table(values, name: str, labels) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import RankCountMatrix, RankingDataset, SampleSet, check_alpha, rank_counts
+from .data import RankCountMatrix, RankingDataset, SampleSet, rank_counts
 from .exact import (
     DiscreteDistribution,
     exact_distribution,
@@ -25,7 +25,7 @@ from .exact import (
     marginal_profile_matrix,
 )
 from .mcmc import McmcConfig, ls_move, mcmc_rho
-from .perms import CapacityError, as_ranking, ordering_of, permutation_matrix, v_set
+from .perms import CapacityError, as_ranking, check_alpha, check_count, ordering_of, permutation_matrix, v_set
 from .pseudo import PseudoConfig, estimate_rho_hat, sample_rho, sample_rho_with_orderings
 
 EXACT_STUDY_CAP = 6  # the enumeration study costs n!^2 evaluations
@@ -44,6 +44,8 @@ class MarginalProfile:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("profile must be a square matrix")
+        if not (np.isfinite(m) & (m >= 0)).all():
+            raise ValueError("profile entries must be finite and nonnegative")
         if np.abs(m.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("profile rows must sum to 1")
         object.__setattr__(self, "matrix", m)
@@ -59,9 +61,7 @@ class MarginalProfile:
     def smooth(self, eps: float) -> "MarginalProfile":
         """Additively smoothed copy; use on an exact reference before
         comparing against empirical profiles of matching resolution."""
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        m = self.matrix + eps
+        m = self.matrix + check_alpha(eps, name="eps")
         return MarginalProfile(m / m.sum(axis=1, keepdims=True))
 
     @classmethod
@@ -72,9 +72,7 @@ class MarginalProfile:
         counts = rank_counts(arr)  # rejects all but a (T, n) table of ranks in 1..n
         if not len(arr):
             raise ValueError("an empirical profile needs at least one draw")
-        eps = 1.0 / (2.0 * len(arr)) if smoothing is None else float(smoothing)
-        if eps <= 0:
-            raise ValueError("smoothing must be positive for empirical profiles")
+        eps = 1.0 / (2.0 * len(arr)) if smoothing is None else check_alpha(smoothing, name="smoothing")
         counts = counts + eps
         return cls(counts / counts.sum(axis=1, keepdims=True))
 
@@ -126,12 +124,10 @@ def ordering_kl(cost, alpha: float, ordering, reference: MarginalProfile,
     from ``draws`` samples drawn with ``rng`` and ``reference`` is smoothed by
     their 1/(2*draws) to match; ``draws`` below 1 is rejected.
     """
-    if draws is not None and draws < 1:
-        raise ValueError(f"draws must be at least 1, got {draws}")
     if draws is None:
         q = MarginalProfile.from_distribution(exact_distribution(cost, alpha, ordering))
     else:
-        orderings = np.broadcast_to(ordering, (draws, np.size(ordering)))
+        orderings = np.broadcast_to(ordering, (check_count(draws, "draws", 1), np.size(ordering)))
         q = MarginalProfile.from_samples(sample_rho_with_orderings(cost, alpha, orderings, rng))
         reference = reference.smooth(1.0 / (2.0 * draws))
     return marginal_kl(q, reference)
@@ -219,8 +215,8 @@ def iterative_search(
     last one.
     """
     check_alpha(alpha)
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be nonnegative, got {max_iters}")
+    check_count(max_iters, "max_iters", 0)
+    check_count(draws, "draws", 1)
     cost_table = RankCountMatrix.from_dataset(data)
     n = cost_table.n_items
     caps = {"exact": EXACT_SEARCH_CAP, "sampled": SAMPLED_SEARCH_CAP}
@@ -282,14 +278,11 @@ def choose_sigma(
         raise ValueError("sigma grid is empty")
     table = RankCountMatrix.from_dataset(data)
     rng = np.random.default_rng(rng)
-    best_sigma, best_kl = None, np.inf
+    kls = []
     for sigma in grid:
         cfg = PseudoConfig(alpha, sigma, n_samples, seed=int(rng.integers(2**63)))
-        profile = MarginalProfile.from_samples(sample_rho(table, cfg))
-        kl = marginal_kl(profile, reference)
-        if kl < best_kl or (kl == best_kl and best_sigma is not None and sigma < best_sigma):
-            best_sigma, best_kl = sigma, kl
-    return best_sigma
+        kls.append(marginal_kl(MarginalProfile.from_samples(sample_rho(table, cfg)), reference))
+    return min(zip(kls, grid))[1]
 
 
 def default_sigma(data: RankCountMatrix | RankingDataset | np.ndarray, alpha: float, rng=None) -> float:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .data import RankCountMatrix, RankingDataset, check_alpha, rank_counts, rankings_of
-from .perms import CapacityError, as_ranking, permutation_matrix
+from .data import RankCountMatrix, RankingDataset, rank_counts, rankings_of
+from .perms import CapacityError, as_ranking, check_alpha, check_count, permutation_matrix
 
 EXACT_CAP = 8  # 8! = 40320 permutations stays sub-second
-ELBO_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -115,15 +114,21 @@ def marginal_expectation(rho0, alpha: float, item: int) -> float:
     return float(marg @ np.arange(1, marg.size + 1))
 
 
+def _admissible_ranks(n: int, excluded) -> list[int]:
+    """The ranks 1..n not in ``excluded``, whose entries must be integer ranks;
+    raises when every rank is excluded."""
+    excluded = {check_count(e, "excluded rank", 1) for e in excluded}
+    admissible = [r for r in range(1, n + 1) if r not in excluded]
+    if not admissible:
+        raise ValueError("every rank is excluded; no admissible rank remains")
+    return admissible
+
+
 def marginal_median(rho0, alpha: float, item: int, excluded=()) -> int:
     """Median of the Mallows marginal of ``item`` restricted to ranks not in
     ``excluded``: the smallest rank where the renormalized CDF reaches 1/2."""
     marg = marginal_rank_distribution(mallows_distribution(rho0, alpha), item)
-    n = marg.size
-    excluded = set(int(e) for e in excluded)
-    admissible = [r for r in range(1, n + 1) if r not in excluded]
-    if not admissible:
-        raise ValueError("every rank is excluded; the restricted marginal is empty")
+    admissible = _admissible_ranks(marg.size, excluded)
     weights = np.array([marg[r - 1] for r in admissible])
     cdf = np.cumsum(weights) / weights.sum()
     idx = int(np.searchsorted(cdf, 0.5))
@@ -136,10 +141,7 @@ def constrained_l1_minimizer(data: RankingDataset | np.ndarray, item: int, exclu
     n = rankings.shape[1]
     if not 1 <= item <= n:
         raise IndexError(f"item {item} out of range 1..{n}")
-    excluded = set(int(e) for e in excluded)
-    admissible = [l for l in range(1, n + 1) if l not in excluded]
-    if not admissible:
-        raise ValueError("no admissible rank remains")
+    admissible = _admissible_ranks(n, excluded)
     col = rankings[:, item - 1]
     costs = [int(np.abs(col - l).sum()) for l in admissible]
     return admissible[int(np.argmin(costs))]
@@ -190,12 +192,9 @@ def elbo_exact(data, alpha: float, ordering) -> float:
     """Exact evidence lower bound of the factorized family at one ordering.
 
     Enumerates P_n, weighting each permutation's log step-normalizer by its
-    factorized probability. Feasible for n <= 7.
+    factorized probability (n <= 8).
     """
-    table = RankCountMatrix.from_dataset(data)
-    if table.n_items > ELBO_CAP:
-        raise CapacityError(f"elbo_exact requires n <= {ELBO_CAP}")
-    _, log_q, log_zpm, _ = _factorized_log_components(table, alpha, ordering)
+    _, log_q, log_zpm, _ = _factorized_log_components(data, alpha, ordering)
     q = np.exp(log_q)
     live = q > 0
     return float(np.sum(q[live] * log_zpm[live]))
@@ -203,11 +202,8 @@ def elbo_exact(data, alpha: float, ordering) -> float:
 
 def joint_kl_exact(data, alpha: float, ordering) -> float:
     """KL between the factorized distribution and the exact posterior, by
-    full enumeration of P_n."""
-    table = RankCountMatrix.from_dataset(data)
-    if table.n_items > ELBO_CAP:
-        raise CapacityError(f"joint_kl_exact requires n <= {ELBO_CAP}")
-    _, log_q, _, log_p = _factorized_log_components(table, alpha, ordering)
+    full enumeration of P_n (n <= 8)."""
+    _, log_q, _, log_p = _factorized_log_components(data, alpha, ordering)
     log_p = log_p - logsumexp(log_p)
     q = np.exp(log_q)
     live = q > 0

@@ -17,14 +17,8 @@ from functools import partial
 
 import numpy as np
 
-from .clicking import (
-    TruncatedPoisson,
-    binarize,
-    estimate_alpha_clicks,
-    pseudo_clicking,
-    recommend_all,
-)
-from .data import ClickDataset, RankCountMatrix, RankingDataset, SampleSet, check_alpha, check_count
+from .clicking import TruncatedPoisson, binarize, estimate_alpha_clicks, recommend_all
+from .data import ClickDataset, RankingDataset, SampleSet, rank_counts
 from .evaluation import (
     MarginalProfile,
     choose_sigma,
@@ -32,12 +26,13 @@ from .evaluation import (
     posterior_profile,
 )
 from .mcmc import McmcConfig, mcmc_clicking, mcmc_rho
-from .perms import footrule_distance, v_set
+from .perms import check_alpha, check_count, footrule_distance, v_set
 from .pseudo import (
     DEFAULT_ALPHA_GRID,
     PseudoConfig,
     check_alpha_grid,
     estimate_alpha_full,
+    pseudo_clicking,
     sample_rho,
     sample_rho_with_orderings,
 )
@@ -173,7 +168,7 @@ def cp_consensus(samples) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError("need a nonempty (T, n) sample array")
     t, n = arr.shape
-    cum = np.cumsum(RankCountMatrix(arr).counts, axis=1) / t
+    cum = np.cumsum(rank_counts(arr), axis=1) / t
     out = np.zeros(n, dtype=np.int64)
     unassigned = np.ones(n, dtype=bool)
     for rank in range(1, n + 1):

@@ -26,10 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    RankCountMatrix, RankingDataset, check_alpha, check_count, click_frequency_ranking, click_targets, clicks_of,
-)
-from .perms import as_ranking
+from .data import RankCountMatrix, RankingDataset, click_frequency_ranking, click_targets, clicks_of
+from .perms import as_ranking, check_alpha, check_count
 
 _BLOCK = 1 << 15  # pre-drawn randomness block size for the hot loops
 
@@ -118,14 +116,27 @@ def ls_move(ranking, item: int, rank: int) -> np.ndarray:
     return rho
 
 
-def _run_rho_chain(cost_rows, scale, n, cfg, rng, init_ranks):
-    """Generic Metropolis chain on rankings with target exp(-scale * cost).
+def mcmc_rho(data: RankingDataset | np.ndarray, alpha: float, cfg: McmcConfig) -> McmcTrace:
+    """Metropolis chain for the consensus posterior given complete rankings.
 
-    ``cost_rows[i][l-1]`` must hold the target's additive cost of giving item
-    ``i`` (0-based) rank ``l``; the chain state cost is the sum over items.
+    The chain is deterministic given ``cfg.seed`` and starts from a random
+    permutation drawn from the same stream. Its target is exp(-(alpha/n) *
+    cost), where ``cost_rows[i][l-1]`` is the additive cost of giving item
+    ``i`` (0-based) rank ``l`` and a state's cost is the sum over items.
     """
+    check_alpha(alpha)
+    table = RankCountMatrix.from_dataset(data)
+    n = table.n_items
+    rng = np.random.default_rng(cfg.seed)
+    if n == 1:
+        t = (cfg.iterations - cfg.burn_in) // cfg.thin
+        return McmcTrace(np.ones((t, 1), dtype=np.int64), 1.0, 0.0)
+    init = rng.permutation(n) + 1
+    cost_rows = table.cost.tolist()
+    start = time.perf_counter()
+    scale = alpha / n
     leap = cfg.resolved_leap(n)
-    rho = np.asarray(init_ranks).tolist()  # item -> rank
+    rho = init.tolist()  # item -> rank
     order = [0] * (n + 1)  # rank -> item
     for item0, rank in enumerate(rho):
         order[rank] = item0
@@ -133,15 +144,15 @@ def _run_rho_chain(cost_rows, scale, n, cfg, rng, init_ranks):
     keep = []
     accepted = 0
     exp_, burn, thin, total = math.exp, cfg.burn_in, cfg.thin, cfg.iterations
-    for start in range(0, total, _BLOCK):
+    for first in range(0, total, _BLOCK):
         # whole blocks of items, destination and acceptance uniforms, in this
         # order: a caller's generator (sample_mallows) is left as it always was;
         # only the steps that run are converted to Python numbers
-        steps = min(_BLOCK, total - start)
+        steps = min(_BLOCK, total - first)
         items = rng.integers(0, n, size=_BLOCK)[:steps].tolist()
         dests = rng.random(_BLOCK)[:steps].tolist()
         accs = rng.random(_BLOCK)[:steps].tolist()
-        for it, u, du, au in zip(range(start + 1, start + steps + 1), items, dests, accs):
+        for it, u, du, au in zip(range(first + 1, first + steps + 1), items, dests, accs):
             q = rho[u]
             r = _leap_target(q, du, leap, n)
             crow = cost_rows[u]
@@ -162,27 +173,7 @@ def _run_rho_chain(cost_rows, scale, n, cfg, rng, init_ranks):
                 _shift(rho, order, u, q, r)
             if it > burn and (it - burn) % thin == 0:
                 keep.append(tuple(rho))
-    return np.array(keep, dtype=np.int64), accepted / cfg.iterations
-
-
-def mcmc_rho(data: RankingDataset | np.ndarray, alpha: float, cfg: McmcConfig) -> McmcTrace:
-    """Metropolis chain for the consensus posterior given complete rankings.
-
-    The chain is deterministic given ``cfg.seed`` and starts from a random
-    permutation drawn from the same stream.
-    """
-    check_alpha(alpha)
-    table = RankCountMatrix.from_dataset(data)
-    n = table.n_items
-    rng = np.random.default_rng(cfg.seed)
-    if n == 1:
-        t = (cfg.iterations - cfg.burn_in) // cfg.thin
-        return McmcTrace(np.ones((t, 1), dtype=np.int64), 1.0, 0.0)
-    init = rng.permutation(n) + 1
-    cost_rows = table.cost.tolist()
-    start = time.perf_counter()
-    samples, rate = _run_rho_chain(cost_rows, alpha / n, n, cfg, rng, init)
-    return McmcTrace(samples, rate, time.perf_counter() - start)
+    return McmcTrace(np.array(keep, dtype=np.int64), accepted / cfg.iterations, time.perf_counter() - start)
 
 
 def mcmc_clicking(clicks, alpha: float, cfg: McmcConfig):

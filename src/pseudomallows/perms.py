@@ -1,4 +1,4 @@
-"""Permutation primitives shared by every other module.
+"""Permutation primitives and the scalar argument checks shared by every other module.
 
 Conventions used throughout the package:
 
@@ -14,6 +14,7 @@ All functions accept any integer sequence and return ``numpy`` arrays.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator
 
 import numpy as np
@@ -23,6 +24,28 @@ ENUMERATION_CAP = 10  # 10! = 3.6M permutations; beyond this refuse to enumerate
 
 class CapacityError(ValueError):
     """Raised when an exact/enumeration routine is asked for an infeasible n."""
+
+
+def check_alpha(alpha: float, allow_zero: bool = False, name: str = "alpha") -> float:
+    """Return ``alpha`` as a float, rejecting values that are not finite and positive
+    (nonnegative with ``allow_zero``, as the exact oracles accept); errors call it ``name``."""
+    alpha = float(alpha)
+    if not (np.isfinite(alpha) and (alpha > 0 or (allow_zero and alpha == 0))):
+        kind = "nonnegative" if allow_zero else "positive"
+        raise ValueError(f"{name} must be {kind} and finite, got {alpha}")
+    return alpha
+
+
+def check_count(value, name: str, low: int) -> int:
+    """Return ``value`` as an int, rejecting anything that is not a Python or
+    numpy integer (2.5 and 2.0 alike are never rounded) or is below ``low``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be at least {low}, got {count}")
+    return count
 
 
 _BLOCK_CELLS = 1 << 16  # cells per block of the duplicate check
@@ -200,7 +223,7 @@ class VSet:
         Returns one ranking with ``size=None``, otherwise ``size`` rankings as
         the rows of a (size, n) array.
         """
-        t = 1 if size is None else int(size)
+        t = 1 if size is None else check_count(size, "size", 0)
         rows = self._rows(rng.integers(0, 2, size=(t, self._rank.size)))
         return rows[0] if size is None else rows
 
@@ -238,8 +261,7 @@ def perturbed_v_ranking(rho_hat, sigma: float, rng, size: int | None = None) -> 
     ``sigma = 0`` returns V-set members exactly. Returns one ranking with
     ``size=None``, otherwise ``size`` rankings as the rows of a (size, n) array.
     """
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    sigma = check_alpha(sigma, True, "sigma")
     v = v_set(rho_hat).sample(rng, size)
     if sigma == 0:
         return v
@@ -250,6 +272,7 @@ def adjacent_swaps(ranking, count: int, rng: np.random.Generator) -> np.ndarray:
     """Apply ``count`` random swaps of neighboring ranks to a ranking."""
     r = as_ranking(ranking).copy()
     n = r.size
+    count = check_count(count, "count", 0)
     if n < 2:
         return r
     order = ordering_of(r)

@@ -1,4 +1,4 @@
-"""Sequential conditional sampling of the consensus ranking.
+"""Sequential conditional sampling of the consensus and of click users' rankings.
 
 The pseudo-Mallows distribution factorizes the consensus into n univariate
 Mallows-like terms, sampled in a data-driven order: V-set orderings around
@@ -9,7 +9,20 @@ the rank-cost table is built. ``sample_rho`` is the one consensus-draw path
 for both kinds of data: it reads the ``RankCountMatrix`` of complete
 rankings, or of one click-loop iteration's augmented rankings.
 
-Every draw, here and in click augmentation, goes through one kernel,
+The click loop, ``pseudo_clicking``, draws all user rankings given the
+current consensus, then one consensus sample given the augmented rankings,
+and repeats. Clicked items are assumed ranked above unclicked ones, so a
+user's ranking is a sequential draw around the consensus in which every
+item is confined to its own rank block: clicked items to 1..c, unclicked
+items to c+1..n. An item's weight exp(-(alpha/n) |target - r|) depends only
+on its distance from the target, and a block's targets are its own ranks in
+a uniform item order, so each block is a draw from a law on the
+permutations of its m ranks that depends on m and alpha alone, relabelled
+by the targets. The loop draws the blocks of a chunk of iterations up
+front, one kernel call per block size, and relabels them at each
+iteration's consensus.
+
+Every draw, consensus or user ranking, goes through one kernel,
 ``_sequential_draws``. Once per call it exponentiates a shared log-weight
 table, lays out every step's items and draws all uniforms. Its tables are
 rank-major, (n, T): one row per rank, one column per draw. Each step then
@@ -38,13 +51,15 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 
 import numpy as np
 
-from .data import RankCountMatrix, RankingDataset, SampleSet, check_alpha, check_count, rankings_of
-from .perms import non_permutation_rows, perturbed_v_ranking, rank_of
+from .data import (
+    RankCountMatrix, RankingDataset, SampleSet, click_frequency_ranking, click_targets, clicks_of, rankings_of,
+)
+from .perms import as_ranking, check_alpha, check_count, non_permutation_rows, perturbed_v_ranking, rank_of
 from .simulate import sample_mallows
 
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0)
@@ -315,6 +330,90 @@ def sample_rho(data: RankCountMatrix | RankingDataset | np.ndarray, cfg: PseudoC
     return SampleSet(draws, alpha=cfg.alpha, sigma=cfg.sigma, seed=cfg.seed, wall_clock=wall)
 
 
+_CHUNK_CELLS = 200_000  # user ranks per chunk of block draws (50 iterations at N=200, n=20)
+
+
+def _draw_blocks(b: np.ndarray, alpha: float, out: np.ndarray, rng) -> np.ndarray:
+    """Fill and return the (L, N, n) ``out``: ``out[t, u, j]`` is the rank of
+    user u's item with 0-based target j at iteration t. Per block size m,
+    ascending, one kernel call draws all clicked, then unclicked, blocks of m
+    ranks from the m x m corner of -(alpha/n) |target - rank|, in uniform orders."""
+    n_users, n = b.shape
+    c = b.sum(axis=1)
+    sizes, starts = np.concatenate([c, n - c]), np.concatenate([0 * c, c])
+    users = np.tile(np.arange(n_users), 2)
+    ranks0 = np.arange(n)
+    log_weights = -(alpha / n) * np.abs(ranks0[:, None] - ranks0)
+    for m in np.unique(sizes[sizes > 0]):
+        block = sizes == m
+        cols = starts[block][:, None] + ranks0[:m]
+        orderings0 = np.argsort(rng.random((out.shape[0] * cols.shape[0], m)), axis=1)
+        draws = _sequential_draws(log_weights[:m, :m], orderings0, rng)
+        out[:, users[block][:, None], cols] = draws.reshape(out.shape[0], -1, m) + cols[:, :1]
+    return out
+
+
+def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
+    """Draw one compatible ranking per user given the consensus (vectorized).
+
+    Each user's ranking is one sequential draw per rank block, in a uniform
+    item order: item i takes rank r of its own block with weight
+    exp(-(alpha/n) |target_i - r|), the target being the compatible ranking
+    that follows ``rho`` within each group. This is one iteration of the
+    loop's block draws (``_draw_blocks``), one kernel call per block size;
+    with few users per size it costs more than an iteration of the loop,
+    which draws a chunk of iterations per call. Memory is O(N * n + n^2).
+    ``clicks`` is a ClickDataset or anything ClickDataset accepts.
+    """
+    alpha = check_alpha(alpha)
+    rho = as_ranking(rho)
+    b = clicks_of(clicks)
+    n = rho.size
+    if b.shape[1] != n:
+        raise ValueError(f"clicks have {b.shape[1]} columns but rho ranks {n} items")
+    drawn = _draw_blocks(b, alpha, np.empty((1, *b.shape), dtype=np.int64), rng)[0]
+    return np.take_along_axis(drawn, click_targets(b, rho), axis=1)
+
+
+def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
+    """Alternating sampler for click data.
+
+    Starts the consensus at the descending click-frequency ranking, then per
+    iteration (i) samples every user's ranking given the current consensus
+    and (ii) draws one consensus sample treating the augmented rankings as
+    complete data: a one-draw ``sample_rho`` call on their RankCountMatrix,
+    which continues the loop's generator. The first ``warmup`` iterations are
+    discarded. The clicks are read once per call; block draws come a chunk of
+    warm-up or kept iterations at a time (``_CHUNK_CELLS`` user ranks, at
+    least one).
+    Returns the consensus SampleSet and the (n_samples, N, n) user-ranking
+    draws. ``clicks`` is a ClickDataset or anything ClickDataset accepts.
+    """
+    check_count(warmup, "warmup", 0)
+    b = clicks_of(clicks)
+    n_users, n = b.shape
+    rng = np.random.default_rng(cfg.seed)
+    step = replace(cfg, n_samples=1, seed=rng)
+    rho = click_frequency_ranking(b)
+    total = warmup + cfg.n_samples
+    chunk = max(1, _CHUNK_CELLS // max(n_users * n, 1))
+    starts = [*range(0, warmup, chunk), *range(warmup, total, chunk)]
+    rho_keep = np.empty((cfg.n_samples, n), dtype=np.int64)
+    user_keep = np.empty((cfg.n_samples, n_users, n), dtype=np.int64)
+    start = time.perf_counter()
+    for lo, hi in zip(starts, starts[1:] + [total]):
+        # kept iterations draw into their slice of the trace, warm-up ones into scratch
+        drawn = (user_keep[lo - warmup : hi - warmup] if lo >= warmup
+                 else np.empty((hi - lo, n_users, n), dtype=np.int64))
+        for t, R in enumerate(_draw_blocks(b, cfg.alpha, drawn, rng), lo):
+            R[:] = np.take_along_axis(R, click_targets(b, rho), axis=1)
+            rho = sample_rho(RankCountMatrix(R), step).samples[0]
+            if t >= warmup:
+                rho_keep[t - warmup] = rho
+    wall = time.perf_counter() - start
+    return SampleSet(rho_keep, alpha=cfg.alpha, sigma=cfg.sigma, seed=cfg.seed, wall_clock=wall), user_keep
+
+
 def mean_pairwise_similarity(vectors) -> float:
     """Mean cosine similarity over all ordered pairs of distinct rows.
 
@@ -323,6 +422,8 @@ def mean_pairwise_similarity(vectors) -> float:
     so the cost is O(N * n) without an N x N Gram matrix.
     """
     arr = np.asarray(vectors, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("similarity input must be finite")
     norms = np.linalg.norm(arr, axis=1)
     keep = norms > 0
     n_users = int(keep.sum())
@@ -365,6 +466,7 @@ def estimate_alpha_full(
     simulated per grid value; the similarity statistic is monotone in alpha,
     which makes the matching well posed.
     """
+    check_count(sim_users, "sim_users", 2)
     rng = np.random.default_rng(rng)
     rankings = rankings_of(data)
     observed = mean_pairwise_similarity(rankings)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import RankingDataset, check_alpha
+from .data import RankingDataset
 from .exact import EXACT_CAP, mallows_distribution
 from .mcmc import McmcConfig, mcmc_rho
-from .perms import as_ranking
+from .perms import as_ranking, check_alpha, check_count, rank_of
 
 
 def sample_mallows(rho0, alpha: float, size: int, rng) -> np.ndarray:
@@ -27,12 +27,10 @@ def sample_mallows(rho0, alpha: float, size: int, rng) -> np.ndarray:
     rho0 = as_ranking(rho0)
     n = rho0.size
     alpha = check_alpha(alpha, allow_zero=True)
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    size = check_count(size, "size", 1)
     rng = np.random.default_rng(rng)
     if alpha == 0 or n == 1:
-        keys = rng.random((size, n))
-        return np.argsort(np.argsort(keys, axis=1), axis=1) + 1
+        return rank_of(rng.random((size, n)))
     if n <= EXACT_CAP:
         dist = mallows_distribution(rho0, alpha)
         idx = rng.choice(len(dist.probs), size=size, p=dist.probs)
@@ -50,4 +48,4 @@ def sample_mallows(rho0, alpha: float, size: int, rng) -> np.ndarray:
 
 def make_dataset(rho0, alpha: float, n_users: int, rng) -> RankingDataset:
     """A RankingDataset of independent Mallows draws."""
-    return RankingDataset(sample_mallows(rho0, alpha, n_users, rng))
+    return RankingDataset(sample_mallows(rho0, alpha, check_count(n_users, "n_users", 1), rng))

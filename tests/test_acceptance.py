@@ -12,12 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pseudomallows.clicking import (
-    TruncatedPoisson,
-    binarize,
-    estimate_alpha_clicks,
-    pseudo_clicking,
-)
+from pseudomallows.clicking import TruncatedPoisson, binarize, estimate_alpha_clicks
 from pseudomallows.data import RankCountMatrix, RankingDataset
 from pseudomallows.evaluation import enumerate_ordering_study, iterative_search
 from pseudomallows.exact import (
@@ -50,6 +45,7 @@ from pseudomallows.pseudo import (
     PseudoConfig,
     estimate_alpha_full,
     estimate_rho_hat,
+    pseudo_clicking,
     sample_rho,
     sample_rho_with_orderings,
 )

@@ -13,18 +13,15 @@ from pseudomallows.clicking import (
     Recommendation,
     TruncatedPoisson,
     binarize,
-    click_frequency_ranking,
     estimate_alpha_clicks,
     in_compatible_set,
-    pseudo_clicking,
     recommend_all,
     recommend_topk,
-    sample_user_rankings,
 )
-from pseudomallows.data import ClickDataset, RankingDataset, click_targets
+from pseudomallows.data import ClickDataset, RankingDataset, click_frequency_ranking, click_targets
 from pseudomallows.mcmc import McmcConfig, mcmc_clicking
 from pseudomallows.perms import footrule_distance, is_permutation, permutation_matrix, rank_of
-from pseudomallows.pseudo import PseudoConfig, mean_pairwise_similarity
+from pseudomallows.pseudo import PseudoConfig, mean_pairwise_similarity, pseudo_clicking, sample_user_rankings
 from pseudomallows.simulate import make_dataset
 
 

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 
 from pseudomallows.clicking import estimate_alpha_clicks
 from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset, RowError, SampleSet, rank_counts
-from pseudomallows.evaluation import choose_sigma, default_sigma, iterative_search, posterior_profile
-from pseudomallows.exact import elbo_exact, joint_kl_exact
+from pseudomallows.evaluation import (
+    choose_sigma, default_sigma, iterative_search, ordering_kl, posterior_profile,
+)
+from pseudomallows.exact import constrained_l1_minimizer, elbo_exact, joint_kl_exact, marginal_median
 from pseudomallows.mcmc import McmcConfig, mcmc_rho
-from pseudomallows.perms import _BLOCK_CELLS, as_ranking, non_permutation_rows
+from pseudomallows.perms import _BLOCK_CELLS, adjacent_swaps, as_ranking, non_permutation_rows
 from pseudomallows.pseudo import PseudoConfig, estimate_alpha_full, estimate_rho_hat, sample_rho
-from pseudomallows.simulate import make_dataset
+from pseudomallows.simulate import make_dataset, sample_mallows
 
 
 def test_ranking_dataset_validates_rows():
@@ -216,3 +218,33 @@ def test_entries_take_raw_arrays_as_their_datasets(name):
     np.testing.assert_array_equal(call(raw.copy()), call(container(raw)))
     with pytest.raises(RowError, match="row 12"):
         call(np.vstack([raw, bad_row]))
+
+
+_PROFILE = posterior_profile(_RANKINGS, 2.0)
+
+# count argument -> call taking the bad value; each names the argument in its error
+_COUNTS = {
+    "size": lambda v: sample_mallows((1, 2, 3), 1.0, v, 0),
+    "n_users": lambda v: make_dataset((1, 2, 3), 1.0, v, 0),
+    "max_iters": lambda v: iterative_search(_RANKINGS, 2.0, (1, 2, 3, 4), v, rng=0),
+    "draws (search)": lambda v: iterative_search(_RANKINGS, 2.0, (1, 2, 3, 4), 0, "sampled", v, rng=0),
+    "draws (ordering_kl)": lambda v: ordering_kl(_RANKINGS, 2.0, (1, 2, 3, 4), _PROFILE, v, 0),
+    "count": lambda v: adjacent_swaps((1, 2, 3), v, np.random.default_rng(0)),
+    "sim_users (full)": lambda v: estimate_alpha_full(_RANKINGS, (1.0, 3.0), sim_users=v, rng=0),
+    "sim_users (clicks)": lambda v: estimate_alpha_clicks(_CLICKS, (1.0, 3.0), sim_users=v, rng=0),
+    "excluded rank (median)": lambda v: marginal_median((1, 2, 3), 1.0, 1, excluded=(v,)),
+    "excluded rank (l1)": lambda v: constrained_l1_minimizer(_RANKINGS, 1, excluded=(v,)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 2.0])
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+def test_counts_must_be_integers(name, bad):
+    with pytest.raises(ValueError, match=f"^{name.split(' (')[0]} must be an integer"):
+        _COUNTS[name](bad)
+
+
+@pytest.mark.parametrize("name", ["sim_users (full)", "sim_users (clicks)"])
+def test_similarity_needs_two_simulated_users(name):
+    with pytest.raises(ValueError, match="sim_users must be at least 2"):
+        _COUNTS[name](1)

@@ -12,14 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from pseudomallows import clicking, pseudo
-from pseudomallows.clicking import (
-    TruncatedPoisson, binarize, click_frequency_ranking, in_compatible_set, pseudo_clicking, sample_user_rankings,
-)
-from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset
+from pseudomallows import pseudo
+from pseudomallows.clicking import TruncatedPoisson, binarize, in_compatible_set
+from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset, click_frequency_ranking
 from pseudomallows.perms import is_permutation, permutation_matrix, perturbed_v_ranking, rank_of
 from pseudomallows.pseudo import (
-    PseudoConfig, _pick, _sequential_draws, sample_rho, sample_rho_with_orderings,
+    PseudoConfig, _pick, _sequential_draws, pseudo_clicking, sample_rho, sample_rho_with_orderings,
+    sample_user_rankings,
 )
 from pseudomallows.simulate import make_dataset
 
@@ -87,7 +86,7 @@ def reference_clicking(clicks, cfg, warmup):
     (and at least one iteration) per chunk."""
     rng = np.random.default_rng(cfg.seed)
     n_users, n = clicks.shape
-    chunk = max(1, clicking._CHUNK_CELLS // max(n_users * n, 1))
+    chunk = max(1, pseudo._CHUNK_CELLS // max(n_users * n, 1))
     rho = rank_of(-clicks.sum(axis=0))
     rhos, users = [], []
     for iterations in (warmup, cfg.n_samples):
@@ -132,7 +131,7 @@ def test_seeded_clicking_equals_the_reference_loop(alpha, sigma, monkeypatch):
 def test_click_loop_chunk_edges(n_users, n, clicked, warmup, n_samples, monkeypatch):
     """Chunks of two iterations (one with no users): shapes, compatible and
     reproducible draws, and the reference loop's stream."""
-    monkeypatch.setattr(clicking, "_CHUNK_CELLS", 2 * n_users * n)
+    monkeypatch.setattr(pseudo, "_CHUNK_CELLS", 2 * n_users * n)
     rng = np.random.default_rng(warmup + n_samples)
     clicks = rng.integers(0, 2, (n_users, n)) if clicked == "random" else np.ones((n_users, n), dtype=np.int64)
     cfg = PseudoConfig(2.0, 0.5, n_samples, seed=11)

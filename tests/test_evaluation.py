@@ -45,6 +45,21 @@ class TestMarginalProfile:
         with pytest.raises(ValueError, match="at least one draw"):
             MarginalProfile.from_samples(np.empty((0, 4), dtype=np.int64))
 
+    @pytest.mark.parametrize("matrix", [np.full((2, 2), np.nan), [[1.5, -0.5], [0.5, 0.5]]])
+    def test_rejects_entries_that_are_not_finite_and_nonnegative(self, matrix):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            MarginalProfile(matrix)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0])
+    def test_smooth_rejects_a_bad_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            MarginalProfile(np.full((2, 2), 0.5)).smooth(eps)
+
+    @pytest.mark.parametrize("smoothing", [np.nan, np.inf, -1.0])
+    def test_from_samples_rejects_a_bad_smoothing(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing must be positive and finite"):
+            MarginalProfile.from_samples(np.tile([1, 2], (5, 1)), smoothing=smoothing)
+
     def test_smooth_keeps_rows_stochastic(self):
         prof = posterior_profile(make_dataset((1, 2, 3), 3.0, 10, np.random.default_rng(0)), 3.0)
         smoothed = prof.smooth(1e-3)

@@ -1,6 +1,6 @@
 """Import layering of the package: every package import sits at module
-level, the module import graph has no cycle, and private names stay in
-their module apart from the one draw kernel the click loop shares."""
+level, the module import graph has no cycle, and no private name is
+imported from another module."""
 
 import ast
 from pathlib import Path
@@ -11,7 +11,6 @@ PACKAGE = Path(pseudomallows.__file__).parent
 MODULES = {
     p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"
 }
-ALLOWED_PRIVATE = {("clicking", "pseudo", "_sequential_draws")}
 
 
 def _package_imports(tree):
@@ -68,4 +67,4 @@ def test_private_names_stay_in_their_module():
         for imported in names
         if imported.startswith("_")
     }
-    assert crossing <= ALLOWED_PRIVATE, sorted(crossing - ALLOWED_PRIVATE)
+    assert crossing == set(), sorted(crossing)

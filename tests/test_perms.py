@@ -109,6 +109,10 @@ class TestVSet:
     def test_n1(self):
         assert [tuple(m) for m in v_set((1,)).members()] == [(1,)]
 
+    def test_sample_size_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="size must be an integer"):
+            v_set((1, 2, 3)).sample(np.random.default_rng(0), 2.5)
+
     def test_n2(self):
         assert sorted(tuple(m) for m in v_set((1, 2)).members()) == [(1, 2), (2, 1)]
 
@@ -172,6 +176,11 @@ class TestPerturbedVRanking:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
             perturbed_v_ranking((1, 2, 3), -1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan])
+    def test_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+            perturbed_v_ranking((1, 2, 3), sigma, np.random.default_rng(0))
 
     def test_huge_sigma_is_uniform(self):
         """Noise dominates the member ranks, so the output ranks i.i.d.

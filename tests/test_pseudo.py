@@ -238,6 +238,10 @@ class TestAlphaEstimation:
     def test_pair_similarity_value(self):
         assert mean_pairwise_similarity(np.array([[1, 2], [2, 1]])) == pytest.approx(0.8)
 
+    def test_similarity_rejects_non_finite_rows(self):
+        with pytest.raises(ValueError, match="similarity input must be finite"):
+            mean_pairwise_similarity([[1, np.nan], [1, 2], [2, 1]])
+
     def test_identical_users_take_largest_alpha(self):
         rows = np.tile(np.arange(1, 9), (20, 1))
         ds = RankingDataset(rows)

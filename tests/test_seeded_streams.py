@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from pseudomallows import pseudo
-from pseudomallows.clicking import pseudo_clicking, sample_user_rankings
 from pseudomallows.mcmc import McmcConfig, mcmc_clicking, mcmc_rho
-from pseudomallows.pseudo import PseudoConfig, sample_rho
+from pseudomallows.pseudo import PseudoConfig, pseudo_clicking, sample_rho, sample_user_rankings
 
 
 def digest(*arrays) -> str:
