@@ -127,10 +127,12 @@ def click_frequency_ranking(clicks) -> np.ndarray:
 def click_targets(b: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Each user's 0-based targets, ``rank_of(rho + (1 - b) * 2 * n) - 1`` (the
     compatible ranking that follows ``rho`` in each click group), from one
-    argsort of ``rho`` and the cumulative click counts in its order."""
-    in_order = b[:, np.argsort(rho)]
-    clicked = in_order.cumsum(axis=1)  # clicked items up to each consensus position
-    return np.where(in_order, clicked - 1, clicked[:, -1:] + np.arange(rho.size) - clicked)[:, rho - 1]
+    argsort of ``rho`` and the cumulative click counts in its order. The
+    table is built item-major, so the sum runs down n rows of N users; the
+    (N, n) result is its transposed view."""
+    in_order = b.T[np.argsort(rho)]  # (n, N): row k holds the clicks on the item at consensus position k
+    clicked = in_order.cumsum(axis=0)  # clicked items up to each consensus position
+    return np.where(in_order, clicked - 1, clicked[-1] + np.arange(rho.size)[:, None] - clicked)[rho - 1].T
 
 
 @dataclass(frozen=True)
@@ -168,15 +170,30 @@ def rank_counts(rankings, weights=None) -> np.ndarray:
     n = arr.shape[1]
     if arr.size and (arr.min() < 1 or arr.max() > n):
         raise ValueError(f"ranks must lie in 1..{n}")
-    flat = arr - 1
-    flat += np.arange(n) * n  # cell (item, rank - 1) of the (n, n) table
+    flat = arr + (np.arange(n) * n - 1)  # cell (item, rank - 1) of the (n, n) table
     if weights is not None:
         weights = np.repeat(weights, n)
     return np.bincount(flat.ravel(), weights, minlength=n * n).reshape(n, n)
 
 
+def rank_cost(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The L1 cost table of an (n, n) rank-count table, ``cost[i, l-1] = sum_r
+    counts[i, r-1] |r - l|``, and each item's rank sum ``sum_r r counts[i, r-1]``,
+    in O(n^2): each row splits at l as l*C<= - W<= + (W> - l*C>), from the
+    cumulative counts C and rank-weighted counts W along it."""
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[0] != counts.shape[1]:
+        raise ValueError("a rank-count table must be (n, n)")
+    ranks = np.arange(1, counts.shape[1] + 1, dtype=np.int64)
+    cum_c = np.cumsum(counts, axis=1)
+    cum_w = np.cumsum(counts * ranks, axis=1)
+    total_c, total_w = cum_c[:, -1:], cum_w[:, -1:]
+    cost = ranks * (2 * cum_c - total_c) + (total_w - 2 * cum_w)
+    return cost, total_w[:, 0]
+
+
 class RankCountMatrix:
-    """Per-item rank counts with precomputed L1 cost sums.
+    """Per-item rank counts with precomputed L1 cost sums (``rank_cost``).
 
     ``cost[i, l-1]`` equals ``sum_j |R^j_i - l|``; after the O(N*n) setup any
     sampler query is O(1), which makes per-sample work independent of the
@@ -188,23 +205,11 @@ class RankCountMatrix:
             raise TypeError("RankCountMatrix takes raw rankings; use RankCountMatrix.from_dataset for a dataset")
         arr = np.asarray(rankings, dtype=np.int64)
         counts = rank_counts(arr)
-        n_users, n = arr.shape
-        ranks = np.arange(1, n + 1, dtype=np.int64)
-        cum_c = np.cumsum(counts, axis=1)
-        cum_w = np.cumsum(counts * ranks, axis=1)
-        total_w = cum_w[:, -1:]
-        # sum_j |r_j - l| split at l: l*C<= - W<= + (W> - l*C>)
-        cost = (
-            ranks * cum_c
-            - cum_w
-            + (total_w - cum_w)
-            - ranks * (n_users - cum_c)
-        )
+        cost, rank_sums = rank_cost(counts)
         self.counts = _frozen(counts)
         self.cost = _frozen(cost)
-        self.rank_sums = _frozen(total_w[:, 0])
-        self.n_users = n_users
-        self.n_items = n
+        self.rank_sums = _frozen(rank_sums)
+        self.n_users, self.n_items = arr.shape
 
     @classmethod
     def from_dataset(cls, data) -> "RankCountMatrix":

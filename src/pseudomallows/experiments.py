@@ -106,7 +106,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        lows = dict(n=1, n_users=1, replicates=1, k=1, n_samples=1, sim_users=1, warmup=0, seed=0, click_min=0)
+        lows = dict(n=1, n_users=1, replicates=1, k=1, n_samples=1, sim_users=2, warmup=0, seed=0, click_min=0)
         for name, low in lows.items():
             object.__setattr__(self, name, check_count(getattr(self, name), name, low))
         if self.click_max is not None:

@@ -183,13 +183,24 @@ class VSet:
     """
 
     def __init__(self, base):
-        self.base = as_ranking(base, "base ranking")
-        n = self.base.size
-        o = np.argsort(self.base)  # 0-based items by rank
-        p, odd = divmod(n, 2)
-        j = np.arange(p)
+        self._pair_up(as_ranking(base, "base ranking"))
+
+    @classmethod
+    def of_scores(cls, scores) -> "VSet":
+        """The V-set of ``rank_of(scores)``. That ranking is a permutation by
+        construction, so it is not checked again, as a given base is."""
+        if np.ndim(scores) != 1:
+            raise ValueError("V-set scores must be a 1-d sequence")
+        vset = cls.__new__(cls)
+        vset._pair_up(rank_of(scores))
+        return vset
+
+    def _pair_up(self, base: np.ndarray) -> None:
+        self.base = base
+        o = np.argsort(base)  # 0-based items by rank
+        p, odd = divmod(o.size, 2)
         # pair j: items _low[j] and _high[j] take ranks _rank[j] and _rank[j] + 1
-        self._low, self._high, self._rank = o[p - 1 - j], o[p + odd + j], 2 * j + 1 + odd
+        self._low, self._high, self._rank = o[:p][::-1], o[p + odd :], np.arange(1 + odd, o.size, 2)
         self._middle_item = int(o[p]) if odd else None
 
     @property
@@ -258,11 +269,12 @@ def perturbed_v_ranking(rho_hat, sigma: float, rng, size: int | None = None) -> 
     """Draw V-set members of ``rho_hat``, jitter each entry with Gaussian noise
     of standard deviation ``sigma``, and rank the result.
 
+    ``rho_hat`` is a ranking, checked, or its VSet, taken as it is.
     ``sigma = 0`` returns V-set members exactly. Returns one ranking with
     ``size=None``, otherwise ``size`` rankings as the rows of a (size, n) array.
     """
     sigma = check_alpha(sigma, True, "sigma")
-    v = v_set(rho_hat).sample(rng, size)
+    v = (rho_hat if isinstance(rho_hat, VSet) else v_set(rho_hat)).sample(rng, size)
     if sigma == 0:
         return v
     return rank_of(v + rng.normal(0.0, sigma, size=v.shape))

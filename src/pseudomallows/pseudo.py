@@ -5,9 +5,11 @@ Mallows-like terms, sampled in a data-driven order: V-set orderings around
 the rank of the per-item mean ranks, optionally jittered with Gaussian
 noise. Draws are mutually independent, which is what buys the speed over
 MCMC; per-draw work is O(n^2) and independent of the number of users after
-the rank-cost table is built. ``sample_rho`` is the one consensus-draw path
-for both kinds of data: it reads the ``RankCountMatrix`` of complete
-rankings, or of one click-loop iteration's augmented rankings.
+the rank-cost table is built. One core, ``_consensus_draws``, draws the
+consensus for both kinds of data, from a cost table and its rank sums:
+``sample_rho`` calls it on the ``RankCountMatrix`` of complete rankings,
+checked once, and each click-loop iteration on the table of its augmented
+rankings, which the loop made itself and does not check again.
 
 The click loop, ``pseudo_clicking``, draws all user rankings given the
 current consensus, then one consensus sample given the augmented rankings,
@@ -51,15 +53,16 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .data import (
-    RankCountMatrix, RankingDataset, SampleSet, click_frequency_ranking, click_targets, clicks_of, rankings_of,
+    RankCountMatrix, RankingDataset, SampleSet, click_frequency_ranking, click_targets, clicks_of, rank_cost,
+    rank_counts, rankings_of,
 )
-from .perms import as_ranking, check_alpha, check_count, non_permutation_rows, perturbed_v_ranking, rank_of
+from .perms import VSet, as_ranking, check_alpha, check_count, non_permutation_rows, perturbed_v_ranking, rank_of
 from .simulate import sample_mallows
 
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0)
@@ -313,19 +316,29 @@ def estimate_rho_hat(data: RankCountMatrix | RankingDataset | np.ndarray) -> np.
     return rank_of(sums)
 
 
+def _consensus_draws(cost: np.ndarray, rank_sums: np.ndarray, alpha: float, sigma: float, size: int, rng):
+    """``size`` consensus draws from an (n, n) L1 ``cost`` table at scale
+    ``alpha``, each in its own V-set ordering of the rank of ``rank_sums``
+    (``estimate_rho_hat``), jittered with scale ``sigma``. The V-set is built
+    from that rank, which needs no check. The generator draws the V-set
+    coins, then the jitter when ``sigma > 0``, then the kernel's uniforms."""
+    v_rows = perturbed_v_ranking(VSet.of_scores(rank_sums), sigma, rng, size)
+    orderings0 = np.argsort(v_rows, axis=1, kind="stable")
+    return _sequential_draws(-(alpha / cost.shape[0]) * cost, orderings0, rng)
+
+
 def sample_rho(data: RankCountMatrix | RankingDataset | np.ndarray, cfg: PseudoConfig) -> SampleSet:
     """Draw independent consensus samples with V-set orderings.
 
     For each draw a V-set member of ``estimate_rho_hat`` is drawn, jittered
     entrywise with Gaussian noise of scale ``cfg.sigma``, re-ranked, and used
-    as the factorization ordering. A Generator as ``cfg.seed`` is continued.
+    as the factorization ordering (``_consensus_draws``, which the click loop
+    shares). A Generator as ``cfg.seed`` is continued.
     """
     rng = np.random.default_rng(cfg.seed)
     table = RankCountMatrix.from_dataset(data)
     start = time.perf_counter()
-    v_rows = perturbed_v_ranking(estimate_rho_hat(table), cfg.sigma, rng, cfg.n_samples)
-    orderings0 = np.argsort(v_rows, axis=1, kind="stable")
-    draws = _sequential_draws(-(cfg.alpha / table.n_items) * table.cost, orderings0, rng)
+    draws = _consensus_draws(table.cost, table.rank_sums, cfg.alpha, cfg.sigma, cfg.n_samples, rng)
     wall = time.perf_counter() - start
     return SampleSet(draws, alpha=cfg.alpha, sigma=cfg.sigma, seed=cfg.seed, wall_clock=wall)
 
@@ -372,7 +385,7 @@ def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     if b.shape[1] != n:
         raise ValueError(f"clicks have {b.shape[1]} columns but rho ranks {n} items")
     drawn = _draw_blocks(b, alpha, np.empty((1, *b.shape), dtype=np.int64), rng)[0]
-    return np.take_along_axis(drawn, click_targets(b, rho), axis=1)
+    return drawn.take(click_targets(b, rho) + np.arange(0, b.size, n)[:, None])  # user u's targets, offset u*n
 
 
 def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
@@ -381,11 +394,13 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     Starts the consensus at the descending click-frequency ranking, then per
     iteration (i) samples every user's ranking given the current consensus
     and (ii) draws one consensus sample treating the augmented rankings as
-    complete data: a one-draw ``sample_rho`` call on their RankCountMatrix,
-    which continues the loop's generator. The first ``warmup`` iterations are
+    complete data: one draw of ``_consensus_draws``, the core ``sample_rho``
+    shares, from one ``rank_counts`` table of them and its ``rank_cost``,
+    continuing the loop's generator. The first ``warmup`` iterations are
     discarded. The clicks are read once per call; block draws come a chunk of
     warm-up or kept iterations at a time (``_CHUNK_CELLS`` user ranks, at
-    least one).
+    least one), and each iteration relabels its users' blocks by one flat
+    take at their targets.
     Returns the consensus SampleSet and the (n_samples, N, n) user-ranking
     draws. ``clicks`` is a ClickDataset or anything ClickDataset accepts.
     """
@@ -393,8 +408,8 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     b = clicks_of(clicks)
     n_users, n = b.shape
     rng = np.random.default_rng(cfg.seed)
-    step = replace(cfg, n_samples=1, seed=rng)
     rho = click_frequency_ranking(b)
+    firsts = np.arange(0, b.size, n)[:, None]  # user u's row starts at u*n of a flat (N, n) table
     total = warmup + cfg.n_samples
     chunk = max(1, _CHUNK_CELLS // max(n_users * n, 1))
     starts = [*range(0, warmup, chunk), *range(warmup, total, chunk)]
@@ -406,8 +421,9 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
         drawn = (user_keep[lo - warmup : hi - warmup] if lo >= warmup
                  else np.empty((hi - lo, n_users, n), dtype=np.int64))
         for t, R in enumerate(_draw_blocks(b, cfg.alpha, drawn, rng), lo):
-            R[:] = np.take_along_axis(R, click_targets(b, rho), axis=1)
-            rho = sample_rho(RankCountMatrix(R), step).samples[0]
+            R[:] = R.take(click_targets(b, rho) + firsts)
+            cost, rank_sums = rank_cost(rank_counts(R))
+            rho = _consensus_draws(cost, rank_sums, cfg.alpha, cfg.sigma, 1, rng)[0]
             if t >= warmup:
                 rho_keep[t - warmup] = rho
     wall = time.perf_counter() - start

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from pseudomallows import data, perms, pseudo
 from pseudomallows.clicking import (
     Recommendation,
     TruncatedPoisson,
@@ -285,6 +286,38 @@ class TestPseudoClicking:
         ss, users = pseudo_clicking(clicks, cfg, warmup=np.int64(2))
         want_ss, want_users = pseudo_clicking(clicks, cfg, warmup=2)
         assert np.array_equal(ss.samples, want_ss.samples) and np.array_equal(users, want_users)
+
+    def test_no_permutation_check_per_iteration(self, monkeypatch):
+        """The loop checks no ranking it made itself: the permutation checks
+        of one call do not grow with the number of iterations."""
+        calls = []
+        for module in (perms, pseudo, data):
+            check = module.non_permutation_rows
+            monkeypatch.setattr(module, "non_permutation_rows", lambda arr, check=check: calls.append(1) or check(arr))
+        rng = np.random.default_rng(9)
+        clicks = binarize(make_dataset(np.arange(1, 9), 2.0, 30, rng), TruncatedPoisson(2.0, 1, 6), rng)
+        counts = []
+        for n_samples in (5, 50):
+            calls.clear()
+            pseudo_clicking(clicks, PseudoConfig(2.0, 0.5, n_samples, seed=2), warmup=3)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("sigma", [0.0, 0.8])
+    def test_one_and_two_items(self, n, sigma):
+        """n = 1 and 2 give an empty and a one-pair V-set; users click
+        everything, nothing or (at n = 2) one item."""
+        clicks = np.array([[1] * n, [0] * n, [1] + [0] * (n - 1), [0] * (n - 1) + [1]])
+        cfg = PseudoConfig(2.0, sigma, 40, seed=6)
+        ss, users = pseudo_clicking(clicks, cfg, warmup=2)
+        assert ss.samples.shape == (40, n) and users.shape == (40, 4, n)
+        assert all(is_permutation(r) for r in ss.samples)
+        assert all(in_compatible_set(users[t, j], clicks[j]) for t in range(40) for j in range(4))
+        again, again_users = pseudo_clicking(clicks, cfg, warmup=2)
+        assert np.array_equal(ss.samples, again.samples) and np.array_equal(users, again_users)
+        if n == 2:  # both orders of the one pair are drawn
+            assert {tuple(r) for r in ss.samples} == {(1, 2), (2, 1)}
 
     def test_consensus_recovery(self):
         """Synthetic recovery: enough users and clicks pin the consensus."""

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pseudomallows.clicking import estimate_alpha_clicks
-from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset, RowError, SampleSet, rank_counts
+from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset, RowError, SampleSet, rank_cost, rank_counts
 from pseudomallows.evaluation import (
     choose_sigma, default_sigma, iterative_search, ordering_kl, posterior_profile,
 )
@@ -160,6 +160,19 @@ class TestRankCountMatrix:
         for i in range(5):
             for l in range(1, 6):
                 assert rcm.cost[i, l - 1] == np.abs(arr[:, i] - l).sum()
+
+    def test_rank_cost_of_any_table(self):
+        """Rows of unequal totals and float weights: the cost and the rank sums
+        match sum_r counts[i, r-1] |r - l| and sum_r r counts[i, r-1]."""
+        rng = np.random.default_rng(3)
+        for counts in (rng.integers(0, 9, (6, 6)), rng.random((4, 4)), np.zeros((1, 1), dtype=np.int64)):
+            n = counts.shape[0]
+            ranks = np.arange(1, n + 1)
+            cost, sums = rank_cost(counts)
+            assert np.allclose(cost, counts @ np.abs(ranks[:, None] - ranks), rtol=0, atol=1e-12)
+            assert np.allclose(sums, counts @ ranks, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError, match=r"\(n, n\)"):
+            rank_cost(np.ones((2, 3)))
 
     def test_weighted_counts_add_in_row_order(self):
         """A weighted count equals the per-item ``np.add.at`` loop bit for bit."""

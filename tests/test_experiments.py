@@ -86,7 +86,7 @@ class TestExperimentConfig:
         ("replicates", 0, "replicates must be at least 1"),
         ("k", 1.5, "k must be an integer"),
         ("n_samples", 2.5, "n_samples must be an integer"),
-        ("sim_users", -1, "sim_users must be at least 1"),
+        ("sim_users", -1, "sim_users must be at least 2"),
         ("warmup", -1, "warmup must be at least 0"),
         ("warmup", 3.5, "warmup must be an integer"),
         ("pm_samples", (2.5, 50.9), "pm_samples entry must be an integer"),
@@ -94,6 +94,7 @@ class TestExperimentConfig:
         ("pm_samples", (), "pm_samples must hold at least one budget"),
         ("mcmc_iterations", (300.7,), "mcmc_iterations entry must be an integer"),
         ("pm_iterations", [], "pm_iterations must hold at least one budget"),
+        ("sim_users", 1, "sim_users must be at least 2"),
     ])
     def test_counts_and_budgets_are_checked(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -6,6 +6,7 @@ from scipy.stats import chi2
 
 from pseudomallows.perms import (
     CapacityError,
+    VSet,
     adjacent_swaps,
     footrule_distance,
     is_permutation,
@@ -149,6 +150,25 @@ class TestVSet:
         for c in counts.values():
             assert abs(c / 10000 - 0.25) < 0.02
 
+    def test_of_scores_is_the_v_set_of_their_rank(self):
+        """Tied scores included: the base, the members and a seeded sample
+        equal those of ``v_set(rank_of(scores))``."""
+        rng = np.random.default_rng(11)
+        for n in range(1, 9):
+            scores = rng.integers(0, 4, n)
+            built, want = VSet.of_scores(scores), v_set(rank_of(scores))
+            assert np.array_equal(built.base, want.base)
+            assert [m.tolist() for m in built.members()] == [m.tolist() for m in want.members()]
+            draws = built.sample(np.random.default_rng(n), 6)
+            assert np.array_equal(draws, want.sample(np.random.default_rng(n), 6))
+
+    @pytest.mark.parametrize("scores,message", [
+        ([[1, 2], [3, 4]], "1-d"), ([], "nonempty"), ([0.5, np.nan], "NaN"),
+    ])
+    def test_of_scores_rejects_bad_scores(self, scores, message):
+        with pytest.raises(ValueError, match=message):
+            VSet.of_scores(scores)
+
     def test_nearest_distance_matches_enumeration(self):
         rng = np.random.default_rng(4)
         for n in (3, 4, 5, 6):
@@ -168,6 +188,12 @@ class TestPerturbedVRanking:
                 (2, 1, 3),
                 (3, 1, 2),
             }
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.5])
+    def test_a_v_set_draws_as_its_base(self, sigma):
+        base = np.random.default_rng(3).permutation(7) + 1
+        draws = perturbed_v_ranking(v_set(base), sigma, np.random.default_rng(4), 9)
+        assert np.array_equal(draws, perturbed_v_ranking(base, sigma, np.random.default_rng(4), 9))
 
     def test_single_item(self):
         rng = np.random.default_rng(6)

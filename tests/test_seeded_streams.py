@@ -77,6 +77,21 @@ def test_pseudo_clicking(sigma):
     assert digest(fit.samples, users) == PSEUDO_CLICKING[sigma]
 
 
+PSEUDO_CLICKING_BENCH = {
+    # the benchmark's clicks shape: n=20, N=200, alpha=5, warm-up 10, 60 kept
+    # iterations, so the kept draws cross the 50-iteration chunk boundary
+    0.0: "b81f421a37318702d095523928119a39ff896ad7a16577c54a70fd5d560f175d",
+    0.7: "fd59be6bb39e80dd69609ff6d439e44deaa8e993daf2ffd9a795d5cea8fad10a",
+}
+
+
+@pytest.mark.parametrize("sigma", PSEUDO_CLICKING_BENCH)
+def test_pseudo_clicking_at_the_benchmark_shape(sigma):
+    cfg = PseudoConfig(alpha=5.0, sigma=sigma, n_samples=60, seed=31)
+    fit, users = pseudo_clicking(top_clicks(200, 20, 9), cfg, warmup=10)
+    assert digest(fit.samples, users) == PSEUDO_CLICKING_BENCH[sigma]
+
+
 def test_sample_user_rankings():
     rho = np.random.default_rng(7).permutation(12) + 1
     drawn = sample_user_rankings(top_clicks(40, 12, 5), 3.0, rho, np.random.default_rng(19))
