@@ -8,6 +8,8 @@ samples (then smoothing the reference as the sampled profile is smoothed);
 the enumeration study, the ordering search and the ``eval-kl`` command all
 call it. The search relocates one item at a time, scores candidates by
 marginal KL, and recombines the scores through a minimum cost assignment.
+``assignment_solve`` holds the package's one function-level import: scipy's
+solver, loaded on first call so that sampling never loads scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .data import RankCountMatrix, RankingDataset, SampleSet, rank_counts
 from .exact import (
@@ -165,6 +166,7 @@ def assignment_solve(cost) -> tuple[np.ndarray, float]:
         raise ValueError("cost matrix must be square")
     if not np.isfinite(c).all():
         raise ValueError("cost matrix must be finite")
+    from scipy.optimize import linear_sum_assignment  # ~44 MB, ~0.5 s: keep it off the sampling path
     rows, cols = linear_sum_assignment(c)
     assignment = np.empty(c.shape[0], dtype=np.int64)
     assignment[rows] = cols + 1

@@ -5,7 +5,8 @@ against, and the one module that enumerates P_n: likelihood normalizer,
 posterior over the consensus, per-item rank marginals, restricted medians,
 the constrained L1 minimizer, and the factorized (pseudo-Mallows) law at a
 fixed ordering with its ELBO and joint KL. Both laws take their target term
-from one gather over the cost table.
+from one gather over the cost table. Its own ``_logsumexp`` keeps scipy out of
+every import of the package; it is scipy's formula, so the numbers match.
 """
 
 from __future__ import annotations
@@ -13,12 +14,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .data import RankCountMatrix, RankingDataset, rank_counts, rankings_of
 from .perms import CapacityError, as_ranking, check_alpha, check_count, permutation_matrix
 
 EXACT_CAP = 8  # 8! = 40320 permutations stays sub-second
+
+
+def _logsumexp(x: np.ndarray) -> np.float64:
+    """log(sum(exp(x))) of a 1-D array by scipy.special.logsumexp's formula,
+    bit for bit on finite input: the k entries tied at the top are split off."""
+    top = x.max()
+    tied = x == top
+    k = tied.sum()
+    rest = np.exp(np.where(tied, -np.inf, x) - top).sum()
+    return np.log1p(rest / k if rest else rest) + np.log(k) + top
 
 
 @dataclass(frozen=True)
@@ -69,14 +79,14 @@ def exact_posterior(data: RankingDataset | np.ndarray, alpha: float) -> Discrete
     this is the uniform distribution on P_n.
     """
     perms, logw = _log_posterior_weights(RankCountMatrix.from_dataset(data).cost, alpha)
-    logw = logw - logsumexp(logw)
+    logw = logw - _logsumexp(logw)
     return DiscreteDistribution(perms, np.exp(logw))
 
 
 def log_evidence(data: RankingDataset | np.ndarray, alpha: float) -> float:
     """log Z_n(alpha, R^1..R^N): the log normalizer of the posterior."""
     _, logw = _log_posterior_weights(RankCountMatrix.from_dataset(data).cost, alpha)
-    return float(logsumexp(logw))
+    return float(_logsumexp(logw))
 
 
 def log_partition(n: int, alpha: float) -> float:
@@ -184,7 +194,7 @@ def exact_distribution(data, alpha: float, ordering) -> DiscreteDistribution:
     of per-step denominators.
     """
     perms, log_q, _, _ = _factorized_log_components(data, alpha, ordering)
-    probs = np.exp(log_q - logsumexp(log_q))
+    probs = np.exp(log_q - _logsumexp(log_q))
     return DiscreteDistribution(perms, probs)
 
 
@@ -204,7 +214,7 @@ def joint_kl_exact(data, alpha: float, ordering) -> float:
     """KL between the factorized distribution and the exact posterior, by
     full enumeration of P_n (n <= 8)."""
     _, log_q, _, log_p = _factorized_log_components(data, alpha, ordering)
-    log_p = log_p - logsumexp(log_p)
+    log_p = log_p - _logsumexp(log_p)
     q = np.exp(log_q)
     live = q > 0
     return float(np.sum(q[live] * (log_q[live] - log_p[live])))

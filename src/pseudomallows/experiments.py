@@ -120,6 +120,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, budgets)
         object.__setattr__(self, "alpha_grid", check_alpha_grid(self.alpha_grid))
         object.__setattr__(self, "sigma_grid", tuple(check_alpha(v, True, "sigma_grid") for v in self.sigma_grid))
+        if not self.sigma_grid:
+            raise ValueError("sigma_grid must hold at least one value")
 
     @classmethod
     def from_json(cls, document: str | dict) -> "ExperimentConfig":

@@ -1,17 +1,23 @@
 """Enumeration-oracle tests: closed-form spot values plus the symmetry,
-monotonicity, and median properties that the approximate samplers lean on."""
+monotonicity, and median properties that the approximate samplers lean on,
+and the oracles' float64 outputs pinned by SHA-256 digest."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from pseudomallows.data import RankingDataset
 from pseudomallows.exact import (
     DiscreteDistribution,
+    _logsumexp,
     constrained_l1_minimizer,
+    elbo_exact,
     exact_distribution,
     exact_posterior,
+    joint_kl_exact,
     log_evidence,
     log_partition,
     mallows_distribution,
@@ -247,3 +253,57 @@ class TestConstrainedL1Minimizer:
         ds = RankingDataset(np.array([[1, 2]]))
         with pytest.raises(ValueError, match="admissible"):
             constrained_l1_minimizer(ds, 1, excluded={1, 2})
+
+
+def _oracle_cases():
+    """Fixed-seed (rankings, alpha, ordering) cases at n = 1..8: random users
+    and alpha, plus the all-tied cases (alpha = 0, no users) and n = 1."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(24):
+        n = int(rng.integers(2, 7))
+        rows = np.argsort(rng.random((int(rng.integers(1, 30)), n)), axis=1) + 1
+        cases.append((rows, float(rng.uniform(0.1, 6.0)), rng.permutation(n) + 1))
+    cases.append((np.array([[3, 1, 4, 2, 6, 5, 8, 7]] * 3), 1.7, np.arange(8, 0, -1)))
+    cases.append((np.array([[2, 1, 3, 4]]), 0.0, np.array([4, 1, 3, 2])))
+    cases.append((np.empty((0, 5), dtype=np.int64), 2.5, np.array([2, 4, 1, 5, 3])))
+    cases.append((np.array([[1]]), 3.0, np.array([1])))
+    return cases
+
+
+ORACLE_DIGESTS = {
+    # SHA-256 of the float64 bytes of each oracle over _oracle_cases()
+    "exact_posterior": "24f08311427c1f1cb4b5a7d8636e1eb1310bf8185b775c594a215398b8fd6522",
+    "log_evidence": "3bf86f18b7243b7d9801333c8675cde9b369892d5e883b9f28bc541995cd6d1d",
+    "elbo_exact": "729f8abd5f48399f66a2bb7ea23aa31a4ebf127bd7f527bdab3fb9e0c650fa57",
+    "joint_kl_exact": "91e4d17d3661b158acd67e17b9a8b29fc9dc9b837c4eb91a69337c03a9fe07f8",
+    "exact_distribution": "cd174146bc2cdc16c5a67a7687ff3f1a058f1911643b82648e93d62a58dd0c49",
+    "log_partition": "97e99c05f71c7600e620bb293248a83a4e2c6350b65e58d6cc091dbd99cbcaac",
+}
+
+ORACLES = {
+    "exact_posterior": lambda r, a, o: exact_posterior(r, a).probs,
+    "log_evidence": lambda r, a, o: log_evidence(r, a),
+    "elbo_exact": lambda r, a, o: elbo_exact(r, a, o),
+    "joint_kl_exact": lambda r, a, o: joint_kl_exact(r, a, o),
+    "exact_distribution": lambda r, a, o: exact_distribution(r, a, o).probs,
+    "log_partition": lambda r, a, o: log_partition(r.shape[1], a),
+}
+
+
+@pytest.mark.parametrize("name", ORACLES)
+def test_oracle_values_are_pinned_bit_for_bit(name):
+    h = hashlib.sha256()
+    for rows, alpha, ordering in _oracle_cases():
+        h.update(np.asarray(ORACLES[name](rows, alpha, ordering), dtype=np.float64).tobytes())
+    assert h.hexdigest() == ORACLE_DIGESTS[name]
+
+
+def test_logsumexp_is_scipys_bit_for_bit():
+    rng = np.random.default_rng(8)
+    vectors = [rng.normal(0.0, rng.choice([1e-3, 1.0, 50.0]), rng.choice([2, 7, 120, 720, 5040]))
+               for _ in range(400)]
+    vectors += [np.round(v) for v in vectors[:100]]  # several entries tied at the top
+    vectors += [np.full(720, -0.0), np.full(24, -3.25), np.array([-1.5]), np.array([0.0])]
+    for x in vectors:
+        assert np.float64(_logsumexp(x)).tobytes() == np.float64(logsumexp(x)).tobytes()

@@ -114,6 +114,7 @@ class TestExperimentConfig:
         ("alpha_grid", (2.0, 1.0), "strictly ascending"),
         ("alpha_grid", (1.0, float("nan")), "alpha grid entry must be positive and finite"),
         ("sigma_grid", (-1.0,), "sigma_grid must be nonnegative"),
+        ("sigma_grid", (), "sigma_grid must hold at least one value"),
     ])
     def test_values_are_checked(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -3,7 +3,8 @@
 Each case runs a public sampler at a fixed shape and seed and compares the
 digest of its int64 output bytes with the digest recorded here. The cases
 cover each path of the draw kernel (row-add, two-level and the log-space
-fallback), the click loop, one-shot click augmentation and both MCMC chains.
+fallback), the click loop, one-shot click augmentation, both MCMC chains and
+the exact inverse-CDF draws of ``sample_mallows`` at n <= 8.
 A change that moves a seeded stream on purpose updates the digest here and
 names the change in CHANGES.md; any other mismatch is a regression.
 """
@@ -16,6 +17,7 @@ import pytest
 from pseudomallows import pseudo
 from pseudomallows.mcmc import McmcConfig, mcmc_clicking, mcmc_rho
 from pseudomallows.pseudo import PseudoConfig, pseudo_clicking, sample_rho, sample_user_rankings
+from pseudomallows.simulate import sample_mallows
 
 
 def digest(*arrays) -> str:
@@ -110,3 +112,17 @@ def test_mcmc_rho():
     assert digest(trace.rho_samples, [round(trace.acceptance_rate * 1e12)]) == (
         "0e0d9b98c3d327bfc58b4fbde2c575802b07a5c3eddb1f66897b892f4fa8b9c0"
     )
+
+
+SAMPLE_MALLOWS = {
+    # alpha at n=6: each draw inverts the CDF of exact_posterior's probabilities
+    0.5: "e2130e22d7063004dd5c3222d8077861d643762ded50f11afdae24fc6c3ed9f9",
+    2.0: "44df150a5aeac71f79486c5e25272c2284914e605fc6d4269ff74af852a81193",
+    6.0: "dea177b119087fc77754887517c3185d5d7b7a88326b546d3e8e0392e80e34cd",
+}
+
+
+@pytest.mark.parametrize("alpha", SAMPLE_MALLOWS)
+def test_sample_mallows_by_enumeration(alpha):
+    rho0 = np.random.default_rng(43).permutation(6) + 1
+    assert digest(sample_mallows(rho0, alpha, 400, 37)) == SAMPLE_MALLOWS[alpha]
