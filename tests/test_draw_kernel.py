@@ -316,12 +316,14 @@ def test_underflow_rows_follow_the_factorized_law_in_two_levels(monkeypatch, two
     assert two_level_calls == [(100_000, 5)]
 
 
-@pytest.mark.parametrize("alpha", [1e-6, 2.0, 1e4, 1e6])
-@pytest.mark.parametrize("n", [130, 200, 257])
-def test_two_level_draws_equal_the_log_space_reference(n, alpha, two_level_calls):
+@pytest.mark.parametrize("n, alpha, t", [
+    # the T=150 cases keep their ids; T=300 takes the row adds at both levels
+    pytest.param(n, alpha, t, id=f"{n}-{alpha}" + ("" if t == 150 else f"-T{t}"))
+    for t in (150, 300) for n in (130, 200, 257) for alpha in (1e-6, 2.0, 1e4, 1e6)
+])
+def test_two_level_draws_equal_the_log_space_reference(n, alpha, t, two_level_calls):
     """Blocks of ceil(sqrt(n)) ranks: 12, 15 and 17, none of which divides n."""
-    t = 150
-    assert min(n, t) >= pseudo._COARSE_MIN
+    assert min(n, t) >= pseudo._COARSE_MIN and (t >= pseudo._ROW_ADD_MIN) == (t == 300)
     rng = np.random.default_rng(n)
     data = make_dataset(np.arange(1, n + 1), 2.0, 40, rng)
     orderings = np.argsort(rng.random((t, n)), axis=1) + 1

@@ -41,10 +41,13 @@ def top_clicks(n_users: int, n: int, seed: int) -> np.ndarray:
 
 
 SAMPLE_RHO = {
-    # (n, N, T, alpha, sigma): the row-add path, the two-level path, the log-space fallback
+    # (n, N, T, alpha, sigma): the row-add path, the two-level path below and from
+    # _ROW_ADD_MIN draws on, the log-space fallback
     (20, 200, 300, 2.0, 0.0): "7b952dd124bb8d6c417d2c04702939797208d547f89387d7687812e4303b2014",
     (20, 200, 300, 2.0, 0.7): "5a8b1d98b2ef9c49938db5a49cdec1545e88870d3ab61502650d3d2240f73343",
     (150, 100, 150, 2.0, 0.0): "93b0b24ea1c2453a3427f355a6b1b31223964489fc2ce3d52216b0606a9f7ef6",
+    (200, 100, 300, 5.0, 0.0): "31e7f43059c42fca7a306460bf8f29b9ef293308dd30abddfa68d3201df4f947",
+    (200, 100, 300, 5.0, 0.7): "940e155f24de03311201b943ee780e99f46b4f925585d9b631a6380b5ff0d120",
     (20, 200, 50, 1e4, 0.0): "2472f86eab05e84237b340203f42791ade885d877bc676a6d74a3771f68aa66b",
 }
 
