@@ -43,6 +43,8 @@ class DiscreteDistribution:
         probs = np.asarray(self.probs, dtype=np.float64)
         if support.ndim != 2 or probs.ndim != 1 or support.shape[0] != probs.size:
             raise ValueError("support and probs shapes are inconsistent")
+        if not np.isfinite(probs).all():
+            raise ValueError("probabilities must be finite")
         if (probs < 0).any():
             raise ValueError("probabilities must be nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -163,7 +165,8 @@ def _factorized_log_components(data, alpha: float, ordering):
 
     Returns (perms, log_q, log_zpm, log_target) over all of P_n in
     lexicographic order, where log_target is the unnormalized log posterior
-    weight -(alpha/n) * sum_j d(R^j, rho).
+    weight -(alpha/n) * sum_j d(R^j, rho). A step whose free mass underflows
+    relative to its row maximum is redone relative to its free maximum.
     """
     cost = RankCountMatrix.from_dataset(data).cost
     perms, log_target = _log_posterior_weights(cost, alpha)
@@ -181,7 +184,13 @@ def _factorized_log_components(data, alpha: float, ordering):
             shift = row.max()
             weights = np.exp(row - shift)
             den = remaining @ weights
-            log_zpm += shift + np.log(den)
+            step = shift + np.log(den)
+            low = den < 1e-300
+            if low.any():
+                free = np.where(remaining[low], row, -np.inf)
+                top = free.max(axis=1)
+                step[low] = top + np.log(np.exp(free - top[:, None]).sum(axis=1))
+            log_zpm += step
             remaining[np.arange(m), perms[:, i] - 1] = False
     return perms, log_target - log_zpm, log_zpm, log_target
 

@@ -238,6 +238,26 @@ class VSet:
         rows = self._rows(rng.integers(0, 2, size=(t, self._rank.size)))
         return rows[0] if size is None else rows
 
+    def orderings0(self, sigma: float, rng: np.random.Generator, size: int) -> np.ndarray:
+        """The stable argsort of each row of ``perturbed_v_ranking(self, sigma,
+        rng, size)``, by the same generator calls: 0-based item sequences, one
+        row per member. At ``sigma = 0`` they come from the coins without a
+        sort, each pair's items at positions ``rank_j - 1 + bit`` and
+        ``rank_j - bit``; with jitter, one argsort and no ranking between."""
+        sigma = check_alpha(sigma, True, "sigma")
+        bits = rng.integers(0, 2, size=(check_count(size, "size", 0), self._rank.size))
+        if sigma > 0:
+            jitter = rng.normal(0.0, sigma, size=(bits.shape[0], self.n))
+            return np.argsort(self._rows(bits) + jitter, axis=1, kind="stable")
+        out = np.empty((bits.shape[0], self.n), dtype=np.int64)
+        if self._middle_item is not None:
+            out[:, 0] = self._middle_item
+        swap = bits * (self._high - self._low)  # a pair's items trade places where its bit is 1
+        first = self.n % 2  # the position of the first pair's lower rank
+        np.add(self._low, swap, out=out[:, first::2])
+        np.subtract(self._high, swap, out=out[:, first + 1 :: 2])
+        return out
+
     def __contains__(self, candidate) -> bool:
         v = np.asarray(candidate, dtype=np.int64)
         return v.shape == self.base.shape and self.nearest_distance(v) == 0

@@ -29,20 +29,21 @@ Every draw, consensus or user ranking, goes through one kernel,
 table, lays out every step's items and draws all uniforms. Its tables are
 rank-major, (n, T): one row per rank, one column per draw. Each step then
 takes one table row per draw as a column, zeroes the taken ranks and inverts
-the cumulative sum down each column. With many draws that sum is n - 1
-vector adds of T draws each, the same float adds in the same order as
-``np.cumsum``, so the layout leaves every seeded draw as it was. The last
-step takes the one free rank left. Draws whose linear weights underflow are
-redone in log space; the test for it runs only on tables wide enough to
-underflow. Draws on wide tables (T and n both at least ``_COARSE_MIN``)
-invert in two levels: a block of about sqrt(n) ranks from the blocks' free
-masses, then the rank within it, so no step takes a cumulative sum over all
-n ranks. A call of one draw, as each consensus step of the click loop makes,
-runs the same steps in plain Python floats over the free ranks alone, since
-a dozen numpy calls per step on (n, 1) arrays cost more than the arithmetic;
-its draws and generator state are byte-identical to the vector path's.
-Click augmentation calls the kernel once per rank-block size, on the
-top-left corner of its table, and takes the same rule.
+the cumulative sum down each column. One routine, ``_prefix_sum``, takes
+every such sum: with many draws it is n - 1 vector adds of T draws each, the
+same float adds in the same order as ``np.cumsum``, so the layout leaves
+every seeded draw as it was. The last step takes the one free rank left.
+Draws whose linear weights underflow are redone in log space; the test for
+it runs only on tables wide enough to underflow. Draws on wide tables (T and
+n both at least ``_COARSE_MIN``) invert in two levels: a block of about
+sqrt(n) ranks from the blocks' free masses, then the rank within it, both in
+rank-major buffers, so no step takes a cumulative sum over all n ranks. A
+call of one draw, as each consensus step of the click loop makes, runs the
+same steps in plain Python floats over the free ranks alone, since a dozen
+numpy calls per step on (n, 1) arrays cost more than the arithmetic; its
+draws and generator state are byte-identical to the vector path's. Click
+augmentation calls the kernel once per rank-block size, on the top-left
+corner of its table, and takes the same rule.
 
 The factorized law at a fixed ordering, computed by enumerating P_n, lives
 with the other exact oracles in ``exact``.
@@ -62,7 +63,7 @@ from .data import (
     RankCountMatrix, RankingDataset, SampleSet, click_frequency_ranking, click_targets, clicks_of, rank_cost,
     rank_counts, rankings_of,
 )
-from .perms import VSet, as_ranking, check_alpha, check_count, non_permutation_rows, perturbed_v_ranking, rank_of
+from .perms import VSet, as_ranking, check_alpha, check_count, non_permutation_rows, rank_of
 from .simulate import sample_mallows
 
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0)
@@ -102,6 +103,35 @@ def _pick(w: np.ndarray, cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _prefix_sum(w: np.ndarray, cum: np.ndarray):
+    """A function that writes the cumulative sum of the rank-major (m, T)
+    buffer ``w`` down its columns into ``cum``, the prefix rule of every step.
+
+    From ``_ROW_ADD_MIN`` draws on, that is m - 1 row adds over all T draws,
+    their row triples built here once (``np.cumsum`` costs 5-8 ns per element
+    along either axis; an add of two rows, a call plus under 1 ns per
+    element). The adds run rank after rank, the order of ``np.cumsum``, so
+    every prefix is the same float as a row-major cumsum's, where a pairwise
+    sum would move draws whose uniform sits within rounding of a boundary.
+    Below that the calls cost more than they save, and one
+    ``np.add.accumulate`` (``np.cumsum`` without its wrappers) runs down the
+    columns. With the single-level kernel forced to each (medians of 7
+    alternating runs, n = 8, 16, 20 and 40), the adds take 0.9-1.2x the
+    cumsum's time at T=64-192, 1.0x at T=224, 0.76-0.94x at T=256 and
+    0.69-0.83x at T=512.
+    """
+    if w.shape[1] < _ROW_ADD_MIN:
+        return lambda: np.add.accumulate(w, 0, None, cum)
+    row_adds = list(zip(cum[:-1], w[1:], cum[1:]))
+
+    def add_rows():
+        cum[0] = w[0]
+        for before, weight, out_row in row_adds:
+            np.add(before, weight, out_row)
+
+    return add_rows
+
+
 def _log_space(lw: np.ndarray, items: np.ndarray, free: np.ndarray):
     """Weights and cumulative weights of draws whose free linear mass
     underflowed, recomputed from the log weights relative to each draw's free
@@ -132,27 +162,16 @@ def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> n
     exp(-600), so no free mass can underflow.
 
     The gathered weights, the free-rank mask and the cumulative sums are
-    rank-major (n, T) buffers, written in place at every step, so a step's
-    prefix sum runs down the ranks as n - 1 vector adds over all T draws
-    (``np.cumsum`` costs 5-8 ns per element along either axis; an add of two
-    rows costs a call plus under 1 ns per element). The adds stay
-    sequential, rank after rank, because that is the order in which
-    ``np.cumsum`` adds: every prefix is the same float, so seeded draws are
-    byte-identical to a row-major cumsum's, where a pairwise sum would move
-    draws whose uniform sits within rounding of a boundary. Below
-    ``_ROW_ADD_MIN`` draws the calls cost more than they save and the step
-    takes ``np.add.accumulate`` (``np.cumsum``) down the same columns. With
-    the kernel forced to each branch (medians of 7 alternating runs, n = 8,
-    16, 20 and 40), the adds take 0.9-1.2x the cumsum's time at T=64-192,
-    1.0x at T=224, 0.76-0.94x at T=256 and 0.69-0.83x at T=512. The last
-    step takes its one free rank, the ranks' sum less the taken ones; its
-    uniform is still drawn.
+    rank-major (n, T) buffers, written in place at every step; a step's
+    prefix sum runs down the ranks (``_prefix_sum``). The last step takes its
+    one free rank, the ranks' sum less the taken ones; its uniform is drawn.
 
     When both T and n are at least ``_COARSE_MIN``, each step inverts the
     cumulative sum in two levels (see ``_two_level_draws``). Below that the
-    extra calls per step cost more than the narrower sums save: two levels
-    take 1.04x as long at n = T = 128, 1.1-1.7x with n or T at 64, and 0.55x
-    at n=200, T=1000 (2-vCPU Intel Xeon host, numpy 2.4.6, as for every
+    extra calls per step cost about what the narrower sums save: two levels
+    take 0.97-1.07x as long with n or T at 64, against 0.75x at n = T = 128
+    and 0.6x at n=200, T=1000 (medians of 9 alternating calls on cost tables
+    of 500 Mallows users; 2-vCPU Intel Xeon host, numpy 2.4.6, as for every
     figure here).
 
     A call of one draw (T == 1), such as each consensus step of the click
@@ -186,16 +205,11 @@ def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> n
     cum = np.empty((n, T))
     taken = np.empty((n, T), dtype=np.int64)
     last = cum[-1]  # each draw's free mass, once the step's prefix sum is in
-    row_adds = list(zip(cum[:-1], w[1:], cum[1:])) if T >= _ROW_ADD_MIN else None
+    prefix_sum = _prefix_sum(w, cum)
     for k, items in enumerate(steps[:-1]):
         np.take(lin_t, items, axis=1, out=w, mode="clip")  # mode="raise" would buffer ``out``
         w *= free
-        if row_adds is None:
-            np.add.accumulate(w, 0, None, cum)  # np.cumsum(w, axis=0) without its wrappers
-        else:  # np.cumsum's adds, in its order, one row of T draws at a time
-            cum[0] = w[0]
-            for before, weight, out_row in row_adds:
-                np.add(before, weight, out_row)
+        prefix_sum()
         if may_underflow and last.min(initial=np.inf) < 1e-300:
             low = last < 1e-300  # underflow: renormalize these draws in log space
             w_low, cum_low = _log_space(lw, items[low], free[:, low].T > 0)
@@ -252,10 +266,15 @@ def _two_level_draws(lw, lin, orderings0, rng) -> np.ndarray:
     search; only the order of the float sums differs, so a seeded draw can
     change only where its uniform sits within rounding of a boundary.
 
-    Free ranks are a float table. The gathered rows, the free table and the
-    block masses are allocated once per call and written in place at every
-    step. These tables stay row-major, (T, B) and (T, s), and ``_pick`` reads
-    their transposed views.
+    Free ranks are a float table, and every buffer is allocated once per
+    call and written in place. The block masses and the chosen block's
+    weights are written rank-major, (B, T) and (s, T), through transposed
+    views, so their sums go through ``_prefix_sum`` and their picks read
+    contiguous rows; the cumulative masses sit under a zero row, so row b is
+    the mass before block b. At n=200, T=1000 each sum then takes about 12
+    us a step and each pick 11 us, against 50 and 33 us over row-major
+    (T, B) and (T, s) tables; the row take (60 us) and the einsum (120 us)
+    are most of a step (``timeit`` minima, same host).
     """
     T, n = orderings0.shape
     s = math.isqrt(n - 1) + 1
@@ -265,27 +284,31 @@ def _two_level_draws(lw, lin, orderings0, rng) -> np.ndarray:
     avail = np.zeros((T, B * s))
     avail[:, :n] = 1.0
     g = np.empty((T, B * s))
-    mass = np.empty((T, B))
     g3, avail3 = g.reshape(T, B, s), avail.reshape(T, B, s)
     g2, avail2 = g.reshape(T * B, s), avail.reshape(T * B, s)  # one row per (draw, block)
+    mass = np.empty((B, T))
+    cum = np.zeros((B + 1, T))  # row b: the mass of the blocks before block b
+    w, w_cum = np.empty((s, T)), np.empty((s, T))
+    mass_sum, w_sum = _prefix_sum(mass, cum[1:]), _prefix_sum(w, w_cum)
     out = np.zeros((T, n), dtype=np.int64)
     rows = np.arange(T)
     for k in range(n):
         items = orderings0[:, k]
         np.take(lin_pad, items, axis=0, out=g, mode="clip")
-        np.einsum("tbs,tbs->tb", g3, avail3, out=mass)
-        cum = np.cumsum(mass, axis=1)
+        np.einsum("tbs,tbs->tb", g3, avail3, out=mass.T)
+        mass_sum()
         u01 = rng.random(T)
-        u = u01 * cum[:, -1]
-        b = _pick(mass.T, cum.T, u)
-        u -= np.where(b > 0, cum[rows, b - 1], 0.0)
+        u = u01 * cum[-1]
+        b = _pick(mass, cum[1:], u)
+        u -= cum[b, rows]
         at = rows * B + b
-        w = np.take(g2, at, axis=0) * np.take(avail2, at, axis=0)
-        chosen = b * s + _pick(w.T, np.cumsum(w, axis=1).T, u)
-        low = cum[:, -1] < 1e-300
+        np.multiply(np.take(g2, at, axis=0), np.take(avail2, at, axis=0), out=w.T)
+        w_sum()
+        chosen = b * s + _pick(w, w_cum, u)
+        low = cum[-1] < 1e-300
         if low.any():  # underflow: redo these rows in log space over the full row
-            w, cum = _log_space(lw, items[low], avail[low, :n] > 0)
-            chosen[low] = _pick(w.T, cum.T, u01[low] * cum[:, -1])
+            w_low, cum_low = _log_space(lw, items[low], avail[low, :n] > 0)
+            chosen[low] = _pick(w_low.T, cum_low.T, u01[low] * cum_low[:, -1])
         out[rows, items] = chosen + 1
         avail[rows, chosen] = 0.0
     return out
@@ -321,9 +344,9 @@ def _consensus_draws(cost: np.ndarray, rank_sums: np.ndarray, alpha: float, sigm
     ``alpha``, each in its own V-set ordering of the rank of ``rank_sums``
     (``estimate_rho_hat``), jittered with scale ``sigma``. The V-set is built
     from that rank, which needs no check. The generator draws the V-set
-    coins, then the jitter when ``sigma > 0``, then the kernel's uniforms."""
-    v_rows = perturbed_v_ranking(VSet.of_scores(rank_sums), sigma, rng, size)
-    orderings0 = np.argsort(v_rows, axis=1, kind="stable")
+    coins, then the jitter when ``sigma > 0``, then the kernel's uniforms.
+    The orderings come from the coins with no sort (``VSet.orderings0``)."""
+    orderings0 = VSet.of_scores(rank_sums).orderings0(sigma, rng, size)
     return _sequential_draws(-(alpha / cost.shape[0]) * cost, orderings0, rng)
 
 

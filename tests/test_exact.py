@@ -115,6 +115,11 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError, match="sum"):
             DiscreteDistribution(permutation_matrix(2), np.array([0.7, 0.2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_probs_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteDistribution(permutation_matrix(2), np.array([bad, 1.0]))
+
     def test_prob_of_missing_ranking(self):
         dist = mallows_distribution((1, 2, 3), 0.0)
         assert dist.prob_of((1, 2, 3)) == pytest.approx(1 / 6)
@@ -253,6 +258,19 @@ class TestConstrainedL1Minimizer:
         ds = RankingDataset(np.array([[1, 2]]))
         with pytest.raises(ValueError, match="admissible"):
             constrained_l1_minimizer(ds, 1, excluded={1, 2})
+
+
+@pytest.mark.parametrize("alpha", [1e4, 1e6])
+def test_factorized_law_at_a_scale_where_every_free_weight_underflows(alpha):
+    """At ordering (1, ..., 5) the items' best ranks are taken early, so
+    relative to a whole cost row every free weight of a later step is below
+    1e-300; those steps are redone relative to their free maximum."""
+    rows, ordering = [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [2, 1, 3, 5, 4]], (1, 2, 3, 4, 5)
+    probs = exact_distribution(rows, alpha, ordering).probs
+    assert np.isfinite(probs).all() and probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.isfinite(elbo_exact(rows, alpha, ordering))
+    kl = joint_kl_exact(rows, alpha, ordering)
+    assert np.isfinite(kl) and kl >= 0
 
 
 def _oracle_cases():

@@ -223,6 +223,30 @@ class TestPerturbedVRanking:
         assert stat < chi2.ppf(0.999, 119)
 
 
+class TestVSetOrderings:
+    @pytest.mark.parametrize("sigma", [0.0, 0.7, 5.0])
+    def test_equal_the_sorted_perturbed_rankings(self, sigma):
+        """Tied integer scores at n = 1..11, 20 seeds each: the sequences
+        and the generator's next draw match ``perturbed_v_ranking``'s."""
+        for n in range(1, 12):
+            for seed in range(20):
+                vs = VSet.of_scores(np.random.default_rng(seed).integers(0, 4, n))
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = vs.orderings0(sigma, got_rng, 7)
+                want = np.argsort(perturbed_v_ranking(vs, sigma, want_rng, 7), axis=1, kind="stable")
+                assert got.dtype == np.int64 and np.array_equal(got, want)
+                assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("sigma", [-1.0, np.inf, np.nan])
+    def test_bad_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+            v_set((1, 2, 3)).orderings0(sigma, np.random.default_rng(0), 2)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.7])
+    def test_no_members(self, sigma):
+        assert v_set((2, 1, 3, 4)).orderings0(sigma, np.random.default_rng(0), 0).shape == (0, 4)
+
+
 class TestEnumeration:
     def test_n1(self):
         assert permutation_matrix(1).tolist() == [[1]]
