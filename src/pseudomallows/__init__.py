@@ -65,7 +65,6 @@ from .perms import (
     adjacent_swaps,
     footrule_distance,
     ordering_of,
-    perturbed_v_ranking,
     non_permutation_rows,
     rank_of,
     v_set,

@@ -23,7 +23,7 @@ from .evaluation import (
 )
 from .experiments import ExperimentConfig, cp_consensus, run_experiment
 from .io import emit, load_clicks, load_rankings, save_rankings
-from .perms import adjacent_swaps, as_ranking, ordering_of, perturbed_v_ranking
+from .perms import adjacent_swaps, as_ranking, ordering_of, v_set
 from .pseudo import (
     DEFAULT_ALPHA_GRID,
     PseudoConfig,
@@ -135,7 +135,7 @@ def _cmd_search_ordering(args) -> int:
     data = load_rankings(args.input)
     rng = np.random.default_rng(args.seed)
     rho_hat = estimate_rho_hat(data)
-    init = adjacent_swaps(perturbed_v_ranking(rho_hat, 0.0, rng), data.n_items, rng)
+    init = adjacent_swaps(v_set(rho_hat).sample(rng), data.n_items, rng)
     trace = iterative_search(
         data, args.alpha, init, max_iters=args.iters,
         eval_mode=args.mode, draws=args.samples, rng=rng,

@@ -4,8 +4,8 @@ Clicked items are assumed ranked above unclicked ones, so a user's latent
 ranking lies in the compatible set of the clicks: clicked items take ranks
 1..c, unclicked items c+1..n. Both click-data samplers
 (``pseudo.pseudo_clicking`` and ``mcmc.mcmc_clicking``) start from
-``data.click_frequency_ranking``, take each user's targets from
-``data.click_targets`` and return a (T, N, n) user-ranking trace;
+``data.click_frequency_ranking``, take each user's targets by the rule of
+``data.click_target_cells`` and return a (T, N, n) user-ranking trace;
 ``recommend_all`` turns either trace into every user's top-k list with one
 window count over the trace and one stable argsort per user. Rankings are
 turned into clicks with a truncated Poisson count model.

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RankCountMatrix, RankingDataset, SampleSet, rank_counts
-from .exact import (
-    DiscreteDistribution,
-    exact_distribution,
-    exact_posterior,
-    marginal_profile_matrix,
-)
+from .exact import DiscreteDistribution, exact_distribution, exact_posterior, marginal_profile_matrix
 from .mcmc import McmcConfig, ls_move, mcmc_rho
 from .perms import CapacityError, as_ranking, check_alpha, check_count, ordering_of, permutation_matrix, v_set
 from .pseudo import PseudoConfig, estimate_rho_hat, sample_rho, sample_rho_with_orderings
@@ -103,16 +98,8 @@ def reference_profile(data: RankingDataset | np.ndarray, alpha: float, rng=None)
     if table.n_items <= EXACT_STUDY_CAP:
         return posterior_profile(table, alpha)
     rng = np.random.default_rng(rng)
-    trace = mcmc_rho(
-        table,
-        alpha,
-        McmcConfig(
-            iterations=_REFERENCE_ITERATIONS,
-            burn_in=_REFERENCE_ITERATIONS // 5,
-            seed=int(rng.integers(2**63)),
-        ),
-    )
-    return MarginalProfile.from_samples(trace.rho_samples)
+    mcfg = McmcConfig(_REFERENCE_ITERATIONS, burn_in=_REFERENCE_ITERATIONS // 5, seed=int(rng.integers(2**63)))
+    return MarginalProfile.from_samples(mcmc_rho(table, alpha, mcfg).rho_samples)
 
 
 def ordering_kl(cost, alpha: float, ordering, reference: MarginalProfile,

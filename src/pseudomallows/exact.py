@@ -19,6 +19,7 @@ from .data import RankCountMatrix, RankingDataset, rank_counts, rankings_of
 from .perms import CapacityError, as_ranking, check_alpha, check_count, permutation_matrix
 
 EXACT_CAP = 8  # 8! = 40320 permutations stays sub-second
+_SUM_TOL = 1e-12  # how far the probabilities of a DiscreteDistribution may sum from 1
 
 
 def _logsumexp(x: np.ndarray) -> np.float64:
@@ -29,6 +30,16 @@ def _logsumexp(x: np.ndarray) -> np.float64:
     k = tied.sum()
     rest = np.exp(np.where(tied, -np.inf, x) - top).sum()
     return np.log1p(rest / k if rest else rest) + np.log(k) + top
+
+
+def _probabilities(logw: np.ndarray) -> np.ndarray:
+    """``exp(logw - logsumexp(logw))``; where log weights near 1e6 in size leave
+    that too few digits to sum to 1 within ``_SUM_TOL``, exp(logw - max) / sum."""
+    probs = np.exp(logw - _logsumexp(logw))
+    if abs(probs.sum() - 1.0) > _SUM_TOL:
+        probs = np.exp(logw - logw.max())
+        probs /= probs.sum()
+    return probs
 
 
 @dataclass(frozen=True)
@@ -47,7 +58,7 @@ class DiscreteDistribution:
             raise ValueError("probabilities must be finite")
         if (probs < 0).any():
             raise ValueError("probabilities must be nonnegative")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        if abs(probs.sum() - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {probs.sum()!r}, not 1")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
@@ -81,8 +92,7 @@ def exact_posterior(data: RankingDataset | np.ndarray, alpha: float) -> Discrete
     this is the uniform distribution on P_n.
     """
     perms, logw = _log_posterior_weights(RankCountMatrix.from_dataset(data).cost, alpha)
-    logw = logw - _logsumexp(logw)
-    return DiscreteDistribution(perms, np.exp(logw))
+    return DiscreteDistribution(perms, _probabilities(logw))
 
 
 def log_evidence(data: RankingDataset | np.ndarray, alpha: float) -> float:
@@ -203,8 +213,7 @@ def exact_distribution(data, alpha: float, ordering) -> DiscreteDistribution:
     of per-step denominators.
     """
     perms, log_q, _, _ = _factorized_log_components(data, alpha, ordering)
-    probs = np.exp(log_q - _logsumexp(log_q))
-    return DiscreteDistribution(perms, probs)
+    return DiscreteDistribution(perms, _probabilities(log_q))
 
 
 def elbo_exact(data, alpha: float, ordering) -> float:

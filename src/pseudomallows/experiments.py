@@ -165,19 +165,14 @@ def cp_consensus(samples) -> np.ndarray:
     Ranks are filled from 1 upward; each rank goes to the unassigned item
     with the largest empirical P(R_item <= rank), ties by item index.
     """
-    arr = samples.samples if isinstance(samples, SampleSet) else np.asarray(samples)
-    arr = np.asarray(arr, dtype=np.int64)
+    arr = np.asarray(samples.samples if isinstance(samples, SampleSet) else samples, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise ValueError("need a nonempty (T, n) sample array")
     t, n = arr.shape
     cum = np.cumsum(rank_counts(arr), axis=1) / t
-    out = np.zeros(n, dtype=np.int64)
-    unassigned = np.ones(n, dtype=bool)
+    out = np.zeros(n, dtype=np.int64)  # 0 while the item is unassigned
     for rank in range(1, n + 1):
-        scores = np.where(unassigned, cum[:, rank - 1], -1.0)
-        winner = int(np.argmax(scores))
-        out[winner] = rank
-        unassigned[winner] = False
+        out[int(np.argmax(np.where(out == 0, cum[:, rank - 1], -1.0)))] = rank
     return out
 
 
@@ -231,20 +226,12 @@ def _score_recommendations(user_traces, clicks: ClickDataset, truth, k: int):
 def _calibration_bins(preds):
     """(bin mean predicted, realized accuracy, count) triples over ten
     equal-width probability bins, empty bins skipped."""
-    bins = 10
-    out = []
     if not preds:
-        return out
-    probs = np.array([p for p, _ in preds])
-    hits = np.array([h for _, h in preds], dtype=float)
-    edges = np.linspace(0.0, 1.0, bins + 1)
-    which = np.clip(np.digitize(probs, edges) - 1, 0, bins - 1)
-    for b in range(bins):
-        sel = which == b
-        if sel.sum() == 0:
-            continue
-        out.append((float(probs[sel].mean()), float(hits[sel].mean()), int(sel.sum())))
-    return out
+        return []
+    probs, hits = np.array(preds, dtype=np.float64).T
+    which = np.clip(np.digitize(probs, np.linspace(0.0, 1.0, 11)) - 1, 0, 9)
+    return [(float(probs[sel].mean()), float(hits[sel].mean()), int(sel.sum()))
+            for sel in (which == b for b in range(10)) if sel.any()]
 
 
 def run_clicking_accuracy(cfg: ExperimentConfig) -> ResultTable:
@@ -302,12 +289,8 @@ def run_clicking_accuracy(cfg: ExperimentConfig) -> ResultTable:
 def _rank_bands(n: int) -> list[tuple[int, ...]]:
     """Rank bands matching the V-set pair structure: [1],[2,3],... for odd n,
     [1,2],[3,4],... for even n."""
-    if n % 2 == 1:
-        bands = [(1,)]
-        bands += [(2 * k, 2 * k + 1) for k in range(1, (n + 1) // 2)]
-    else:
-        bands = [(2 * k + 1, 2 * k + 2) for k in range(n // 2)]
-    return bands
+    odd = n % 2
+    return [(1,)] * odd + [(r, r + 1) for r in range(1 + odd, n, 2)]
 
 
 def run_ordering_enum(cfg: ExperimentConfig) -> ResultTable:

@@ -5,7 +5,7 @@
 swaps) with consensus updates for click data. Both are the comparison arm in
 the timing and accuracy experiments. ``mcmc_clicking`` starts from
 ``data.click_frequency_ranking`` and the users' targets
-(``data.click_targets``), as the pseudo-Mallows loop does. The user
+(``data.click_target_cells``), as the pseudo-Mallows loop does. The user
 rankings are item-major, (n, N): flat cell ``i * N + j`` is user j's rank of
 item i. Tables made once give each user's clicked, then unclicked items as
 flat cells and item ids in rows padded to n + 1 (an inactive user's row
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import RankCountMatrix, RankingDataset, click_frequency_ranking, click_targets, clicks_of
+from .data import RankCountMatrix, RankingDataset, click_frequency_ranking, click_target_cells, clicks_of
 from .perms import as_ranking, check_alpha, check_count
 
 _BLOCK = 1 << 15  # pre-drawn randomness block size for the hot loops
@@ -202,11 +202,11 @@ def mcmc_clicking(clicks, alpha: float, cfg: McmcConfig):
             McmcTrace(np.ones((n_keep, 1), dtype=np.int64), 1.0, 0.0),
             np.ones((n_keep, n_users, 1), dtype=np.int64),
         )
-    Rt = np.ascontiguousarray(click_targets(B, rho).T + 1)  # follows rho in each group
+    rows = np.arange(n_users)
+    Rt = np.ascontiguousarray((click_target_cells(B)(rho) - rows[:, None] * n + 1).T)  # follows rho in each group
     flat = Rt.reshape(-1)
     c = B.sum(axis=1)
     active = (c >= 2) | (c <= n - 2)
-    rows = np.arange(n_users)
     # each active user's clicked items, then unclicked items, each in item-index order
     items = np.zeros((n_users, n + 1), dtype=np.int64)
     items[active, :n] = np.argsort(1 - B[active], axis=1, kind="stable")

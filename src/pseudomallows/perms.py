@@ -14,7 +14,9 @@ All functions accept any integer sequence and return ``numpy`` arrays.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -30,7 +32,7 @@ def check_alpha(alpha: float, allow_zero: bool = False, name: str = "alpha") -> 
     """Return ``alpha`` as a float, rejecting values that are not finite and positive
     (nonnegative with ``allow_zero``, as the exact oracles accept); errors call it ``name``."""
     alpha = float(alpha)
-    if not (np.isfinite(alpha) and (alpha > 0 or (allow_zero and alpha == 0))):
+    if not (math.isfinite(alpha) and (alpha > 0 or (allow_zero and alpha == 0))):
         kind = "nonnegative" if allow_zero else "positive"
         raise ValueError(f"{name} must be {kind} and finite, got {alpha}")
     return alpha
@@ -183,29 +185,42 @@ class VSet:
     """
 
     def __init__(self, base):
-        self._pair_up(as_ranking(base, "base ranking"))
+        self.base = as_ranking(base, "base ranking")
+        self._pair_up(np.argsort(self.base))
 
     @classmethod
     def of_scores(cls, scores) -> "VSet":
-        """The V-set of ``rank_of(scores)``. That ranking is a permutation by
-        construction, so it is not checked again, as a given base is."""
-        if np.ndim(scores) != 1:
-            raise ValueError("V-set scores must be a 1-d sequence")
+        """The V-set of ``rank_of(scores)``, from the one stable argsort of the
+        scores that orders the items as that ranking does. The ranking is a
+        permutation by construction, so it is not checked again, as a given
+        base is, and it is built only when ``base`` is read."""
+        x = np.asarray(scores, dtype=np.float64)
+        if x.ndim != 1 or x.size < 1:
+            raise ValueError("V-set scores must be a nonempty 1-d sequence")
+        order = np.argsort(x, kind="stable")
+        if np.isnan(x[order[-1]]):  # a NaN sorts last
+            raise ValueError("V-set scores contain NaN")
         vset = cls.__new__(cls)
-        vset._pair_up(rank_of(scores))
+        vset._pair_up(order)
         return vset
 
-    def _pair_up(self, base: np.ndarray) -> None:
-        self.base = base
-        o = np.argsort(base)  # 0-based items by rank
-        p, odd = divmod(o.size, 2)
+    @cached_property
+    def base(self) -> np.ndarray:
+        base = np.empty(self._order.size, dtype=np.int64)
+        base[self._order] = np.arange(1, base.size + 1)
+        return base
+
+    def _pair_up(self, order: np.ndarray) -> None:
+        """Pair the 0-based items of ``order``, listed by rank."""
+        self._order = order
+        p, odd = divmod(order.size, 2)
         # pair j: items _low[j] and _high[j] take ranks _rank[j] and _rank[j] + 1
-        self._low, self._high, self._rank = o[:p][::-1], o[p + odd :], np.arange(1 + odd, o.size, 2)
-        self._middle_item = int(o[p]) if odd else None
+        self._low, self._high, self._rank = order[:p][::-1], order[p + odd :], np.arange(1 + odd, order.size, 2)
+        self._middle_item = int(order[p]) if odd else None
 
     @property
     def n(self) -> int:
-        return self.base.size
+        return self._order.size
 
     @property
     def size(self) -> int:
@@ -239,11 +254,12 @@ class VSet:
         return rows[0] if size is None else rows
 
     def orderings0(self, sigma: float, rng: np.random.Generator, size: int) -> np.ndarray:
-        """The stable argsort of each row of ``perturbed_v_ranking(self, sigma,
-        rng, size)``, by the same generator calls: 0-based item sequences, one
-        row per member. At ``sigma = 0`` they come from the coins without a
-        sort, each pair's items at positions ``rank_j - 1 + bit`` and
-        ``rank_j - bit``; with jitter, one argsort and no ranking between."""
+        """0-based item sequences of ``size`` members drawn as ``sample`` draws
+        them, each jittered entrywise with Gaussian noise of scale ``sigma``
+        and sorted, stably: the coins, then the jitter when ``sigma > 0``. At
+        ``sigma = 0`` they come from the coins without a sort, each pair's
+        items at positions ``rank_j - 1 + bit`` and ``rank_j - bit``; with
+        jitter, one argsort and no ranking between."""
         sigma = check_alpha(sigma, True, "sigma")
         bits = rng.integers(0, 2, size=(check_count(size, "size", 0), self._rank.size))
         if sigma > 0:
@@ -283,21 +299,6 @@ class VSet:
 def v_set(rho) -> VSet:
     """Construct the V-set of a ranking."""
     return VSet(rho)
-
-
-def perturbed_v_ranking(rho_hat, sigma: float, rng, size: int | None = None) -> np.ndarray:
-    """Draw V-set members of ``rho_hat``, jitter each entry with Gaussian noise
-    of standard deviation ``sigma``, and rank the result.
-
-    ``rho_hat`` is a ranking, checked, or its VSet, taken as it is.
-    ``sigma = 0`` returns V-set members exactly. Returns one ranking with
-    ``size=None``, otherwise ``size`` rankings as the rows of a (size, n) array.
-    """
-    sigma = check_alpha(sigma, True, "sigma")
-    v = (rho_hat if isinstance(rho_hat, VSet) else v_set(rho_hat)).sample(rng, size)
-    if sigma == 0:
-        return v
-    return rank_of(v + rng.normal(0.0, sigma, size=v.shape))
 
 
 def adjacent_swaps(ranking, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -21,29 +21,19 @@ on its distance from the target, and a block's targets are its own ranks in
 a uniform item order, so each block is a draw from a law on the
 permutations of its m ranks that depends on m and alpha alone, relabelled
 by the targets. The loop draws the blocks of a chunk of iterations up
-front, one kernel call per block size, and relabels them at each
-iteration's consensus.
+front, one kernel call per block size. The click tables the targets need
+are built once per call (``data.click_target_cells``), so each iteration's
+consensus step is one product for the target cells, one take to relabel,
+one ``rank_counts`` bincount, one product for the cost table and rank sums
+(``rank_cost``), one stable argsort for the V-set order, and one draw.
 
 Every draw, consensus or user ranking, goes through one kernel,
-``_sequential_draws``. Once per call it exponentiates a shared log-weight
-table, lays out every step's items and draws all uniforms. Its tables are
-rank-major, (n, T): one row per rank, one column per draw. Each step then
-takes one table row per draw as a column, zeroes the taken ranks and inverts
-the cumulative sum down each column. One routine, ``_prefix_sum``, takes
-every such sum: with many draws it is n - 1 vector adds of T draws each, the
-same float adds in the same order as ``np.cumsum``, so the layout leaves
-every seeded draw as it was. The last step takes the one free rank left.
-Draws whose linear weights underflow are redone in log space; the test for
-it runs only on tables wide enough to underflow. Draws on wide tables (T and
-n both at least ``_COARSE_MIN``) invert in two levels: a block of about
-sqrt(n) ranks from the blocks' free masses, then the rank within it, both in
-rank-major buffers, so no step takes a cumulative sum over all n ranks. A
-call of one draw, as each consensus step of the click loop makes, runs the
-same steps in plain Python floats over the free ranks alone, since a dozen
-numpy calls per step on (n, 1) arrays cost more than the arithmetic; its
-draws and generator state are byte-identical to the vector path's. Click
-augmentation calls the kernel once per rank-block size, on the top-left
-corner of its table, and takes the same rule.
+``_sequential_draws``, on rank-major (n, T) tables built once per call;
+each step's cumulative sums go through ``_prefix_sum``, draws whose linear
+weights underflow are redone in log space, wide tables take two levels
+(``_two_level_draws``), and a single draw, as each consensus step makes,
+takes Python floats (``_one_draw``). Click augmentation calls the kernel
+once per rank-block size, on the top-left corner of its table.
 
 The factorized law at a fixed ordering, computed by enumerating P_n, lives
 with the other exact oracles in ``exact``.
@@ -56,11 +46,12 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
 from .data import (
-    RankCountMatrix, RankingDataset, SampleSet, click_frequency_ranking, click_targets, clicks_of, rank_cost,
+    RankCountMatrix, RankingDataset, SampleSet, click_frequency_ranking, click_target_cells, clicks_of, rank_cost,
     rank_counts, rankings_of,
 )
 from .perms import VSet, as_ranking, check_alpha, check_count, non_permutation_rows, rank_of
@@ -175,18 +166,10 @@ def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> n
     figure here).
 
     A call of one draw (T == 1), such as each consensus step of the click
-    loop, takes ``_one_draw``, which does the same arithmetic step by step
-    in Python floats. It draws its uniforms with the same
-    ``rng.random((n, 1))``. Its prefix sums run over the free ranks only:
-    here a taken rank adds +0.0, which leaves a prefix as it was, so every
-    prefix is the same float. On that non-decreasing list ``bisect_right``
-    counts the prefixes at or below the uniform, as ``_pick`` does, and at
-    the float edge it takes the last free rank of positive weight, as
-    ``_pick`` does. A step whose free mass underflows is redone by
-    ``_log_space`` and ``_pick`` themselves. So its draws, and the
-    generator's state after them, are byte-identical to this path's. At
-    n=20 a one-draw call takes about 50 us against 210-300 us here
-    (``timeit`` minimum of 5x400 calls on an n=20, N=200 table).
+    loop, takes ``_one_draw``: the same arithmetic in Python floats, with
+    byte-identical draws and generator state. At n=20 it takes about 35 us,
+    where these vector steps took 210-300 us (``timeit`` minimum of 5x400
+    calls on an n=20, N=200 table).
     """
     T, n = orderings0.shape
     lw = np.asarray(log_weights)
@@ -226,10 +209,16 @@ def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> n
 
 
 def _one_draw(lw: np.ndarray, lin: np.ndarray, items0: np.ndarray, rng) -> np.ndarray:
-    """``_sequential_draws`` of a single draw, step by step in Python floats;
-    its docstring says why the draws are the vector path's. The free ranks
-    are a list in ascending order, and a step whose free mass falls below
-    1e-300 is redone on (1, n) arrays by ``_log_space`` and ``_pick``."""
+    """``_sequential_draws`` of a single draw, step by step in Python floats.
+    Its uniforms come from the same ``rng.random((n, 1))``. A step gathers
+    the weights of the free ranks, kept in ascending order, with one
+    ``itemgetter``; a taken rank would add +0.0, which leaves a prefix as it
+    was, so every prefix is the vector path's float. On that non-decreasing
+    list ``bisect_right`` counts the prefixes at or below the uniform, and at
+    the float edge the last free rank of positive weight is taken, both as
+    ``_pick`` does; a step whose free mass falls below 1e-300 is redone on
+    (1, n) arrays by ``_log_space`` and ``_pick`` themselves. So the draws and
+    the generator's state after them are byte-identical to the vector path's."""
     n = items0.size
     u01 = rng.random((n, 1))[:, 0].tolist()
     rows = lin.tolist()
@@ -238,7 +227,7 @@ def _one_draw(lw: np.ndarray, lin: np.ndarray, items0: np.ndarray, rng) -> np.nd
     ranks = [0] * n
     for k, item in enumerate(items[:-1]):
         row = rows[item]
-        cum = list(accumulate([row[r] for r in free]))
+        cum = list(accumulate(itemgetter(*free)(row)))  # two or more free ranks: a tuple
         if cum[-1] < 1e-300:  # underflow: this step in log space, as the vector path takes it
             mask = np.zeros((1, n), dtype=bool)
             mask[0, free] = True
@@ -408,7 +397,7 @@ def sample_user_rankings(clicks, alpha: float, rho, rng) -> np.ndarray:
     if b.shape[1] != n:
         raise ValueError(f"clicks have {b.shape[1]} columns but rho ranks {n} items")
     drawn = _draw_blocks(b, alpha, np.empty((1, *b.shape), dtype=np.int64), rng)[0]
-    return drawn.take(click_targets(b, rho) + np.arange(0, b.size, n)[:, None])  # user u's targets, offset u*n
+    return drawn.take(click_target_cells(b)(rho))
 
 
 def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
@@ -420,10 +409,11 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     complete data: one draw of ``_consensus_draws``, the core ``sample_rho``
     shares, from one ``rank_counts`` table of them and its ``rank_cost``,
     continuing the loop's generator. The first ``warmup`` iterations are
-    discarded. The clicks are read once per call; block draws come a chunk of
-    warm-up or kept iterations at a time (``_CHUNK_CELLS`` user ranks, at
-    least one), and each iteration relabels its users' blocks by one flat
-    take at their targets.
+    discarded. The clicks are read once per call, into the tables of
+    ``click_target_cells``; block draws come a chunk of warm-up or kept
+    iterations at a time (``_CHUNK_CELLS`` user ranks, at least one), and
+    each iteration relabels its users' blocks by one flat take at their
+    target cells.
     Returns the consensus SampleSet and the (n_samples, N, n) user-ranking
     draws. ``clicks`` is a ClickDataset or anything ClickDataset accepts.
     """
@@ -432,7 +422,7 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
     n_users, n = b.shape
     rng = np.random.default_rng(cfg.seed)
     rho = click_frequency_ranking(b)
-    firsts = np.arange(0, b.size, n)[:, None]  # user u's row starts at u*n of a flat (N, n) table
+    target_cells = click_target_cells(b)
     total = warmup + cfg.n_samples
     chunk = max(1, _CHUNK_CELLS // max(n_users * n, 1))
     starts = [*range(0, warmup, chunk), *range(warmup, total, chunk)]
@@ -444,7 +434,7 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
         drawn = (user_keep[lo - warmup : hi - warmup] if lo >= warmup
                  else np.empty((hi - lo, n_users, n), dtype=np.int64))
         for t, R in enumerate(_draw_blocks(b, cfg.alpha, drawn, rng), lo):
-            R[:] = R.take(click_targets(b, rho) + firsts)
+            R[:] = R.take(target_cells(rho))
             cost, rank_sums = rank_cost(rank_counts(R))
             rho = _consensus_draws(cost, rank_sums, cfg.alpha, cfg.sigma, 1, rng)[0]
             if t >= warmup:

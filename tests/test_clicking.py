@@ -19,7 +19,7 @@ from pseudomallows.clicking import (
     recommend_all,
     recommend_topk,
 )
-from pseudomallows.data import ClickDataset, RankingDataset, click_frequency_ranking, click_targets
+from pseudomallows.data import ClickDataset, RankingDataset, click_frequency_ranking, click_target_cells
 from pseudomallows.mcmc import McmcConfig, mcmc_clicking
 from pseudomallows.perms import footrule_distance, is_permutation, permutation_matrix, rank_of
 from pseudomallows.pseudo import PseudoConfig, mean_pairwise_similarity, pseudo_clicking, sample_user_rankings
@@ -209,9 +209,9 @@ class TestUserSampler:
             assert 0.5 * sum(abs(counts.get(r, 0) / t - p) for r, p in law.items()) <= bound
 
     def test_targets_follow_rho_within_each_click_group(self):
-        """The targets from cumulative click counts in consensus order equal
-        the re-ranking of rho with unclicked items after clicked ones, on
-        rows with no clicks and with all of them too."""
+        """The target cells, less each user's row offset, equal the
+        re-ranking of rho with unclicked items after clicked ones, on rows
+        with no clicks and with all of them too."""
         rng = np.random.default_rng(9)
         for n in (1, 2, 7, 20):
             b = rng.integers(0, 2, (30, n))
@@ -219,7 +219,7 @@ class TestUserSampler:
             for _ in range(5):
                 rho = rng.permutation(n) + 1
                 want = rank_of(rho + (1 - b) * 2 * n) - 1
-                assert np.array_equal(click_targets(b, rho), want)
+                assert np.array_equal(click_target_cells(b)(rho) - np.arange(0, b.size, n)[:, None], want)
 
     def test_zero_click_user_unconstrained(self):
         rng = np.random.default_rng(4)

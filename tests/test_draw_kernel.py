@@ -15,7 +15,7 @@ from scipy.special import logsumexp
 from pseudomallows import pseudo
 from pseudomallows.clicking import TruncatedPoisson, binarize, in_compatible_set
 from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset, click_frequency_ranking
-from pseudomallows.perms import is_permutation, permutation_matrix, perturbed_v_ranking, rank_of
+from pseudomallows.perms import is_permutation, permutation_matrix, rank_of, v_set
 from pseudomallows.pseudo import (
     PseudoConfig, _pick, _sequential_draws, pseudo_clicking, sample_rho, sample_rho_with_orderings,
     sample_user_rankings,
@@ -78,6 +78,13 @@ def reference_user_draws(clicks, alpha, rho, rng, drawn=None):
     return np.take_along_axis(drawn, target0, axis=1)
 
 
+def perturbed_v_ranking(rho_hat, sigma, rng, size):
+    """``size`` V-set members of ``rho_hat``, each entry jittered with
+    Gaussian noise of scale ``sigma`` and ranked (the members at sigma = 0)."""
+    v = v_set(rho_hat).sample(rng, size)
+    return v if sigma == 0 else rank_of(v + rng.normal(0.0, sigma, size=v.shape))
+
+
 def reference_clicking(clicks, cfg, warmup):
     """The alternating click loop on one generator, through the log-space
     references, centred at the rank of the augmented column sums. The block
@@ -123,18 +130,21 @@ def test_seeded_clicking_equals_the_reference_loop(alpha, sigma, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n_users, n, clicked, warmup, n_samples",
-    [(6, 5, "random", 0, 5), (6, 5, "random", 7, 3), (6, 5, "random", 3, 1),
-     (0, 5, "random", 4, 3), (6, 5, "all", 3, 4), (6, 1, "random", 3, 4)],
-    ids=["warmup-0", "warmup-over-chunks", "one-sample", "no-users", "all-clicked", "n=1"],
+    "n_users, n, clicked, warmup, n_samples, sigma",
+    [(6, 5, "random", 0, 5, 0.5), (6, 5, "random", 7, 3, 0.5), (6, 5, "random", 3, 1, 0.5),
+     (0, 5, "random", 4, 3, 0.5), (6, 5, "all", 3, 4, 0.5), (6, 1, "random", 3, 4, 0.5),
+     (12, 7, "random", 3, 6, 0.0)],
+    ids=["warmup-0", "warmup-over-chunks", "one-sample", "no-users", "all-clicked", "n=1", "odd-n-sigma-0"],
 )
-def test_click_loop_chunk_edges(n_users, n, clicked, warmup, n_samples, monkeypatch):
+def test_click_loop_chunk_edges(n_users, n, clicked, warmup, n_samples, sigma, monkeypatch):
     """Chunks of two iterations (one with no users): shapes, compatible and
-    reproducible draws, and the reference loop's stream."""
+    reproducible draws, and the reference loop's stream. The odd n at
+    sigma = 0 checks the middle-item-first V-set order of the one
+    consensus draw without jitter."""
     monkeypatch.setattr(pseudo, "_CHUNK_CELLS", 2 * n_users * n)
     rng = np.random.default_rng(warmup + n_samples)
     clicks = rng.integers(0, 2, (n_users, n)) if clicked == "random" else np.ones((n_users, n), dtype=np.int64)
-    cfg = PseudoConfig(2.0, 0.5, n_samples, seed=11)
+    cfg = PseudoConfig(2.0, sigma, n_samples, seed=11)
     ss, users = pseudo_clicking(clicks, cfg, warmup)
     assert ss.samples.shape == (n_samples, n) and users.shape == (n_samples, n_users, n)
     assert all(is_permutation(r) for r in ss.samples)

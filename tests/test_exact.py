@@ -273,6 +273,20 @@ def test_factorized_law_at_a_scale_where_every_free_weight_underflows(alpha):
     assert np.isfinite(kl) and kl >= 0
 
 
+@pytest.mark.parametrize("alpha", [1e5, 1e6, 1e9])
+def test_posterior_at_a_scale_where_the_log_normalizer_loses_digits(alpha):
+    """The log weights are about -3.2e6 at alpha = 1e6, so subtracting their
+    log-sum-exp keeps about 10 digits; the posterior still sums to 1 within
+    1e-12 and splits its mass over the four tied modes."""
+    rows = [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [2, 1, 3, 5, 4]]
+    probs = exact_posterior(rows, alpha).probs
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.sort(probs)[-4:].tolist() == [0.25] * 4 and np.sort(probs)[-5] == 0.0
+    assert np.isfinite(log_evidence(rows, alpha))
+    probs = exact_distribution(rows, alpha, (3, 1, 5, 2, 4)).probs
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def _oracle_cases():
     """Fixed-seed (rankings, alpha, ordering) cases at n = 1..8: random users
     and alpha, plus the all-tied cases (alpha = 0, no users) and n = 1."""

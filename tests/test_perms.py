@@ -8,14 +8,24 @@ from pseudomallows.perms import (
     CapacityError,
     VSet,
     adjacent_swaps,
+    check_alpha,
     footrule_distance,
     is_permutation,
     ordering_of,
     permutation_matrix,
-    perturbed_v_ranking,
     rank_of,
     v_set,
 )
+
+
+def perturbed_v_ranking(rho_hat, sigma, rng, size=None):
+    """The reference law of ``VSet.orderings0``: V-set members of
+    ``rho_hat`` (a ranking or its VSet), each entry jittered with Gaussian
+    noise of scale ``sigma`` and ranked; ``sigma = 0`` gives the members.
+    One ranking with ``size=None``, otherwise ``size`` rankings as rows."""
+    sigma = check_alpha(sigma, True, "sigma")
+    v = (rho_hat if isinstance(rho_hat, VSet) else v_set(rho_hat)).sample(rng, size)
+    return v if sigma == 0 else rank_of(v + rng.normal(0.0, sigma, size=v.shape))
 
 
 class TestFootrule:
