@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .clicking import recommend_all
-from .data import RankCountMatrix
 from .evaluation import (
     EXACT_STUDY_CAP,
     default_sigma,
@@ -43,14 +42,14 @@ def _add_common(p: argparse.ArgumentParser, alpha_help: str) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _resolve_alpha_sigma(data, table, args, rng) -> tuple[float, float]:
+def _resolve_alpha_sigma(data, args, rng) -> tuple[float, float]:
     alpha = args.alpha
     if alpha is None:
         alpha = estimate_alpha_full(data, DEFAULT_ALPHA_GRID, rng=rng)
         print(f"estimated alpha = {alpha}")
     sigma = args.sigma
     if sigma is None:
-        sigma = default_sigma(table, alpha, rng=rng)
+        sigma = default_sigma(data, alpha, rng=rng)
         print(f"selected sigma = {sigma}")
     return alpha, sigma
 
@@ -67,10 +66,9 @@ def _report_fit(ss, output, what: str) -> int:
 
 def _cmd_fit_rho(args) -> int:
     data = load_rankings(args.input)
-    table = RankCountMatrix(data.rankings)
     rng = np.random.default_rng(args.seed)
-    alpha, sigma = _resolve_alpha_sigma(data, table, args, rng)
-    ss = sample_rho(table, PseudoConfig(alpha, sigma, args.samples, seed=args.seed))
+    alpha, sigma = _resolve_alpha_sigma(data, args, rng)
+    ss = sample_rho(data, PseudoConfig(alpha, sigma, args.samples, seed=args.seed))
     return _report_fit(ss, args.output, "samples")
 
 

@@ -1,9 +1,11 @@
 """Dataset containers, the one rank-count routine and the rank-cost table.
 
 Everything here is immutable after construction and safe to share across
-threads; samplers receive their own RNG streams. The two click-data rules
-that both click samplers start from, the click-frequency ranking and each
-user's targets, live here, below both.
+threads; samplers receive their own RNG streams. A RankingDataset keeps the
+RankCountMatrix of its rows from its first use, so its fits count its N*n
+ranks once; two threads that use it first may each build it, identically.
+The two click-data rules that both click samplers start from, the
+click-frequency ranking and each user's targets, live here, below both.
 """
 
 from __future__ import annotations
@@ -222,18 +224,24 @@ def rank_cost(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return both[:, :n], both[:, n]
 
 
+class _CheckedRows(np.ndarray):
+    """A view of rows a RankingDataset has checked, which RankCountMatrix counts as they are."""
+
+
 class RankCountMatrix:
     """Per-item rank counts with precomputed L1 cost sums (``rank_cost``).
 
     ``cost[i, l-1]`` equals ``sum_j |R^j_i - l|``; after the O(N*n) setup any
     sampler query is O(1), which makes per-sample work independent of the
     number of users. ``rank_sums[i]`` is ``sum_j R^j_i``, exact in int64.
+    The constructor checks its rows as RankingDataset does; ``from_dataset``
+    builds a dataset's table once and returns that same table ever after.
     """
 
     def __init__(self, rankings: np.ndarray):
         if isinstance(rankings, (RankingDataset, RankCountMatrix)):
             raise TypeError("RankCountMatrix takes raw rankings; use RankCountMatrix.from_dataset for a dataset")
-        arr = np.asarray(rankings, dtype=np.int64)
+        arr = np.asarray(rankings) if isinstance(rankings, _CheckedRows) else RankingDataset(rankings).rankings
         counts = rank_counts(arr)
         cost, rank_sums = rank_cost(counts)
         self.counts = _frozen(counts)
@@ -243,5 +251,10 @@ class RankCountMatrix:
 
     @classmethod
     def from_dataset(cls, data) -> "RankCountMatrix":
-        """The table of a RankingDataset or raw rankings; a table is returned as it is."""
-        return data if isinstance(data, cls) else cls(rankings_of(data))
+        """The table a RankingDataset keeps, a new table of raw rankings, or a table as it is."""
+        if not isinstance(data, RankingDataset):
+            return data if isinstance(data, cls) else cls(data)
+        memo = data.__dict__  # beside the frozen fields, so dataclasses.replace starts afresh
+        if "_table" not in memo:
+            memo["_table"] = cls(data.rankings.view(_CheckedRows))
+        return memo["_table"]

@@ -5,11 +5,11 @@ Mallows-like terms, sampled in a data-driven order: V-set orderings around
 the rank of the per-item mean ranks, optionally jittered with Gaussian
 noise. Draws are mutually independent, which is what buys the speed over
 MCMC; per-draw work is O(n^2) and independent of the number of users after
-the rank-cost table is built. One core, ``_consensus_draws``, draws the
-consensus for both kinds of data, from a cost table and its rank sums:
-``sample_rho`` calls it on the ``RankCountMatrix`` of complete rankings,
-checked once, and each click-loop iteration on the table of its augmented
-rankings, which the loop made itself and does not check again.
+the rank-cost table is built, once per dataset. One core, ``_consensus_draws``,
+draws the consensus for both kinds of data, from a cost table and its rank
+sums: ``sample_rho`` calls it on the ``RankCountMatrix`` a dataset keeps,
+checked and built once, and each click-loop iteration on the table of its
+augmented rankings, which the loop made itself and does not check again.
 
 The click loop, ``pseudo_clicking``, draws all user rankings given the
 current consensus, then one consensus sample given the augmented rankings,
@@ -320,12 +320,11 @@ def sample_rho_with_orderings(data, alpha: float, orderings, rng) -> np.ndarray:
 def estimate_rho_hat(data: RankCountMatrix | RankingDataset | np.ndarray) -> np.ndarray:
     """Rank of the per-item mean ranks (ties broken by item index).
 
-    The column sums (a RankCountMatrix's ``rank_sums``) are ranked: they order
-    the items as the means do, exactly, and with no users they tie everywhere,
+    The column sums (the table's ``rank_sums``) are ranked: they order the
+    items as the means do, exactly, and with no users they tie everywhere,
     giving the identity ranking.
     """
-    sums = data.rank_sums if isinstance(data, RankCountMatrix) else rankings_of(data).sum(axis=0)
-    return rank_of(sums)
+    return rank_of(RankCountMatrix.from_dataset(data).rank_sums)
 
 
 def _consensus_draws(cost: np.ndarray, rank_sums: np.ndarray, alpha: float, sigma: float, size: int, rng):

@@ -1,8 +1,13 @@
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudomallows import data as data_module
 from pseudomallows.clicking import estimate_alpha_clicks
 from pseudomallows.data import ClickDataset, RankCountMatrix, RankingDataset, RowError, SampleSet, rank_cost, rank_counts
 from pseudomallows.evaluation import (
@@ -192,6 +197,71 @@ class TestRankCountMatrix:
         assert np.array_equal(RankCountMatrix.from_dataset(RankingDataset(arr)).cost, table.cost)
         with pytest.raises(RowError):
             RankCountMatrix.from_dataset([[1, 1, 3]])
+
+    def test_constructor_checks_rows_as_the_dataset_does(self, monkeypatch):
+        """Raw rows that RankingDataset rejects are rejected by the constructor
+        too, with the same RowError, after one row check."""
+        with pytest.raises(RowError, match="row 0 is not a permutation of 1..3") as err:
+            RankCountMatrix(np.array([[1, 1, 3], [2, 2, 2]]))
+        assert err.value.row == 0
+        with pytest.raises(ValueError, match="integers"):
+            RankCountMatrix([[1.5, 2, 3]])
+        checks = []
+        inner = data_module.non_permutation_rows
+        monkeypatch.setattr(data_module, "non_permutation_rows", lambda a: checks.append(1) or inner(a))
+        RankCountMatrix(np.array([[2, 1, 3], [1, 3, 2]]))
+        assert checks == [1]
+
+    def test_a_dataset_keeps_one_read_only_table(self, monkeypatch):
+        """``from_dataset`` of a dataset builds once, with no second row check,
+        and returns that table; raw rows and a replaced dataset get their own."""
+        arr = np.array([[2, 1, 3], [1, 3, 2], [3, 2, 1]])
+        ds = RankingDataset(arr)
+        checks = []
+        inner = data_module.non_permutation_rows
+        monkeypatch.setattr(data_module, "non_permutation_rows", lambda a: checks.append(1) or inner(a))
+        table = RankCountMatrix.from_dataset(ds)
+        assert RankCountMatrix.from_dataset(ds) is table and checks == []
+        for field in (table.counts, table.cost, table.rank_sums):
+            assert not field.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0
+        fresh = RankCountMatrix(arr)
+        for name in ("counts", "cost", "rank_sums"):
+            assert np.array_equal(getattr(table, name), getattr(fresh, name))
+        assert (table.n_users, table.n_items) == (3, 3)
+        assert RankCountMatrix.from_dataset(arr) is not RankCountMatrix.from_dataset(arr)
+        replaced = dataclasses.replace(ds)
+        assert RankCountMatrix.from_dataset(replaced) is not table
+        assert np.array_equal(RankCountMatrix.from_dataset(replaced).cost, table.cost)
+
+    def test_threads_that_share_a_dataset_get_equal_tables(self):
+        """Threads that use one dataset first, all at once, each get a table
+        equal to a fresh one, and every later call gets one and the same."""
+        rng = np.random.default_rng(4)
+        arr = np.array([rng.permutation(12) + 1 for _ in range(2000)])
+        fresh = RankCountMatrix(arr)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                ds, tables, barrier = RankingDataset(arr), [], threading.Barrier(8)
+
+                def use():
+                    barrier.wait(timeout=10)
+                    tables.append(RankCountMatrix.from_dataset(ds))
+
+                threads = [threading.Thread(target=use) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in threads) and len(tables) == 8
+                for table in tables:
+                    assert np.array_equal(table.cost, fresh.cost) and np.array_equal(table.rank_sums, fresh.rank_sums)
+                assert RankCountMatrix.from_dataset(ds) is RankCountMatrix.from_dataset(ds)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_constructor_names_from_dataset_for_a_dataset(self):
         arr = np.array([[2, 1, 3], [1, 3, 2]])

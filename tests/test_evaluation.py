@@ -19,14 +19,17 @@ from pseudomallows.evaluation import (
     marginal_kl,
     ordering_kl,
     posterior_profile,
+    reference_profile,
 )
 from pseudomallows.exact import elbo_exact, exact_distribution, exact_posterior, joint_kl_exact, log_evidence
+from pseudomallows.mcmc import McmcConfig, mcmc_rho
 from pseudomallows.perms import (
     is_permutation,
     ordering_of,
     permutation_matrix,
     v_set,
 )
+from pseudomallows.pseudo import PseudoConfig, estimate_rho_hat, sample_rho, sample_rho_with_orderings
 from pseudomallows.simulate import make_dataset
 
 
@@ -316,3 +319,37 @@ class TestChooseSigma:
         assert built == []
         assert default_sigma(ds.rankings[:5], 3.0, rng=0) in (0.0, 1.0, 2.0, 3.0)
         assert built == [1]
+
+
+def test_one_dataset_is_counted_once_across_its_fits(monkeypatch):
+    """Every consumer of one dataset reads the table it keeps: the spy sees
+    one build across the samplers, the chain, the estimator and the oracles."""
+    ds = make_dataset((1, 2, 3, 4, 5), 1.5, 30, np.random.default_rng(21))
+    built = []
+    inner = RankCountMatrix.__init__
+    monkeypatch.setattr(RankCountMatrix, "__init__", lambda self, r: built.append(1) or inner(self, r))
+    cfg = PseudoConfig(1.5, 0.5, 40, seed=3)
+    sample_rho(ds, cfg)
+    sample_rho(ds, cfg)
+    sample_rho_with_orderings(ds, 1.5, np.tile(np.arange(1, 6), (4, 1)), np.random.default_rng(4))
+    mcmc_rho(ds, 1.5, McmcConfig(200, seed=5))
+    estimate_rho_hat(ds)
+    reference = reference_profile(ds, 1.5)
+    ordering_kl(ds, 1.5, (3, 1, 2, 4, 5), reference)
+    exact_posterior(ds, 1.5)
+    choose_sigma(ds, 1.5, (0.0, 1.0), reference, n_samples=30, rng=6)
+    assert built == [1]
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.5])
+def test_draws_from_a_dataset_equal_draws_from_a_fresh_table(sigma):
+    """The table a dataset keeps draws what a new table of its rows draws,
+    on the first fit and on a later one."""
+    ds = make_dataset(np.arange(1, 10), 2.0, 50, np.random.default_rng(22))
+    cfg = PseudoConfig(2.0, sigma, 60, seed=8)
+    for _ in range(2):
+        want = sample_rho(RankCountMatrix(ds.rankings), cfg).samples
+        assert np.array_equal(sample_rho(ds, cfg).samples, want)
+    chain = McmcConfig(300, seed=9)
+    assert np.array_equal(mcmc_rho(ds, 2.0, chain).rho_samples,
+                          mcmc_rho(RankCountMatrix(ds.rankings), 2.0, chain).rho_samples)

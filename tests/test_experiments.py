@@ -16,7 +16,7 @@ from pseudomallows.experiments import (
     run_sigma_study,
 )
 from pseudomallows.clicking import recommend_topk
-from pseudomallows.data import SampleSet
+from pseudomallows.data import RankCountMatrix, SampleSet
 from pseudomallows.exact import exact_posterior
 from pseudomallows.simulate import make_dataset
 
@@ -154,6 +154,16 @@ class TestFullTiming:
         a = run_full_timing(cfg)
         b = run_full_timing(cfg)
         assert _strip_wall(a) == _strip_wall(b)
+
+    def test_one_table_per_replicate(self, monkeypatch):
+        """Both methods' runs on a replicate's dataset share the table it keeps;
+        the only other build is the simulator's, of its one-row model."""
+        built = []
+        inner = RankCountMatrix.__init__
+        monkeypatch.setattr(RankCountMatrix, "__init__", lambda self, r: built.append(len(r)) or inner(self, r))
+        cfg = ExperimentConfig(**{**self.CFG, "mcmc_iterations": (100, 200), "pm_samples": (20, 50)})
+        assert len(run_full_timing(cfg)) == 8
+        assert built == [1, 30, 1, 30]
 
 
 class TestClickingAccuracy:
