@@ -182,15 +182,22 @@ class SampleSet:
         return self.samples.shape[1]
 
 
+class CheckedRows(np.ndarray):
+    """A view of rows known to be permutations, which ``rank_counts`` and
+    RankCountMatrix count as they are: rows a RankingDataset has checked, or
+    a sampler's own draws."""
+
+
 def rank_counts(rankings, weights=None) -> np.ndarray:
     """The (n, n) table whose cell (i, l-1) counts the rows of ``rankings``
     giving item i rank l: each adds 1, or its entry of ``weights`` (then the
-    table is float), in row order."""
+    table is float), in row order. The ranks of ``CheckedRows`` are counted
+    without a second range check."""
     arr = np.asarray(rankings, dtype=np.int64)
     if arr.ndim != 2:
         raise ValueError("expected a (N, n) ranking array")
     n = arr.shape[1]
-    if arr.size and (arr.min() < 1 or arr.max() > n):
+    if not isinstance(rankings, CheckedRows) and arr.size and (arr.min() < 1 or arr.max() > n):
         raise ValueError(f"ranks must lie in 1..{n}")
     flat = arr + (np.arange(n) * n - 1)  # cell (item, rank - 1) of the (n, n) table
     if weights is not None:
@@ -224,10 +231,6 @@ def rank_cost(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return both[:, :n], both[:, n]
 
 
-class _CheckedRows(np.ndarray):
-    """A view of rows a RankingDataset has checked, which RankCountMatrix counts as they are."""
-
-
 class RankCountMatrix:
     """Per-item rank counts with precomputed L1 cost sums (``rank_cost``).
 
@@ -241,13 +244,14 @@ class RankCountMatrix:
     def __init__(self, rankings: np.ndarray):
         if isinstance(rankings, (RankingDataset, RankCountMatrix)):
             raise TypeError("RankCountMatrix takes raw rankings; use RankCountMatrix.from_dataset for a dataset")
-        arr = np.asarray(rankings) if isinstance(rankings, _CheckedRows) else RankingDataset(rankings).rankings
-        counts = rank_counts(arr)
+        if not isinstance(rankings, CheckedRows):
+            rankings = RankingDataset(rankings).rankings.view(CheckedRows)
+        counts = rank_counts(rankings)
         cost, rank_sums = rank_cost(counts)
         self.counts = _frozen(counts)
         self.cost = _frozen(cost)
         self.rank_sums = _frozen(rank_sums)
-        self.n_users, self.n_items = arr.shape
+        self.n_users, self.n_items = rankings.shape
 
     @classmethod
     def from_dataset(cls, data) -> "RankCountMatrix":
@@ -256,5 +260,5 @@ class RankCountMatrix:
             return data if isinstance(data, cls) else cls(data)
         memo = data.__dict__  # beside the frozen fields, so dataclasses.replace starts afresh
         if "_table" not in memo:
-            memo["_table"] = cls(data.rankings.view(_CheckedRows))
+            memo["_table"] = cls(data.rankings.view(CheckedRows))
         return memo["_table"]

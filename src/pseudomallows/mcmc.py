@@ -16,6 +16,17 @@ destination drawn within the leap window (``_leap_target``), the log window
 sizes that give its proposal ratio (``_log_windows``), and an in-place shift
 of the item -> rank and rank -> item state (``_shift``). Both chains and
 the deterministic ``ls_move`` of the ordering search share them.
+
+On a concentrated posterior ``mcmc_rho`` rejects nearly every proposal,
+and a rejection leaves the state as it was. So after ``_SCAN_MIN``
+rejections in a row, ``_rejected_steps`` evaluates the block's next
+pre-drawn proposals, twice as many as the run so far and never past the
+block's end, from that state in one numpy pass, and the loop resumes at the
+first that may be accepted. The chain is the same step for step: each cost
+change is the loop's integer sum, each ``log_acc`` the loop's float
+operations in its order, and ``exp`` is screened with a margin wider than
+``np.exp``'s last-ulp differences from ``math.exp``, so the loop itself
+decides every acceptance.
 """
 
 from __future__ import annotations
@@ -30,6 +41,12 @@ from .data import RankCountMatrix, RankingDataset, click_frequency_ranking, clic
 from .perms import as_ranking, check_alpha, check_count
 
 _BLOCK = 1 << 15  # pre-drawn randomness block size for the hot loops
+_CHUNK = 256  # steps of a block mcmc_rho converts to Python numbers at a time; 64 and 1024 were slower
+# rejections in a row after which mcmc_rho scans a window of twice the run's
+# length: at 16 or 32 an n=200 chain accepting 15% took 2.9x or 1.3x as long,
+# while 64 to 256, and windows of one to four runs, timed alike
+_SCAN_MIN = 64
+_SCREEN = 1.0 + 1e-9  # relative margin of the window screen over np.exp's last-ulp error
 
 
 @dataclass(frozen=True)
@@ -116,6 +133,34 @@ def ls_move(ranking, item: int, rank: int) -> np.ndarray:
     return rho
 
 
+def _rejected_steps(block, lo: int, hi: int, rho, order, cost: np.ndarray, scale: float, leap: int, log_w) -> int:
+    """How many of the proposals ``lo:hi`` of ``block`` (items, destination
+    and acceptance uniforms) ``mcmc_rho`` rejects in a row from the state
+    ``rho``, ``order``. One table screens every move from that state, item u
+    to the j-th rank of its leap window; the cost of the items a move passes
+    is a difference of prefix sums of their one-rank shift costs."""
+    n, width = len(rho), 2 * leap
+    q = np.array(rho)[:, None]  # each item's rank
+    start, stop = np.maximum(q - leap, 1), np.minimum(q + leap, n)
+    r = np.minimum(start + np.arange(width), stop - 1)  # the j-th destination; j >= stop - start is never drawn
+    r += r >= q
+    ranked = np.array(order[1:])  # the item at each rank
+    here = cost[ranked, np.arange(n)]
+    down = np.zeros(n + 1, dtype=np.int64)  # down[p]: the items at ranks 2..p each up one
+    np.cumsum(cost[ranked[1:], np.arange(n - 1)] - here[1:], out=down[2:])
+    up = np.zeros(n, dtype=np.int64)  # up[p]: the items at ranks 1..p each down one
+    np.cumsum(cost[ranked[:-1], np.arange(1, n)] - here[:-1], out=up[1:])
+    delta = np.take_along_axis(cost, r - 1, 1) - np.take_along_axis(cost, q - 1, 1)
+    delta += np.where(q < r, down.take(r) - down.take(q), up.take(q - 1) - up.take(r - 1))
+    log_acc = -scale * delta
+    log_w = np.array(log_w)
+    log_acc += np.where(np.abs(r - q) > 1, log_w.take(q) - log_w.take(r), 0.0)
+    screen = np.exp(np.minimum(log_acc, 0.0)) * _SCREEN
+    u, du, au = (a[lo:hi] for a in block)
+    hit = au <= screen.take(u * width + (du * (stop - start).take(u)).astype(np.int64))
+    return int(hit.argmax()) if hit.any() else hi - lo
+
+
 def mcmc_rho(data: RankingDataset | np.ndarray, alpha: float, cfg: McmcConfig) -> McmcTrace:
     """Metropolis chain for the consensus posterior given complete rankings.
 
@@ -123,6 +168,12 @@ def mcmc_rho(data: RankingDataset | np.ndarray, alpha: float, cfg: McmcConfig) -
     permutation drawn from the same stream. Its target is exp(-(alpha/n) *
     cost), where ``cost_rows[i][l-1]`` is the additive cost of giving item
     ``i`` (0-based) rank ``l`` and a state's cost is the sum over items.
+
+    After ``_SCAN_MIN`` rejections in a row the loop hands the next
+    proposals, twice the run's length up to the block's end, to
+    ``_rejected_steps`` and resumes after the rejections it counts, whose
+    kept iterations repeat the current state. The generator calls and every
+    decision are the plain loop's, so each seeded chain is unchanged.
     """
     check_alpha(alpha)
     table = RankCountMatrix.from_dataset(data)
@@ -142,37 +193,54 @@ def mcmc_rho(data: RankingDataset | np.ndarray, alpha: float, cfg: McmcConfig) -
         order[rank] = item0
     log_w = _log_windows(n, leap)
     keep = []
-    accepted = 0
+    accepted, last = 0, -1  # ``last``: the block index of the latest acceptance
     exp_, burn, thin, total = math.exp, cfg.burn_in, cfg.thin, cfg.iterations
     for first in range(0, total, _BLOCK):
         # whole blocks of items, destination and acceptance uniforms, in this
         # order: a caller's generator (sample_mallows) is left as it always was;
-        # only the steps that run are converted to Python numbers
+        # only the chunks of steps the loop runs are converted to Python numbers
         steps = min(_BLOCK, total - first)
-        items = rng.integers(0, n, size=_BLOCK)[:steps].tolist()
-        dests = rng.random(_BLOCK)[:steps].tolist()
-        accs = rng.random(_BLOCK)[:steps].tolist()
-        for it, u, du, au in zip(range(first + 1, first + steps + 1), items, dests, accs):
-            q = rho[u]
-            r = _leap_target(q, du, leap, n)
-            crow = cost_rows[u]
-            delta = crow[r - 1] - crow[q - 1]
-            if q < r:
-                for p in range(q + 1, r + 1):
-                    m = order[p]
-                    delta += cost_rows[m][p - 2] - cost_rows[m][p - 1]
+        block = rng.integers(0, n, size=_BLOCK)[:steps], rng.random(_BLOCK)[:steps], rng.random(_BLOCK)[:steps]
+        after = burn - first - 1  # step k is kept when k > after and (k - after) % thin == 0
+        k = 0
+        while k < steps:
+            end = min(k + _CHUNK, steps)
+            chunk = [a[k:end].tolist() for a in block]
+            for k, u, du, au in zip(range(k, end), *chunk):
+                q = rho[u]
+                r = _leap_target(q, du, leap, n)
+                crow = cost_rows[u]
+                delta = crow[r - 1] - crow[q - 1]
+                if q < r:
+                    for p in range(q + 1, r + 1):
+                        m = order[p]
+                        delta += cost_rows[m][p - 2] - cost_rows[m][p - 1]
+                else:
+                    for p in range(r, q):
+                        m = order[p]
+                        delta += cost_rows[m][p] - cost_rows[m][p - 1]
+                log_acc = -scale * delta
+                if r - q > 1 or q - r > 1:
+                    log_acc += log_w[q] - log_w[r]
+                if log_acc >= 0.0 or au < exp_(log_acc):
+                    accepted += 1
+                    _shift(rho, order, u, q, r)
+                    last = k
+                elif k - last >= _SCAN_MIN:
+                    break
+                if k > after and (k - after) % thin == 0:
+                    keep.append(tuple(rho))
             else:
-                for p in range(r, q):
-                    m = order[p]
-                    delta += cost_rows[m][p] - cost_rows[m][p - 1]
-            log_acc = -scale * delta
-            if r - q > 1 or q - r > 1:
-                log_acc += log_w[q] - log_w[r]
-            if log_acc >= 0.0 or au < exp_(log_acc):
-                accepted += 1
-                _shift(rho, order, u, q, r)
-            if it > burn and (it - burn) % thin == 0:
-                keep.append(tuple(rho))
+                k = end
+                continue
+            # a rejection run: step k and the window's rejections before its
+            # first candidate leave the state as it is; the loop resumes at
+            # the candidate, which it accepts or rejects as ever
+            stop = min(k + 1 + 2 * (k - last), steps)
+            skip = _rejected_steps(block, k + 1, stop, rho, order, table.cost, scale, leap, log_w)
+            keep += [tuple(rho)] * (max(k + skip - after, 0) // thin - max(k - 1 - after, 0) // thin)
+            k += skip + 1
+        last -= steps
     return McmcTrace(np.array(keep, dtype=np.int64), accepted / cfg.iterations, time.perf_counter() - start)
 
 

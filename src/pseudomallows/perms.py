@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from functools import cached_property
 from typing import Iterator
@@ -29,8 +30,11 @@ class CapacityError(ValueError):
 
 
 def check_alpha(alpha: float, allow_zero: bool = False, name: str = "alpha") -> float:
-    """Return ``alpha`` as a float, rejecting values that are not finite and positive
+    """Return ``alpha`` as a float, rejecting anything that is not a real number
+    (a bool or a string is never converted) or is not finite and positive
     (nonnegative with ``allow_zero``, as the exact oracles accept); errors call it ``name``."""
+    if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {alpha!r}")
     alpha = float(alpha)
     if not (math.isfinite(alpha) and (alpha > 0 or (allow_zero and alpha == 0))):
         kind = "nonnegative" if allow_zero else "positive"
@@ -40,11 +44,14 @@ def check_alpha(alpha: float, allow_zero: bool = False, name: str = "alpha") -> 
 
 def check_count(value, name: str, low: int) -> int:
     """Return ``value`` as an int, rejecting anything that is not a Python or
-    numpy integer (2.5 and 2.0 alike are never rounded) or is below ``low``."""
+    numpy integer (2.5 and 2.0 alike are never rounded, a bool is never
+    counted) or is below ``low``."""
     try:
         count = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        count = None
+    if count is None or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
     if count < low:
         raise ValueError(f"{name} must be at least {low}, got {count}")
     return count

@@ -51,8 +51,8 @@ from operator import itemgetter
 import numpy as np
 
 from .data import (
-    RankCountMatrix, RankingDataset, SampleSet, click_frequency_ranking, click_target_cells, clicks_of, rank_cost,
-    rank_counts, rankings_of,
+    CheckedRows, RankCountMatrix, RankingDataset, SampleSet, click_frequency_ranking, click_target_cells, clicks_of,
+    rank_cost, rank_counts, rankings_of,
 )
 from .perms import VSet, as_ranking, check_alpha, check_count, non_permutation_rows, rank_of
 from .simulate import sample_mallows
@@ -434,7 +434,7 @@ def pseudo_clicking(clicks, cfg: PseudoConfig, warmup: int = 10):
                  else np.empty((hi - lo, n_users, n), dtype=np.int64))
         for t, R in enumerate(_draw_blocks(b, cfg.alpha, drawn, rng), lo):
             R[:] = R.take(target_cells(rho))
-            cost, rank_sums = rank_cost(rank_counts(R))
+            cost, rank_sums = rank_cost(rank_counts(R.view(CheckedRows)))
             rho = _consensus_draws(cost, rank_sums, cfg.alpha, cfg.sigma, 1, rng)[0]
             if t >= warmup:
                 rho_keep[t - warmup] = rho

@@ -69,6 +69,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_json('{"kind": "full-timing", "what": 1}')
 
+    @pytest.mark.parametrize("document,message", [
+        ('{"kind": "full-timing", "n": true}', "n must be an integer"),
+        ('{"kind": "full-timing", "alpha0": "2"}', "alpha0 must be a real number"),
+        ('{"kind": "full-timing", "sigma": false}', "sigma must be a real number"),
+    ])
+    def test_json_bools_and_strings_rejected(self, document, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json(document)
+
     def test_round_trip(self):
         cfg = ExperimentConfig(kind="full-timing", n=5, replicates=2)
         again = ExperimentConfig.from_json(cfg.to_json())

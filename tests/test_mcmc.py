@@ -163,6 +163,41 @@ def test_seeded_sample_mallows_equals_the_reference(n, alpha):
     assert got_rng.random() == want_rng.random()  # the same randomness was used
 
 
+# concentrated posteriors, rows and alpha: after the first moves most
+# proposals are rejected, so mcmc_rho scans windows of them; 33,000 iterations
+# cross the end of the first block
+SCAN_CASES = {2: ([[1, 2]], 5.3), 5: ([[1, 2, 3, 4, 5]] * 2, 8.0), 9: ([list(range(1, 10))] * 2, 10.0)}
+
+
+@pytest.mark.parametrize("n", sorted(SCAN_CASES))
+def test_rejection_run_scan_equals_the_reference(n, monkeypatch):
+    rows, alpha = SCAN_CASES[n]
+    data = RankingDataset(rows)
+    cfg = McmcConfig(iterations=33_000, thin=3, burn_in=1000, seed=1)
+    scan, blocks, runs = pseudomallows.mcmc._rejected_steps, [], []
+
+    def spy(block, lo, hi, *state):
+        if not blocks or blocks[-1] is not block:
+            blocks.append(block)
+        skip = scan(block, lo, hi, *state)
+        first = (len(blocks) - 1) * BLOCK
+        # the run's rejected iterations (the step before the window and the
+        # window's first ``skip``), whether the window found an acceptance,
+        # and the window's last iteration
+        runs.append((first + lo, first + lo + skip, skip < hi - lo, first + hi))
+        return skip
+
+    monkeypatch.setattr(pseudomallows.mcmc, "_rejected_steps", spy)
+    trace = mcmc_rho(data, alpha, cfg)
+    want, rate = reference_mcmc_rho(data, alpha, cfg)
+    assert np.array_equal(trace.rho_samples, want)
+    assert trace.acceptance_rate == rate
+    assert any(found for _, _, found, _ in runs)
+    assert any(end == BLOCK for *_, end in runs)
+    assert any(a <= cfg.burn_in < b for a, b, *_ in runs)
+    assert any((it - cfg.burn_in) % cfg.thin == 0 for a, b, *_ in runs for it in range(max(a, cfg.burn_in + 1), b + 1))
+
+
 class TestLeapAndShift:
     def test_n2_always_transposition_ratio_zero(self):
         """At n=2 a leap from either rank lands on the other one: an adjacent
@@ -318,6 +353,8 @@ class TestRhoChain:
         for alpha in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="alpha"):
                 mcmc_rho(data, alpha, McmcConfig(iterations=10))
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            mcmc_rho(data, "2", McmcConfig(iterations=10))
 
     def test_flat_target_accepts_everything(self):
         data = make_dataset(np.arange(1, 6), 1.0, 5, np.random.default_rng(1))

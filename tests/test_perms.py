@@ -9,6 +9,7 @@ from pseudomallows.perms import (
     VSet,
     adjacent_swaps,
     check_alpha,
+    check_count,
     footrule_distance,
     is_permutation,
     ordering_of,
@@ -283,6 +284,23 @@ class TestEnumeration:
         assert mat.shape == (24, 4)
         with pytest.raises(ValueError):
             mat[0, 0] = 9
+
+
+class TestScalarChecks:
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "2", b"2", None, [2.0], np.array([2.0])])
+    def test_alpha_must_be_a_real_number(self, bad):
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            check_alpha(bad)
+
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "2", 2.0])
+    def test_count_must_be_an_integer(self, bad):
+        with pytest.raises(ValueError, match="size must be an integer"):
+            check_count(bad, "size", 0)
+
+    def test_numpy_scalars_pass(self):
+        assert check_alpha(np.float32(2.5)) == 2.5 and check_alpha(np.int64(3)) == 3.0
+        assert check_alpha(np.float64(0.0), allow_zero=True) == 0.0
+        assert check_count(np.int64(3), "size", 0) == 3 and check_count(np.uint8(0), "size", 0) == 0
 
 
 def test_adjacent_swaps_valid_and_local():

@@ -224,6 +224,8 @@ class TestSampleRho:
         for sigma in (-0.1, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="sigma"):
                 PseudoConfig(alpha=1.0, sigma=sigma, n_samples=10)
+        with pytest.raises(ValueError, match="alpha must be a real number"):
+            PseudoConfig("2", 0.0, 3)
 
     def test_n_samples_must_be_an_integer(self):
         for bad in (2.5, 2.0, np.float64(3.0), "4"):
