@@ -11,6 +11,7 @@ every import of the package; it is scipy's formula, so the numbers match.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,13 +76,21 @@ class DiscreteDistribution:
 
 def _log_posterior_weights(cost: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Unnormalized log posterior weight of every rho in P_n, lexicographic,
-    from the (n, n) cost table: -(alpha/n) * sum_j d(R^j, rho)."""
+    from the (n, n) cost table: -(alpha/n) * sum_j d(R^j, rho). An alpha at
+    which a weight overflows to -inf is rejected: the weights would give NaN
+    probabilities and a NaN evidence. The largest weight's size is checked in
+    Python floats, where the product rounds as numpy's does and an overflow
+    gives inf without a warning."""
     alpha = check_alpha(alpha, allow_zero=True)
     n = cost.shape[0]
     if n > EXACT_CAP:
         raise CapacityError(f"exact enumeration requires n <= {EXACT_CAP}, got {n}")
     perms = permutation_matrix(n)
     total = cost[np.arange(n)[None, :], perms - 1].sum(axis=1)
+    top = int(total.max(initial=0))
+    if not math.isfinite(alpha / n * top):
+        raise ValueError(f"alpha={alpha!r} overflows the log posterior weights: (alpha/n) times "
+                         f"the largest total distance, {top}, exceeds the float range")
     return perms, -(alpha / n) * total
 
 

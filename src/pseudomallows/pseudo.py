@@ -30,10 +30,14 @@ one ``rank_counts`` bincount, one product for the cost table and rank sums
 Every draw, consensus or user ranking, goes through one kernel,
 ``_sequential_draws``, on rank-major (n, T) tables built once per call;
 each step's cumulative sums go through ``_prefix_sum``, draws whose linear
-weights underflow are redone in log space, wide tables take two levels
+weights underflow are redone in log space (a step where every draw does,
+in place), a linear table that holds a subnormal weight is scaled by 2**60
+so that no step computes on subnormals, wide tables take two levels
 (``_two_level_draws``), and a single draw, as each consensus step makes,
 takes Python floats (``_one_draw``). Click augmentation calls the kernel
-once per rank-block size, on the top-left corner of its table.
+once per rank-block size, on the top-left corner of its table. The
+consensus table's alpha/n is capped where its draws stop moving
+(``_consensus_log_weights``).
 
 The factorized law at a fixed ordering, computed by enumerating P_n, lives
 with the other exact oracles in ``exact``.
@@ -60,7 +64,11 @@ from .simulate import sample_mallows
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0)
 _COARSE_MIN = 128  # smallest T and n at which _sequential_draws searches in two levels
 _ROW_ADD_MIN = 224  # smallest T at which a single-level step sums its prefix row by row
-_UNDERFLOW_SPAN = 600.0  # nats a table row must span before a free mass can fall below 1e-300
+# nats a table row must span before a free mass can fall below 1e-300; a subnormal
+# weight, below 2**-1022 = exp(-708.4), needs more still
+_UNDERFLOW_SPAN = 600.0
+_SUBNORMAL_SCALE = 2.0**60  # the vector routes' weight scale when the linear table holds a subnormal
+_MAX_ALPHA_PER_ITEM = 800.0  # cap on a consensus table's alpha/n: from about 745.2 on its draws no longer move
 
 
 @dataclass(frozen=True)
@@ -133,6 +141,19 @@ def _log_space(lw: np.ndarray, items: np.ndarray, free: np.ndarray):
     return w, np.cumsum(w, axis=1)
 
 
+def _log_space_step(lw_t: np.ndarray, items: np.ndarray, free: np.ndarray, w: np.ndarray):
+    """``_log_space`` of every draw of a single-level step, written in place
+    into the rank-major (n, T) ``w`` from the rank-major log weights ``lw_t``:
+    take, set the taken ranks to -inf, subtract each column's maximum,
+    exponentiate. The weights are ``_log_space``'s floats, and the caller's
+    ``_prefix_sum`` gives its cumulative sums, without its row-major gathers,
+    transposes and column writes."""
+    np.take(lw_t, items, axis=1, out=w, mode="clip")
+    np.copyto(w, -np.inf, where=free == 0)
+    w -= w.max(axis=0)
+    np.exp(w, out=w)
+
+
 def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> np.ndarray:
     """Draw rankings by sampling ranks without replacement, one item at a time.
 
@@ -150,7 +171,23 @@ def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> n
     weights relative to its free maximum, so the law does not depend on
     underflow. That test runs only when some table row spans at least
     ``_UNDERFLOW_SPAN`` nats: below that every linear weight is at least
-    exp(-600), so no free mass can underflow.
+    exp(-600), so no free mass can underflow. When every draw of a step
+    underflows, as on concentrated posteriors once each row's top ranks are
+    taken, the step is redone in place in the rank-major buffers
+    (``_log_space_step``); when only some do, those draws are redone alone
+    (``_log_space``).
+
+    Subnormal operands (below 2**-1022) slow the float arithmetic about
+    twofold, so when the linear table holds one, the vector routes hold it
+    times ``_SUBNORMAL_SCALE`` = 2**60 and test underflow against
+    1e-300 * 2**60. The draws stay exact: a product by 0/1 or by a power of
+    two is exact; a sum or difference whose result is subnormal is exact,
+    and one whose result is normal rounds on a grid that scales with it;
+    so every scaled sum is 2**60 times the unscaled one. Each step's target
+    is formed in the unscaled domain, u01 * (last * 2**-60) * 2**60, so
+    every comparison is the unscaled one (a log-space redo's free mass is at
+    least 1, where the same holds). Tables with no subnormal are not scaled
+    and take no added per-step work.
 
     The gathered weights, the free-rank mask and the cumulative sums are
     rank-major (n, T) buffers, written in place at every step; a step's
@@ -166,22 +203,29 @@ def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> n
     figure here).
 
     A call of one draw (T == 1), such as each consensus step of the click
-    loop, takes ``_one_draw``: the same arithmetic in Python floats, with
-    byte-identical draws and generator state. At n=20 it takes about 35 us,
-    where these vector steps took 210-300 us (``timeit`` minimum of 5x400
-    calls on an n=20, N=200 table).
+    loop, takes ``_one_draw``: the same arithmetic in Python floats on the
+    unscaled table, with byte-identical draws and generator state. At n=20
+    it takes about 35 us, where these vector steps took 210-300 us
+    (``timeit`` minimum of 5x400 calls on an n=20, N=200 table).
     """
     T, n = orderings0.shape
     lw = np.asarray(log_weights)
     lin = np.exp(lw - lw.max(axis=1, keepdims=True))
-    if min(T, n) >= _COARSE_MIN:
-        return _two_level_draws(lw, lin, orderings0, rng)
-    if T == 1:
+    two_level = min(T, n) >= _COARSE_MIN
+    if T == 1 and not two_level:
         return _one_draw(lw, lin, orderings0[0], rng)
+    may_underflow = not (np.ptp(lw, axis=1) < _UNDERFLOW_SPAN).all()
+    scale = 1.0
+    if may_underflow and ((lin > 0) & (lin < 2.0**-1022)).any():
+        scale = _SUBNORMAL_SCALE
+        lin = lin * scale
+    if two_level:
+        return _two_level_draws(lw, lin, orderings0, rng, scale)
+    tiny = 1e-300 * scale
     cols = np.arange(T)
     steps = np.ascontiguousarray(orderings0.T)  # (n, T): the items of step k in row k
     lin_t = np.ascontiguousarray(lin.T)  # (ranks, items): a step gathers columns
-    may_underflow = not (np.ptp(lw, axis=1) < _UNDERFLOW_SPAN).all()
+    lw_t = np.ascontiguousarray(lw.T) if may_underflow else None
     u01 = rng.random((n, T))
     free = np.ones((n, T))  # 1.0 where the draw's rank is still free
     w = np.empty((n, T))
@@ -193,11 +237,16 @@ def _sequential_draws(log_weights: np.ndarray, orderings0: np.ndarray, rng) -> n
         np.take(lin_t, items, axis=1, out=w, mode="clip")  # mode="raise" would buffer ``out``
         w *= free
         prefix_sum()
-        if may_underflow and last.min(initial=np.inf) < 1e-300:
-            low = last < 1e-300  # underflow: renormalize these draws in log space
-            w_low, cum_low = _log_space(lw, items[low], free[:, low].T > 0)
-            w[:, low], cum[:, low] = w_low.T, cum_low.T
-        chosen = _pick(w, cum, u01[k] * last)
+        if may_underflow and last.min(initial=np.inf) < tiny:
+            low = last < tiny  # underflow: renormalize these draws in log space
+            if low.all():
+                _log_space_step(lw_t, items, free, w)
+                prefix_sum()
+            else:
+                w_low, cum_low = _log_space(lw, items[low], free[:, low].T > 0)
+                w[:, low], cum[:, low] = w_low.T, cum_low.T
+        u = u01[k] * last if scale == 1.0 else u01[k] * (last * (1 / scale)) * scale
+        chosen = _pick(w, cum, u)
         taken[k] = chosen
         free[chosen, cols] = 0.0
     # the last step takes the one free rank, the ranks' sum less the taken ones;
@@ -242,7 +291,7 @@ def _one_draw(lw: np.ndarray, lin: np.ndarray, items0: np.ndarray, rng) -> np.nd
     return np.array([ranks], dtype=np.int64)
 
 
-def _two_level_draws(lw, lin, orderings0, rng) -> np.ndarray:
+def _two_level_draws(lw, lin, orderings0, rng, scale: float) -> np.ndarray:
     """``_sequential_draws`` with a two-level rank search at each step.
 
     The ranks are cut into B blocks of s = ceil(sqrt(n)) (the last one padded
@@ -254,6 +303,11 @@ def _two_level_draws(lw, lin, orderings0, rng) -> np.ndarray:
     positive weight back onto it. The law is that of the single-level
     search; only the order of the float sums differs, so a seeded draw can
     change only where its uniform sits within rounding of a boundary.
+    ``lin`` is the linear table times ``scale``, 2**60 when it holds a
+    subnormal, else 1 (see ``_sequential_draws``); the uniform's target is
+    formed in the unscaled domain, and the difference taken off it at the
+    block level is 2**60 times the unscaled one, so every comparison is the
+    unscaled one.
 
     Free ranks are a float table, and every buffer is allocated once per
     call and written in place. The block masses and the chosen block's
@@ -262,8 +316,11 @@ def _two_level_draws(lw, lin, orderings0, rng) -> np.ndarray:
     contiguous rows; the cumulative masses sit under a zero row, so row b is
     the mass before block b. At n=200, T=1000 each sum then takes about 12
     us a step and each pick 11 us, against 50 and 33 us over row-major
-    (T, B) and (T, s) tables; the row take (60 us) and the einsum (120 us)
-    are most of a step (``timeit`` minima, same host).
+    (T, B) and (T, s) tables; the row take (60 us) and the einsum (120 us
+    with no subnormal operand) are most of a step (``timeit`` minima, same
+    host). Subnormal operands slow the einsum: with 2% of them a
+    (1000, 14, 15) einsum took 1.8-1.9x as long, which is why a table
+    holding one is scaled.
     """
     T, n = orderings0.shape
     s = math.isqrt(n - 1) + 1
@@ -281,20 +338,21 @@ def _two_level_draws(lw, lin, orderings0, rng) -> np.ndarray:
     mass_sum, w_sum = _prefix_sum(mass, cum[1:]), _prefix_sum(w, w_cum)
     out = np.zeros((T, n), dtype=np.int64)
     rows = np.arange(T)
+    tiny = 1e-300 * scale
     for k in range(n):
         items = orderings0[:, k]
         np.take(lin_pad, items, axis=0, out=g, mode="clip")
         np.einsum("tbs,tbs->tb", g3, avail3, out=mass.T)
         mass_sum()
         u01 = rng.random(T)
-        u = u01 * cum[-1]
+        u = u01 * cum[-1] if scale == 1.0 else u01 * (cum[-1] * (1 / scale)) * scale
         b = _pick(mass, cum[1:], u)
         u -= cum[b, rows]
         at = rows * B + b
         np.multiply(np.take(g2, at, axis=0), np.take(avail2, at, axis=0), out=w.T)
         w_sum()
         chosen = b * s + _pick(w, w_cum, u)
-        low = cum[-1] < 1e-300
+        low = cum[-1] < tiny
         if low.any():  # underflow: redo these rows in log space over the full row
             w_low, cum_low = _log_space(lw, items[low], avail[low, :n] > 0)
             chosen[low] = _pick(w_low.T, cum_low.T, u01[low] * cum_low[:, -1])
@@ -314,7 +372,7 @@ def sample_rho_with_orderings(data, alpha: float, orderings, rng) -> np.ndarray:
     bad = np.flatnonzero(non_permutation_rows(o))
     if bad.size:
         raise ValueError(f"ordering row {bad[0]} is not a permutation of 1..{n}")
-    return _sequential_draws(-(alpha / n) * cost, o.astype(np.int64, copy=False) - 1, rng)
+    return _sequential_draws(_consensus_log_weights(cost, alpha), o.astype(np.int64, copy=False) - 1, rng)
 
 
 def estimate_rho_hat(data: RankCountMatrix | RankingDataset | np.ndarray) -> np.ndarray:
@@ -327,6 +385,17 @@ def estimate_rho_hat(data: RankCountMatrix | RankingDataset | np.ndarray) -> np.
     return rank_of(RankCountMatrix.from_dataset(data).rank_sums)
 
 
+def _consensus_log_weights(cost: np.ndarray, alpha: float) -> np.ndarray:
+    """The consensus log-weight table -(alpha/n) cost of an (n, n) L1 cost
+    table, with alpha/n capped at ``_MAX_ALPHA_PER_ITEM``. The costs are
+    whole numbers, so from alpha/n = 745.2 on every weight not tied for its
+    row's (or a draw's free) top is exp(-745.2) or less, which is 0 in
+    float64: the tables, linear and log-space alike, hold only 0 and 1, and
+    the draws no longer move with alpha. The cap keeps a larger alpha from
+    overflowing the table to -inf and its weights to NaN."""
+    return -min(alpha / cost.shape[0], _MAX_ALPHA_PER_ITEM) * cost
+
+
 def _consensus_draws(cost: np.ndarray, rank_sums: np.ndarray, alpha: float, sigma: float, size: int, rng):
     """``size`` consensus draws from an (n, n) L1 ``cost`` table at scale
     ``alpha``, each in its own V-set ordering of the rank of ``rank_sums``
@@ -335,7 +404,7 @@ def _consensus_draws(cost: np.ndarray, rank_sums: np.ndarray, alpha: float, sigm
     coins, then the jitter when ``sigma > 0``, then the kernel's uniforms.
     The orderings come from the coins with no sort (``VSet.orderings0``)."""
     orderings0 = VSet.of_scores(rank_sums).orderings0(sigma, rng, size)
-    return _sequential_draws(-(alpha / cost.shape[0]) * cost, orderings0, rng)
+    return _sequential_draws(_consensus_log_weights(cost, alpha), orderings0, rng)
 
 
 def sample_rho(data: RankCountMatrix | RankingDataset | np.ndarray, cfg: PseudoConfig) -> SampleSet:

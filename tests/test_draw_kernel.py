@@ -47,6 +47,16 @@ def reference_draws(log_weights, orderings0, rng):
     return out
 
 
+def spy_log_space(monkeypatch) -> list:
+    """A list that gets the name of each log-space redo the kernel runs:
+    ``_log_space`` for some draws of a step, ``_log_space_step`` for all."""
+    calls = []
+    for name in ("_log_space", "_log_space_step"):
+        inner = getattr(pseudo, name)
+        monkeypatch.setattr(pseudo, name, lambda *a, name=name, inner=inner: calls.append(name) or inner(*a))
+    return calls
+
+
 def reference_block_draws(clicks, alpha, iterations, rng):
     """``iterations`` draws of every user's rank blocks through the log-space
     reference. Per block size m, ascending, each iteration's blocks of that
@@ -115,9 +125,7 @@ def test_seeded_clicking_equals_the_reference_loop(alpha, sigma, monkeypatch):
     who each click one of items 1-3 alone, so that items 1 and 2 share their
     best consensus rank: at alpha = 1e4 the second of them finds no free
     mass in linear space and the log-space fallback runs."""
-    fallbacks = []
-    inner = pseudo._log_space
-    monkeypatch.setattr(pseudo, "_log_space", lambda *a: fallbacks.append(1) or inner(*a))
+    fallbacks = spy_log_space(monkeypatch)
     n = 8
     clicks = np.zeros((14, n), dtype=np.int64)
     clicks[1] = 1
@@ -168,9 +176,7 @@ def test_seeded_draws_equal_the_log_space_reference(n, alpha, T, monkeypatch):
     and T >= ``_COARSE_MIN`` they take two levels. At alpha >= 1e4 with
     n >= 20, underflowing draws are redone in log space in whichever branch
     runs."""
-    fallbacks = []
-    inner = pseudo._log_space
-    monkeypatch.setattr(pseudo, "_log_space", lambda *a: fallbacks.append(1) or inner(*a))
+    fallbacks = spy_log_space(monkeypatch)
     rng = np.random.default_rng(n)
     data = make_dataset(np.arange(1, n + 1), 2.0, 40, rng)
     orderings = np.argsort(rng.random((T, n)), axis=1) + 1
@@ -187,6 +193,31 @@ def test_seeded_draws_equal_the_log_space_reference(n, alpha, T, monkeypatch):
     got = sample_user_rankings(clicks, alpha, rho, np.random.default_rng(2))
     want = reference_user_draws(clicks, alpha, rho, np.random.default_rng(2))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("T", [100, pseudo._ROW_ADD_MIN, 300])
+def test_whole_and_partial_underflow_steps_equal_the_log_space_reference(T, monkeypatch):
+    """n=18 items in pairs that share a peak rank, with every other weight
+    near -800 nats, so it is 0 in linear space; each draw takes the items in
+    blocks of two pairs, shuffled within the block. The second item of a
+    pair always finds its peak taken, so the last step of every block has
+    every draw underflow and is redone in place (``_log_space_step``), while
+    the second step of a block underflows only in the draws that took a pair
+    together (``_log_space``). Draws and generator state equal the reference
+    below and from ``_ROW_ADD_MIN`` draws on."""
+    fallbacks = spy_log_space(monkeypatch)
+    n = 18
+    rng = np.random.default_rng(T)
+    log_weights = -800.0 - rng.uniform(0.0, 3.0, (n, n))
+    log_weights[np.arange(n), np.arange(n) // 2 * 2] = 0.0
+    blocks = np.minimum(np.arange(n) // 4, 3)  # the last block holds pairs 6-8
+    orderings0 = np.lexsort((rng.random((T, n)), np.broadcast_to(blocks, (T, n))), axis=1)
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = _sequential_draws(log_weights, orderings0, got_rng)
+    assert np.array_equal(got, reference_draws(log_weights, orderings0, want_rng))
+    assert got_rng.random() == want_rng.random()
+    assert {"_log_space", "_log_space_step"} <= set(fallbacks)
+    assert fallbacks.count("_log_space_step") >= 3
 
 
 def vector_steps(log_weights, ordering0, rng):
@@ -233,6 +264,60 @@ def test_one_draw_equals_the_vector_steps_on_a_click_loop_table(monkeypatch):
         assert np.array_equal(got, vector_steps(log_weights, ordering0, want_rng))
         assert got_rng.random() == want_rng.random()
     assert len(one_draws) == 300
+
+
+class FixedUniforms:
+    """Stands in for a Generator: every draw gets the uniforms ``u``, one per
+    step, whether asked for all steps at once, ``random((n, T))``, or one
+    step at a time, ``random(T)``."""
+
+    def __init__(self, u):
+        self.u, self.step = np.asarray(u, dtype=float), 0
+
+    def random(self, shape):
+        if isinstance(shape, tuple):
+            return np.repeat(self.u[:, None], shape[1], axis=1)
+        self.step += 1
+        return np.full(shape, self.u[self.step - 1])
+
+
+def _subnormal_edge(row):
+    """Item 0 takes rank 1 first; item 1's free ranks 2 and 3 carry the
+    linear weights ``row``, at least one of them subnormal. Returns the
+    table and a uniform that sits on the edge the step has to get right:
+    past the free mass's 1e-300 the target u * mass rounds onto the first
+    weight in the subnormal grid but stays below it when formed from the
+    mass times 2**60; under it, the linear pick and the log-space pick
+    differ."""
+    log_weights = np.zeros((3, 3))
+    log_weights[0, 1:] = -800.0
+    log_weights[1, 1:] = np.log(row)
+    lin = np.exp(log_weights[1])
+    a, mass = lin[1], lin[1] + lin[2]
+    if mass >= 1e-300:
+        u = a / mass
+        while not (u * mass == a and u * (mass * 2.0**60) < a * 2.0**60):
+            u = np.nextafter(u, 0.0)
+        return log_weights, u
+    w = np.exp(log_weights[1, 1:] - log_weights[1, 1:].max())
+    for u in np.linspace(0.999999, 1.000001, 20001) * (a / mass):
+        if (a <= u * mass) != (w[0] <= u * (w[0] + w[1])):
+            return log_weights, u
+    raise AssertionError("no uniform between the two picks' edges")
+
+
+@pytest.mark.parametrize("coarse_min", [pseudo._COARSE_MIN, 1], ids=["one-level", "two-level"])
+@pytest.mark.parametrize("row", [(1e-310, 2e-300), (6e-316, 4e-316)], ids=["target", "underflow"])
+def test_scaled_steps_at_the_edges_of_the_subnormal_range(row, coarse_min, monkeypatch):
+    """Two draws of three items through the scaled table, at uniforms placed
+    on the edges where scaling could move a draw (``_subnormal_edge``):
+    each draw is the unscaled vector steps' one, in one level and in two."""
+    monkeypatch.setattr(pseudo, "_COARSE_MIN", coarse_min)
+    log_weights, u = _subnormal_edge(row)
+    uniforms = [0.5, u, 0.5]
+    got = _sequential_draws(log_weights, np.array([[0, 1, 2]] * 2), FixedUniforms(uniforms))
+    want = vector_steps(log_weights, np.array([0, 1, 2]), FixedUniforms(uniforms))
+    assert np.array_equal(got, np.repeat(want, 2, axis=0))
 
 
 def factorized_law(log_weights, ordering0) -> dict:
@@ -344,6 +429,28 @@ def test_two_level_draws_equal_the_log_space_reference(n, alpha, t, two_level_ca
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("t", [150, 300])
+def test_two_level_draws_with_subnormal_weights_equal_the_log_space_reference(t, monkeypatch):
+    """At alpha=60 about 1.5% of the linear table of 40 users over n=130
+    items is subnormal, so the kernel scales it by 2**60; the draws and the
+    generator state still equal the reference's."""
+    scales = []
+    inner = pseudo._two_level_draws
+    monkeypatch.setattr(pseudo, "_two_level_draws", lambda *a: scales.append(a[4]) or inner(*a))
+    n, alpha = 130, 60.0
+    rng = np.random.default_rng(n)
+    data = make_dataset(np.arange(1, n + 1), 2.0, 40, rng)
+    log_weights = -(alpha / n) * RankCountMatrix.from_dataset(data).cost
+    lin = np.exp(log_weights - log_weights.max(axis=1, keepdims=True))
+    assert ((lin > 0) & (lin < np.finfo(float).smallest_normal)).any()
+    orderings = np.argsort(rng.random((t, n)), axis=1) + 1
+    got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+    got = sample_rho_with_orderings(data, alpha, orderings, got_rng)
+    assert np.array_equal(got, reference_draws(log_weights, orderings - 1, want_rng))
+    assert got_rng.random() == want_rng.random()
+    assert scales == [pseudo._SUBNORMAL_SCALE]
+
+
 @pytest.mark.parametrize("alpha", [1e-6, 2.0, 1e4, 1e6])
 def test_wide_user_draws_equal_the_log_space_reference(alpha, two_level_calls):
     """Blocks up to n = 150 ranks. The 130 users with no clicks or with all
@@ -373,6 +480,45 @@ def test_two_level_draws_at_small_n(n, monkeypatch, two_level_calls):
     want = reference_draws(log_weights, orderings0, np.random.default_rng(3))
     assert two_level_calls == [(50, n)]
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, T", [(n, T) for n in (5, 20, 130) for T in (1, 50, 300)])
+def test_alpha_past_the_cap_gives_the_draws_of_a_finite_table(n, T):
+    """From alpha/n = 745.2 on, every consensus weight not tied for the top
+    is 0 in float64, so the table's alpha/n is capped. At alpha 1e307 and
+    1e308, where -(alpha/n) * cost would overflow, the draws are
+    permutations, warn of nothing (warnings fail the suite), and equal the
+    draws at alpha = 1e6 n and those of the reference on the uncapped table
+    at alpha/n = 1e6, with the same generator state after them."""
+    rng = np.random.default_rng(n + T)
+    data = make_dataset(np.arange(1, n + 1), 2.0, 50, rng)
+    cost = RankCountMatrix.from_dataset(data).cost
+    assert np.isinf(1e307 / n * float(cost.max()))
+    orderings = np.argsort(rng.random((T, n)), axis=1) + 1
+    want_rng = np.random.default_rng(1)
+    want = reference_draws(-1e6 * cost, orderings - 1, want_rng)
+    want_next = want_rng.random()
+    at_1e6n = sample_rho(data, PseudoConfig(1e6 * n, 0.0, T, seed=1)).samples
+    for alpha in (1e307, 1e308):
+        got_rng = np.random.default_rng(1)
+        assert np.array_equal(sample_rho_with_orderings(data, alpha, orderings, got_rng), want)
+        assert got_rng.random() == want_next
+        draws = sample_rho(data, PseudoConfig(alpha, 0.0, T, seed=1)).samples
+        assert all(is_permutation(r) for r in draws)
+        assert np.array_equal(draws, at_1e6n)
+
+
+def test_click_loop_past_the_alpha_cap():
+    """The consensus step of the click loop takes the same cap: at alpha=1e308
+    the trace is made of permutations and equals the one at alpha = 1e6 n."""
+    n = 20
+    rng = np.random.default_rng(4)
+    clicks = (np.argsort(rng.random((50, n)), axis=1) < rng.integers(0, n + 1, 50)[:, None]).astype(np.int64)
+    ss, users = pseudo_clicking(clicks, PseudoConfig(1e308, 0.0, 20, seed=3), 2)
+    assert all(is_permutation(r) for r in ss.samples)
+    assert all(in_compatible_set(r, b) for r, b in zip(users[-1], clicks))
+    want, want_users = pseudo_clicking(clicks, PseudoConfig(1e6 * n, 0.0, 20, seed=3), 2)
+    assert np.array_equal(ss.samples, want.samples) and np.array_equal(users, want_users)
 
 
 @st.composite

@@ -287,6 +287,21 @@ def test_posterior_at_a_scale_where_the_log_normalizer_loses_digits(alpha):
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("oracle", [log_evidence, exact_posterior])
+def test_alpha_that_overflows_the_log_weights_is_rejected(oracle):
+    """At alpha = 1e308, (alpha/n) times the largest total distance, 30, is
+    past the float range: the weights would be -inf and the answers NaN, so
+    the oracle names alpha in a ValueError, with no warning before it
+    (warnings fail the suite). At 1e300 the weights are finite, and the
+    evidence is the weight of the four modes at total distance 16, as log 4
+    is below its rounding."""
+    rows = [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [2, 1, 3, 5, 4]]
+    with pytest.raises(ValueError, match=r"alpha=1e\+308 overflows"):
+        oracle(rows, 1e308)
+    oracle(rows, 1e300)
+    assert log_evidence(rows, 1e300) == -(1e300 / 5) * 16
+
+
 def _oracle_cases():
     """Fixed-seed (rankings, alpha, ordering) cases at n = 1..8: random users
     and alpha, plus the all-tied cases (alpha = 0, no users) and n = 1."""

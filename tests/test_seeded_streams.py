@@ -55,14 +55,10 @@ SAMPLE_RHO = {
 @pytest.mark.parametrize("shape", SAMPLE_RHO, ids=str)
 def test_sample_rho(shape, monkeypatch):
     n, n_users, t, alpha, sigma = shape
-    fallbacks = []
-
-    def spy(*args):
-        fallbacks.append(1)
-        return log_space(*args)
-
-    log_space = pseudo._log_space
-    monkeypatch.setattr(pseudo, "_log_space", spy)
+    fallbacks = []  # one entry per log-space redo, of some draws of a step or of all
+    for name in ("_log_space", "_log_space_step"):
+        inner = getattr(pseudo, name)
+        monkeypatch.setattr(pseudo, name, lambda *a, inner=inner: fallbacks.append(1) or inner(*a))
     cfg = PseudoConfig(alpha=alpha, sigma=sigma, n_samples=t, seed=11)
     draws = sample_rho(noisy_rankings(n_users, n, 3), cfg).samples
     assert digest(draws) == SAMPLE_RHO[shape]
