@@ -188,21 +188,52 @@ class CheckedRows(np.ndarray):
     a sampler's own draws."""
 
 
+_COUNT_CELLS = 1 << 15  # cells of a rank_counts block while 8 n^2 bins fit in it
+
+
+@lru_cache(maxsize=4)
+def _cell_offsets(n: int, rows: int) -> np.ndarray:
+    """The read-only (rows, n) int64 table of item * n - 1 in column ``item``:
+    added to ranks it gives each rank's cell of the flat (n, n) table."""
+    table = np.tile(np.arange(n) * n - 1, (rows, 1))
+    table.setflags(write=False)
+    return table
+
+
 def rank_counts(rankings, weights=None) -> np.ndarray:
     """The (n, n) table whose cell (i, l-1) counts the rows of ``rankings``
     giving item i rank l: each adds 1, or its entry of ``weights`` (then the
     table is float), in row order. The ranks of ``CheckedRows`` are counted
-    without a second range check."""
+    without a second range check.
+
+    Integer counts sum exactly, so they are taken a block of rows at a time,
+    with no (N, n) temporary. A block holds ``_COUNT_CELLS`` cells, or 8 n^2
+    when that is more, so its n^2 bins stay a small part of its count. Such
+    a block of short rows adds a cached offset block of its own shape, as
+    adding one offset row runs an inner loop per row (8.6 against 11.9 us at
+    (200, 20), 3.4 against 7.5 ms at (100,000, 20)); longer rows add the one
+    row, as a larger offset block leaves the cache (5% slower at (500, 200)).
+    A cached block takes at most 256 KB. A weighted count keeps one pass in
+    row order, so its float sums are unchanged."""
     arr = np.asarray(rankings, dtype=np.int64)
     if arr.ndim != 2:
         raise ValueError("expected a (N, n) ranking array")
     n = arr.shape[1]
     if not isinstance(rankings, CheckedRows) and arr.size and (arr.min() < 1 or arr.max() > n):
         raise ValueError(f"ranks must lie in 1..{n}")
-    flat = arr + (np.arange(n) * n - 1)  # cell (item, rank - 1) of the (n, n) table
     if weights is not None:
-        weights = np.repeat(weights, n)
-    return np.bincount(flat.ravel(), weights, minlength=n * n).reshape(n, n)
+        flat = arr + _cell_offsets(n, 1)
+        return np.bincount(flat.ravel(), np.repeat(weights, n), minlength=n * n).reshape(n, n)
+    step = max(_COUNT_CELLS, 8 * n * n) // max(n, 1)
+    offsets = _cell_offsets(n, min(step, len(arr)) if 8 * n * n <= _COUNT_CELLS else 1)
+
+    def count(block):
+        return np.bincount((block + offsets[: len(block)]).ravel(), minlength=n * n)
+
+    counts = count(arr[:step])
+    for start in range(step, len(arr), step):
+        counts += count(arr[start : start + step])
+    return counts.reshape(n, n)
 
 
 @lru_cache(maxsize=None)

@@ -10,13 +10,27 @@ with optional surrounding whitespace and double quotes. Empty lines are
 skipped. One ``np.loadtxt`` call parses the rows after the header, and the
 containers in ``data`` check them, once for all of them. Only a rejected file
 gets a Python pass over its rows, which names the file line at fault.
+
+``loadtxt`` gets ``max_rows``, so it allocates its table once rather than
+growing it: an accepted row of n cells spans at least 2n - 1 bytes (n
+digits, n - 1 commas) and the rows before the last end in a line break, so
+a file of s bytes holds at most ceil(s / 2n) of them, and the first
+rejected row, one byte or more after the accepted ones and their breaks, is
+within that count too. n is the width of the first data row, which every
+accepted row shares. The table is at most 4 * (s + 2n) bytes. With
+``max_rows`` set, numpy warns once per call of a blank line it does not
+count; that one message is ignored inside the call, with
+``warnings.catch_warnings``, which on Python 3.11 swaps the process-wide
+filter list for the length of a load.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +40,7 @@ from .experiments import ResultTable
 
 
 _INT64 = re.compile(r"\s*[+-]?[0-9]+\s*")
+_BLANK_LINE_NOTE = r"Input line [0-9]+ contained no data and will not be counted towards `max_rows"
 
 
 def _is_int64(cell: str) -> bool:
@@ -38,8 +53,9 @@ def _nonblank_rows(fh):
     return ((reader.line_num, row) for row in reader if row)
 
 
-def _read_header(path) -> tuple[tuple[str, ...] | None, int]:
-    """The labels and file line of the header, or (None, 0) when there is none."""
+def _read_header(path) -> tuple[tuple[str, ...] | None, int, int]:
+    """The labels and file line of the header, or (None, 0) when there is none,
+    and the width of the first data row."""
     with open(path, newline="") as fh:
         rows = _nonblank_rows(fh)
         line, first = next(rows, (0, None))
@@ -47,13 +63,14 @@ def _read_header(path) -> tuple[tuple[str, ...] | None, int]:
             raise ValueError(f"{path}: file is empty")
         try:
             [int(cell) for cell in first]
-            return None, 0
+            return None, 0, len(first)
         except ValueError:
             if any(map(_is_int64, first)):  # a data row with a bad cell, not labels
                 raise ValueError(f"{path}: {_locate(path, 0, None, None)}") from None
-            if next(rows, None) is None:
+            _, data = next(rows, (0, None))
+            if data is None:
                 raise ValueError(f"{path}: header but no data rows") from None
-            return tuple(cell.strip() for cell in first), line
+            return tuple(cell.strip() for cell in first), line, len(data)
 
 
 def _locate(path, skip: int, labels, err: ValueError) -> str:
@@ -78,12 +95,15 @@ def _locate(path, skip: int, labels, err: ValueError) -> str:
 
 def _build(container, path):
     """Parse ``path`` into ``container``, naming the file line of a rejected row."""
-    labels, skip = _read_header(path)
+    labels, skip, width = _read_header(path)
+    max_rows = -(-os.path.getsize(path) // (2 * width))  # see the module docstring
     try:
-        values = np.loadtxt(
-            path, dtype=np.int64, delimiter=",", comments=None, quotechar='"',
-            skiprows=skip, ndmin=2,
-        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _BLANK_LINE_NOTE, UserWarning)
+            values = np.loadtxt(
+                path, dtype=np.int64, delimiter=",", comments=None, quotechar='"',
+                skiprows=skip, ndmin=2, max_rows=max_rows,
+            )
     except ValueError as err:
         raise ValueError(f"{path}: {_locate(path, skip, labels, err)}") from None
     if labels is not None and len(labels) != values.shape[1]:

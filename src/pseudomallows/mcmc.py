@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RankCountMatrix, RankingDataset, click_frequency_ranking, click_target_cells, clicks_of
-from .perms import as_ranking, check_alpha, check_count
+from .perms import as_ranking, check_alpha, check_count, mallows_scale
 
 _BLOCK = 1 << 15  # pre-drawn randomness block size for the hot loops
 _CHUNK = 256  # steps of a block mcmc_rho converts to Python numbers at a time; 64 and 1024 were slower
@@ -285,7 +285,7 @@ def mcmc_clicking(clicks, alpha: float, cfg: McmcConfig):
     group_u = np.stack([safe_u, safe_u - 1, rows * (n + 1) + c])
     # u_g < pick_below picks the clicked group: half the time when both groups can swap
     pick_below = np.where(c >= 2, np.where(c <= n - 2, 0.5, 2.0), -1.0)
-    scale = alpha / n
+    scale = mallows_scale(alpha, n)  # past the cap every step decides as at the cap, with no overflow
     changes = np.r_[0 : 2 * n - 1, 2 - 2 * n : 0]  # negative changes index from the end
     thr = np.exp(np.minimum(-scale * changes, 0.0))
     leap = cfg.resolved_leap(n)

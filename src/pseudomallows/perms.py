@@ -42,6 +42,18 @@ def check_alpha(alpha: float, allow_zero: bool = False, name: str = "alpha") -> 
     return alpha
 
 
+_MAX_ALPHA_PER_ITEM = 800.0
+
+
+def mallows_scale(alpha: float, n: int) -> float:
+    """The scale alpha/n of footrule distances over n items, capped at 800.
+    Distances are whole numbers, so from alpha/n = 745.2 on every weight
+    exp(-(alpha/n) d) with d >= 1 is 0 in float64 and nothing drawn or
+    accepted with it changes; the cap keeps a larger alpha from overflowing
+    a product of the scale and a distance."""
+    return min(alpha / n, _MAX_ALPHA_PER_ITEM)
+
+
 def check_count(value, name: str, low: int) -> int:
     """Return ``value`` as an int, rejecting anything that is not a Python or
     numpy integer (2.5 and 2.0 alike are never rounded, a bool is never

@@ -24,7 +24,7 @@ by the targets. The loop draws the blocks of a chunk of iterations up
 front, one kernel call per block size. The click tables the targets need
 are built once per call (``data.click_target_cells``), so each iteration's
 consensus step is one product for the target cells, one take to relabel,
-one ``rank_counts`` bincount, one product for the cost table and rank sums
+one ``rank_counts`` count, one product for the cost table and rank sums
 (``rank_cost``), one stable argsort for the V-set order, and one draw.
 
 Every draw, consensus or user ranking, goes through one kernel,
@@ -58,7 +58,7 @@ from .data import (
     CheckedRows, RankCountMatrix, RankingDataset, SampleSet, click_frequency_ranking, click_target_cells, clicks_of,
     rank_cost, rank_counts, rankings_of,
 )
-from .perms import VSet, as_ranking, check_alpha, check_count, non_permutation_rows, rank_of
+from .perms import VSet, as_ranking, check_alpha, check_count, mallows_scale, non_permutation_rows, rank_of
 from .simulate import sample_mallows
 
 DEFAULT_ALPHA_GRID = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0)
@@ -68,7 +68,6 @@ _ROW_ADD_MIN = 224  # smallest T at which a single-level step sums its prefix ro
 # weight, below 2**-1022 = exp(-708.4), needs more still
 _UNDERFLOW_SPAN = 600.0
 _SUBNORMAL_SCALE = 2.0**60  # the vector routes' weight scale when the linear table holds a subnormal
-_MAX_ALPHA_PER_ITEM = 800.0  # cap on a consensus table's alpha/n: from about 745.2 on its draws no longer move
 
 
 @dataclass(frozen=True)
@@ -387,13 +386,11 @@ def estimate_rho_hat(data: RankCountMatrix | RankingDataset | np.ndarray) -> np.
 
 def _consensus_log_weights(cost: np.ndarray, alpha: float) -> np.ndarray:
     """The consensus log-weight table -(alpha/n) cost of an (n, n) L1 cost
-    table, with alpha/n capped at ``_MAX_ALPHA_PER_ITEM``. The costs are
-    whole numbers, so from alpha/n = 745.2 on every weight not tied for its
-    row's (or a draw's free) top is exp(-745.2) or less, which is 0 in
-    float64: the tables, linear and log-space alike, hold only 0 and 1, and
-    the draws no longer move with alpha. The cap keeps a larger alpha from
-    overflowing the table to -inf and its weights to NaN."""
-    return -min(alpha / cost.shape[0], _MAX_ALPHA_PER_ITEM) * cost
+    table, alpha/n capped by ``perms.mallows_scale``: past the cap every
+    weight not tied for its row's (or a draw's free) top is 0 in float64, in
+    the linear and log-space tables alike, so the draws no longer move, and
+    a larger alpha would overflow the table to -inf and its weights to NaN."""
+    return -mallows_scale(alpha, cost.shape[0]) * cost
 
 
 def _consensus_draws(cost: np.ndarray, rank_sums: np.ndarray, alpha: float, sigma: float, size: int, rng):

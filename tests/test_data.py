@@ -190,6 +190,18 @@ class TestRankCountMatrix:
                 np.add.at(want[i], arr[:, i] - 1, weights)
             assert np.array_equal(rank_counts(arr, weights), want)
 
+    @pytest.mark.parametrize("N, n", [(0, 3), (0, 100), (1, 1), (200, 20), (3276 * 2 + 5, 20), (1700, 100)])
+    def test_counts_over_several_blocks(self, N, n):
+        """Counted a block of rows at a time, with an offset block (narrow
+        rows) or one offset row (n = 100): the table equals each item's own
+        count, as int64, over several blocks and a partial last one."""
+        rng = np.random.default_rng(N + n)
+        arr = np.argsort(rng.random((N, n)), axis=1) + 1
+        want = np.array([np.bincount(arr[:, i] - 1, minlength=n) for i in range(n)]).reshape(n, n)
+        for rows in (arr, arr.view(data_module.CheckedRows), arr[::-1]):
+            got = rank_counts(rows)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
     def test_from_dataset_takes_a_table_a_dataset_or_rankings(self):
         arr = np.array([[2, 1, 3], [1, 3, 2]])
         table = RankCountMatrix.from_dataset(arr)

@@ -188,10 +188,49 @@ def test_quoted_line_break_in_a_label(tmp_path):
         load_rankings(path)
 
 
+_CELLS = np.random.default_rng(0).integers(0, 2, (1000, 20))
+
+
+@pytest.mark.parametrize("load, text, want", [
+    (load_clicks, "1,0,1\n0,1,0\n1,1,1", [[1, 0, 1], [0, 1, 0], [1, 1, 1]]),  # no final line break
+    (load_rankings, "3,1,2\r2,3,1\r1,2,3", [[3, 1, 2], [2, 3, 1], [1, 2, 3]]),
+    (load_rankings, "1\n1\n1\n1", [[1]] * 4),  # n = 1
+    (load_clicks, "0\n1\n0\n1\n", [[0], [1], [0], [1]]),
+    # 1000 rows of 20 one-byte cells: 40 bytes a row, 2n, the bound's own size
+    (load_clicks, "".join(",".join(map(str, row)) + "\n" for row in _CELLS), _CELLS.tolist()),
+    (load_rankings, '\n\n"1", 2\n\n\n\n 2 ,"1"\r\n\n\n\r\n1,2\n\n\n\n\n\n', [[1, 2], [2, 1], [1, 2]]),
+    (load_clicks, 'a,b\n\n\n"1",0\n\n\n\n0, 1 \n\n\n', [[1, 0], [0, 1]]),
+])
+def test_every_row_loads_at_the_row_bound(tmp_path, load, text, want):
+    """``np.loadtxt`` reads at most ceil(bytes / 2n) rows, which a file of
+    one-byte cells meets exactly; a bound below the row count would drop
+    rows without an error. Blank lines, which numpy warns of when it counts
+    rows, warn of nothing (warnings fail the suite)."""
+    path = tmp_path / "r.csv"
+    path.write_bytes(text.encode())
+    ds = load(path)
+    assert (ds.rankings if load is load_rankings else ds.clicks).tolist() == want
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_rankings, "1,2\n2,1\n1", "line 3: expected 2 columns, got 1"),
+    (load_clicks, "1,0\n0,1\n,", "line 3: cell '' is not a decimal int64"),
+    (load_rankings, "1,2,3\n3,2,1\nx", "line 3: cell 'x' is not a decimal int64"),
+])
+def test_a_short_last_row_past_the_full_rows_is_rejected(tmp_path, load, text, message):
+    """A rejected row may be shorter than 2n - 1 bytes; after k full rows it
+    starts at byte 2nk or later, so the bound, ceil(bytes / 2n), still
+    reaches it and the file is rejected at its line rather than cut short."""
+    path = tmp_path / "r.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load(path)
+
+
 @st.composite
 def _csv_files(draw):
     """A ranking or click table with an optional header, blank lines at random
-    places and LF or CRLF line ends."""
+    places and LF, CRLF or CR line ends."""
     kind = draw(st.sampled_from(["rankings", "clicks"]))
     n, n_users = draw(st.integers(1, 12)), draw(st.integers(1, 40))
     if kind == "rankings":
@@ -201,7 +240,7 @@ def _csv_files(draw):
         rows = [draw(row) for _ in range(n_users)]
     labels = draw(st.sampled_from([None, tuple(f"item{i}" for i in range(n))]))
     blanks = draw(st.lists(st.integers(0, n_users + 1), max_size=4))
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return kind, np.array(rows, dtype=np.int64), labels, blanks, newline
 
 

@@ -521,6 +521,22 @@ def test_seeded_clicking_chain_equals_the_padded_reference(n, alpha, make_clicks
     assert trace.acceptance_rate == want_rate
 
 
+def test_clicking_chain_past_the_alpha_cap():
+    """Past alpha/n = 800 (``perms.mallows_scale``) every footrule change
+    d >= 1 has exp(-(alpha/n) d) == 0, so the chain takes the capped scale: at
+    alpha = 1e307 and 1e308, where (alpha/n) d overflows, it warns of nothing
+    (warnings fail the suite) and equals the chain at alpha = 1e6 n."""
+    n = 20
+    rng = np.random.default_rng(4)
+    clicks = (np.argsort(rng.random((50, n)), axis=1) < rng.integers(0, n + 1, 50)[:, None]).astype(np.int64)
+    cfg = McmcConfig(iterations=300, burn_in=50, thin=2, seed=5)
+    want, want_users = mcmc_clicking(clicks, 1e6 * n, cfg)
+    for alpha in (1e307, 1e308):
+        trace, users = mcmc_clicking(clicks, alpha, cfg)
+        assert np.array_equal(trace.rho_samples, want.rho_samples) and np.array_equal(users, want_users)
+        assert trace.acceptance_rate == want.acceptance_rate
+
+
 class TestClickingChain:
     def _clicks(self, n, n_users, alpha, seed, lam=2.0):
         rng = np.random.default_rng(seed)
