@@ -192,14 +192,16 @@ _CELLS = np.random.default_rng(0).integers(0, 2, (1000, 20))
 
 
 @pytest.mark.parametrize("load, text, want", [
-    (load_clicks, "1,0,1\n0,1,0\n1,1,1", [[1, 0, 1], [0, 1, 0], [1, 1, 1]]),  # no final line break
-    (load_rankings, "3,1,2\r2,3,1\r1,2,3", [[3, 1, 2], [2, 3, 1], [1, 2, 3]]),
-    (load_rankings, "1\n1\n1\n1", [[1]] * 4),  # n = 1
-    (load_clicks, "0\n1\n0\n1\n", [[0], [1], [0], [1]]),
+    pytest.param(load_clicks, "1,0,1\n0,1,0\n1,1,1", [[1, 0, 1], [0, 1, 0], [1, 1, 1]], id="no-final-break"),
+    pytest.param(load_rankings, "3,1,2\r2,3,1\r1,2,3", [[3, 1, 2], [2, 3, 1], [1, 2, 3]], id="cr"),
+    pytest.param(load_rankings, "1\n1\n1\n1", [[1]] * 4, id="n1-rankings"),
+    pytest.param(load_clicks, "0\n1\n0\n1\n", [[0], [1], [0], [1]], id="n1-clicks"),
     # 1000 rows of 20 one-byte cells: 40 bytes a row, 2n, the bound's own size
-    (load_clicks, "".join(",".join(map(str, row)) + "\n" for row in _CELLS), _CELLS.tolist()),
-    (load_rankings, '\n\n"1", 2\n\n\n\n 2 ,"1"\r\n\n\n\r\n1,2\n\n\n\n\n\n', [[1, 2], [2, 1], [1, 2]]),
-    (load_clicks, 'a,b\n\n\n"1",0\n\n\n\n0, 1 \n\n\n', [[1, 0], [0, 1]]),
+    pytest.param(load_clicks, "".join(",".join(map(str, row)) + "\n" for row in _CELLS), _CELLS.tolist(),
+                 id="clicks-1000x20"),
+    pytest.param(load_rankings, '\n\n"1", 2\n\n\n\n 2 ,"1"\r\n\n\n\r\n1,2\n\n\n\n\n\n', [[1, 2], [2, 1], [1, 2]],
+                 id="blanks-quotes-spaces"),
+    pytest.param(load_clicks, 'a,b\n\n\n"1",0\n\n\n\n0, 1 \n\n\n', [[1, 0], [0, 1]], id="blanks-header"),
 ])
 def test_every_row_loads_at_the_row_bound(tmp_path, load, text, want):
     """``np.loadtxt`` reads at most ceil(bytes / 2n) rows, which a file of
@@ -213,9 +215,9 @@ def test_every_row_loads_at_the_row_bound(tmp_path, load, text, want):
 
 
 @pytest.mark.parametrize("load, text, message", [
-    (load_rankings, "1,2\n2,1\n1", "line 3: expected 2 columns, got 1"),
-    (load_clicks, "1,0\n0,1\n,", "line 3: cell '' is not a decimal int64"),
-    (load_rankings, "1,2,3\n3,2,1\nx", "line 3: cell 'x' is not a decimal int64"),
+    pytest.param(load_rankings, "1,2\n2,1\n1", "line 3: expected 2 columns, got 1", id="short-row"),
+    pytest.param(load_clicks, "1,0\n0,1\n,", "line 3: cell '' is not a decimal int64", id="empty-cells"),
+    pytest.param(load_rankings, "1,2,3\n3,2,1\nx", "line 3: cell 'x' is not a decimal int64", id="one-bad-cell"),
 ])
 def test_a_short_last_row_past_the_full_rows_is_rejected(tmp_path, load, text, message):
     """A rejected row may be shorter than 2n - 1 bytes; after k full rows it
